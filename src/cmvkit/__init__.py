@@ -2,10 +2,11 @@
 
 Pipeline: Verblunsky coefficient sequences -> unitary CMV band matrices
 and quantum-walk dynamics -> Szegő transfer cocycles and power-law norm
-fits -> Carathéodory functions (Schur algorithm and eigen-oracle) ->
-resolvent assembly for the whole-line operator -> boundary spectral
-measures and Hölder-continuity exponents, with substitution trace-map
-machinery and explicit growth constants for the golden-mean model.
+fits -> Carathéodory functions (Schur algorithm, resolvent and eigen
+oracles) -> resolvent assembly for the whole-line operator -> boundary
+spectral measures and Hölder-continuity exponents, with substitution
+trace-map machinery and explicit growth constants for the golden-mean
+model.
 """
 
 from .coeffs import (GOLDEN_MEAN, VerblunskySequence, extend_two_sided,
@@ -21,8 +22,9 @@ from .transfer import (FitResult, Mat2C, branch_sqrt, cocycle_product,
                        solution_norm)
 from .caratheodory import (SchurEvaluator, alexandrov_norms, jl_ratio,
                            jl_ratio_sweep, m_minus, measure_oracle_F,
-                           mobius_sup, mobius_sup_grid, rotated,
-                           schur_eval_F, schur_eval_F_adaptive, solve_x_of_r)
+                           mobius_sup, mobius_sup_grid, resolvent_oracle_F,
+                           rotated, schur_eval_F, schur_eval_F_adaptive,
+                           solve_x_of_r)
 from .tracemap import (ContinuedFractionData, GammaConstants, TraceOrbit,
                        cf_data, default_trace_bound, fricke_invariant,
                        gamma_constants, golden_cf, invariant_sup, orbit_sweep,

@@ -1,10 +1,11 @@
 """Carathéodory-function machinery.
 
 Evaluation of F(z) from Verblunsky coefficients by the Schur algorithm,
-an independent eigen-decomposition oracle on unitary truncations, the
-fractional-linear map producing the anti-Carathéodory left function, the
-Alexandrov-family norms, the Jitomirskaya-Last scale x(r), and the exact
-Möbius boundary supremum.
+two independent oracles on unitary truncations (a banded resolvent solve
+and, for small sizes, an eigen-decomposition), the fractional-linear map
+producing the anti-Carathéodory left function, the Alexandrov-family
+norms, the Jitomirskaya-Last scale x(r), and the exact Möbius boundary
+supremum.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,26 +74,32 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     """Adaptive-depth Schur evaluation over an array of |z| < 1 points.
 
     Depth doubles until two consecutive depths agree to `tol` (sup over
-    the batch) or `max_depth` is reached.
+    the batch) or `max_depth` is reached; in the latter case a
+    RuntimeWarning names the last depth and the sup gap it left.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
-    depth = 256
-    alphas = _alpha_prefix(seq, min(depth, max_depth))
+    depth = min(256, max_depth)
+    alphas = _alpha_prefix(seq, depth)
 
     def F_of(f):
         zf = zs * f
         return (1.0 + zf) / (1.0 - zf)
 
     prev = F_of(_schur_f(alphas, zs))
+    gap = math.inf
     while depth < max_depth:
         depth *= 2
         alphas = _alpha_prefix(seq, depth)
         cur = F_of(_schur_f(alphas, zs))
-        if np.max(np.abs(cur - prev)) < tol:
+        gap = float(np.max(np.abs(cur - prev)))
+        if gap < tol:
             return cur
         prev = cur
+    warnings.warn(f"schur_F_batch: no convergence within max_depth {max_depth}: "
+                  f"at depth {depth} the sup gap to the previous depth is "
+                  f"{gap:.3e} (tol {tol:.1e})", RuntimeWarning, stacklevel=2)
     return prev
 
 
@@ -131,11 +139,39 @@ def _unitary_eigensystem(seq: VerblunskySequence, N: int, eta_b: complex):
 
 def measure_oracle_F(seq: VerblunskySequence, z: complex, N: int,
                      eta_b: complex = 1.0) -> complex:
-    """F(z) via the spectral measure of delta_0 for the N-site truncation."""
+    """F(z) via the spectral measure of delta_0 for the N-site truncation.
+
+    O(N^3) per truncation; kept as the small-N cross-check of
+    `resolvent_oracle_F`.
+    """
     if abs(z) >= 1.0:
         raise DiskError(f"|z| = {abs(z)} >= 1")
     eigs, weights = _unitary_eigensystem(seq, N, complex(eta_b))
     return complex(np.sum(weights * (eigs + z) / (eigs - z)))
+
+
+def resolvent_oracle_F(seq: VerblunskySequence, zs, N: int,
+                       eta_b: complex = 1.0) -> np.ndarray:
+    """F(z) = <delta_0, (C + z)(C - z)^{-1} delta_0> = 1 + 2z [(C - z)^{-1}]_00
+    for the N-site truncation C, over an array of |z| < 1 points.
+
+    One banded LU solve of (C - z) x = delta_0 per point.  Only the matrix
+    and LAPACK enter, never the Schur recursion, so this is an independent
+    check of `schur_F_batch`.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(np.abs(zs) >= 1.0):
+        raise DiskError("batch contains |z| >= 1")
+    ab = operator.build_finite_cmv(seq, N, eta_b).banded()
+    delta0 = np.zeros(N, dtype=complex)
+    delta0[0] = 1.0
+    F = np.empty(zs.shape, dtype=complex)
+    for i, z in np.ndenumerate(zs):
+        shifted = ab.copy()
+        shifted[2] -= z
+        x = scipy.linalg.solve_banded((2, 2), shifted, delta0, overwrite_ab=True)
+        F[i] = 1.0 + 2.0 * z * x[0]
+    return F
 
 
 def m_minus(F_minus: complex, alpha0: complex) -> complex:

@@ -87,6 +87,19 @@ def _dense_from_diagonals(diag: dict, r0: int, r1: int, c0: int, c1: int) -> np.
     return out
 
 
+def _banded_from_diagonals(diag: dict) -> np.ndarray:
+    """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded:
+    ab[2 - off, m + off] = E(m, m + off) for a square block."""
+    n = len(diag[0])
+    ab = np.zeros((5, n), dtype=complex)
+    for off, arr in diag.items():
+        if off >= 0:
+            ab[2 - off, off:] = arr[:n - off]
+        else:
+            ab[2 - off, :n + off] = arr[-off:]
+    return ab
+
+
 @dataclass(frozen=True)
 class ExtendedCMVWindow:
     """Rows [lo, hi] of the extended matrix, optionally closed unitarily."""
@@ -101,15 +114,7 @@ class ExtendedCMVWindow:
                                      self.lo, self.hi + 1)
 
     def banded(self) -> np.ndarray:
-        """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded."""
-        n = self.hi - self.lo + 1
-        ab = np.zeros((5, n), dtype=complex)
-        for off, arr in self.diagonals.items():
-            for i in range(n):
-                j = i + off
-                if 0 <= j < n:
-                    ab[2 - off, j] = arr[i]
-        return ab
+        return _banded_from_diagonals(self.diagonals)
 
 
 def extended_window(seq: VerblunskySequence, lo: int, hi: int,
@@ -139,6 +144,9 @@ class FiniteCMV:
 
     def dense(self) -> np.ndarray:
         return _dense_from_diagonals(self.diagonals, 0, self.size, 0, self.size)
+
+    def banded(self) -> np.ndarray:
+        return _banded_from_diagonals(self.diagonals)
 
 
 def build_finite_cmv(seq: VerblunskySequence, N: int, eta_b: complex = 1.0) -> FiniteCMV:
@@ -370,7 +378,12 @@ def spectral_basis_reach(seq: VerblunskySequence, n: int) -> BasisReachReport:
 
 
 def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
-    """k-fold band application; the support grows by at most two per step."""
+    """k-fold band application; the support grows by at most two per step.
+
+    Step t updates only the rows of the light cone [a - 2t, b + 2t) of the
+    initial support [a, b); every other row of the full band product is
+    a sum of zeros, so the result is the same to the bit.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -379,9 +392,17 @@ def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
     hi = psi0.offset + len(psi0.values) + 2 * k + 2
     diag = band_diagonals(seq.alpha, lo, hi)
     x = np.zeros(hi - lo, dtype=complex)
-    x[psi0.offset - lo: psi0.offset - lo + len(psi0.values)] = psi0.values
+    y = np.zeros_like(x)
+    a = psi0.offset - lo
+    b = a + len(psi0.values)
+    x[a:b] = psi0.values
     for _ in range(k):
-        x = _apply_diagonals(diag, x)
+        a, b = a - 2, b + 2
+        # y holds the state of two steps back, supported inside [a, b)
+        y[a:b] = 0.0
+        for off, arr in diag.items():
+            y[a:b] += arr[a:b] * x[a + off:b + off]
+        x, y = y, x
     return State(lo, x).trimmed(0.0)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ def test_F_at_origin_is_one():
 def test_disk_guard():
     with pytest.raises(DiskError):
         cara.schur_eval_F(coeffs.make_constant(0.0), 1.0, 8)
+    with pytest.raises(DiskError):
+        cara.resolvent_oracle_F(coeffs.make_constant(0.0), [0.5, 1.0], 8)
+
+
+def test_schur_batch_warns_when_unconverged():
+    # -0.9999 lies on the essential arc of the constant model, where depth
+    # 4096 is far short of the ~1/(1 - |z|) the recursion needs
+    with pytest.warns(RuntimeWarning, match="max_depth 4096"):
+        cara.schur_F_batch(coeffs.make_constant(0.5), [-0.9999], max_depth=4096)
+
+
+def test_schur_batch_converged_is_quiet():
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    zs = 0.999 * np.exp(2j * math.pi * np.arange(64) / 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cara.schur_F_batch(seq, zs)
 
 
 def test_constant_model_fixed_point_oracle():
@@ -74,6 +92,20 @@ def test_schur_vs_eigen_oracle_small():
         F_s = cara.schur_eval_F_adaptive(seq, z)
         F_e = cara.measure_oracle_F(seq, z, 400)
         assert abs(F_s - F_e) < 1e-8
+
+
+def test_resolvent_oracle_vs_eigen_oracle():
+    rng = np.random.default_rng(4)
+    explicit = coeffs.make_explicit(rng.uniform(0, 0.9, 399)
+                                    * np.exp(1j * rng.uniform(0, 2 * math.pi, 399)))
+    for seq, eta in ((coeffs.make_sturmian(0.5, -0.5, GOLDEN), 1.0),
+                     (coeffs.make_constant(0.5), 1.0),
+                     (explicit, cmath.exp(0.2j))):
+        zs = (np.sqrt(rng.uniform(0, 1, 16)) * 0.95
+              * np.exp(1j * rng.uniform(0, 2 * math.pi, 16)))
+        F_res = cara.resolvent_oracle_F(seq, zs, 400, eta)
+        F_eig = [cara.measure_oracle_F(seq, z, 400, eta) for z in zs]
+        assert np.max(np.abs(F_res - F_eig)) < 1e-10
 
 
 def test_m_minus_examples():

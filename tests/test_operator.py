@@ -74,6 +74,25 @@ def test_band_pattern_matches_theta_factorization():
     assert np.max(np.abs(Efac - window)) < 1e-14
 
 
+def _dense_from_banded(ab):
+    n = ab.shape[1]
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 3)):
+            out[i, j] = ab[2 + i - j, j]
+    return out
+
+
+def test_banded_storage_round_trips_to_dense():
+    rng = np.random.default_rng(3)
+    finite = operator.build_finite_cmv(random_half(rng, 29, rad=0.9), 30,
+                                       cmath.exp(0.7j))
+    seq = random_two_sided(rng, 32)
+    for block in (finite, operator.extended_window(seq, -11, 12, closure=1.0),
+                  operator.extended_window(seq, -11, 12, closure=None)):
+        assert np.array_equal(_dense_from_banded(block.banded()), block.dense())
+
+
 def test_extended_window_interior_matches_raw():
     rng = np.random.default_rng(3)
     seq = random_two_sided(rng, 64)
@@ -200,6 +219,25 @@ def test_evolve_walk_basics():
     seq = random_two_sided(rng, 2100)
     out = operator.evolve_walk(seq, operator.State.delta(0), 1000)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_evolve_walk_light_cone_matches_full_window():
+    # reference: every step applies the band to the whole 4k-wide window
+    k = 3000
+    fib = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
+    wide = operator.State(-1, np.array([0.6, 0.0, 0.8j]))
+    for psi0 in (operator.State.delta(0), wide):
+        lo = psi0.offset - 2 * k - 2
+        hi = psi0.offset + len(psi0.values) + 2 * k + 2
+        diag = operator.band_diagonals(fib.alpha, lo, hi)
+        x = np.zeros(hi - lo, dtype=complex)
+        x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
+        for _ in range(k):
+            x = operator._apply_diagonals(diag, x)
+        full = operator.State(lo, x).trimmed(0.0)
+        cone = operator.evolve_walk(fib, psi0, k)
+        assert cone.offset == full.offset
+        assert np.array_equal(cone.values, full.values)
 
 
 def test_state_csv(tmp_path):
