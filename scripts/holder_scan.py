@@ -27,17 +27,8 @@ def scan_coupling(t: float, eps, grid):
     theta = float(verify.certified_spectrum_points(alphabet, 1)[0])
     profiles = [spectral.lambda_r_profile(seq2, 1.0 - e, grid) for e in eps]
     fit = spectral.holder_exponent(profiles, theta, eps)
-    Ls = [2 ** k for k in range(6, 14)]
-    lx = np.log(np.array(Ls, dtype=float))
-    slopes = []
-    z = complex(np.exp(1j * theta))
-    for lam in (1.0, 1j):
-        for sign in (1.0, -1.0):
-            prof = transfer.norm_profile_batch(
-                seq1, [z], [[1.0, sign * np.conj(lam)]], Ls[-1])[0]
-            slopes.append(float(np.polyfit(lx, 0.5 * np.log(prof[Ls]), 1)[0]))
-    g_lo, g_hi = min(slopes), max(slopes)
-    return theta, fit.beta_hat, 2.0 * g_lo / (g_lo + g_hi)
+    growth = transfer.pair_growth_exponents(seq1, complex(np.exp(1j * theta)))
+    return theta, fit.beta_hat, growth.beta
 
 
 def main() -> int:

@@ -19,12 +19,11 @@ from .operator import (FiniteCMV, State, apply_extended,
                        split_at_origin)
 from .transfer import (FitResult, Mat2C, branch_sqrt, cocycle_product,
                        fit_power_law, norm_profile, normalize_sl2, one_step,
-                       solution_norm)
-from .caratheodory import (SchurEvaluator, alexandrov_norms, jl_ratio,
-                           jl_ratio_sweep, m_minus, measure_oracle_F,
-                           mobius_sup, mobius_sup_grid, resolvent_oracle_F,
-                           rotated, schur_eval_F, schur_eval_F_adaptive,
-                           solve_x_of_r)
+                       pair_growth_exponents, solution_norm)
+from .caratheodory import (alexandrov_norms, jl_ratio, jl_ratio_sweep,
+                           m_minus, measure_oracle_F, mobius_sup,
+                           mobius_sup_grid, resolvent_oracle_F, rotated,
+                           schur_eval_F, schur_eval_F_adaptive, solve_x_of_r)
 from .tracemap import (ContinuedFractionData, GammaConstants, TraceOrbit,
                        cf_data, default_trace_bound, fricke_invariant,
                        gamma_constants, golden_cf, invariant_sup, orbit_sweep,

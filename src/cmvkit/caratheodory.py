@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .coeffs import VerblunskySequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
-                     SupportError, WindowError)
+                     SupportError, UnconvergedWarning, WindowError)
 from . import operator, transfer
 
 SQRT2 = math.sqrt(2.0)
@@ -74,8 +74,8 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     """Adaptive-depth Schur evaluation over an array of |z| < 1 points.
 
     Depth doubles until two consecutive depths agree to `tol` (sup over
-    the batch) or `max_depth` is reached; in the latter case a
-    RuntimeWarning names the last depth and the sup gap it left.
+    the batch) or `max_depth` is reached; in the latter case an
+    UnconvergedWarning names the last depth and the sup gap it left.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
@@ -99,27 +99,13 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
         prev = cur
     warnings.warn(f"schur_F_batch: no convergence within max_depth {max_depth}: "
                   f"at depth {depth} the sup gap to the previous depth is "
-                  f"{gap:.3e} (tol {tol:.1e})", RuntimeWarning, stacklevel=2)
+                  f"{gap:.3e} (tol {tol:.1e})", UnconvergedWarning, stacklevel=2)
     return prev
 
 
 def schur_eval_F_adaptive(seq: VerblunskySequence, z: complex,
                           tol: float = 1e-12, max_depth: int = 1 << 17) -> complex:
     return complex(schur_F_batch(seq, np.array([z]), tol, max_depth)[0])
-
-
-@dataclass(frozen=True)
-class SchurEvaluator:
-    """Reusable adaptive evaluator for one coefficient sequence."""
-
-    seq: VerblunskySequence
-    tol: float = 1e-12
-    max_depth: int = 1 << 17
-
-    def __call__(self, z: complex) -> complex:
-        if z == 0:
-            return 1.0 + 0.0j
-        return schur_eval_F_adaptive(self.seq, z, self.tol, self.max_depth)
 
 
 @lru_cache(maxsize=8)
@@ -174,8 +160,8 @@ def resolvent_oracle_F(seq: VerblunskySequence, zs, N: int,
     return F
 
 
-def m_minus(F_minus: complex, alpha0: complex) -> complex:
-    """Anti-Carathéodory companion of the left half.
+def m_minus(F_minus, alpha0: complex):
+    """Anti-Carathéodory companion of the left half; F_minus may be an array.
 
     M = [Re(1 - conj(a0)) - i Im(1 + conj(a0)) F] /
         [i Im(1 - conj(a0)) - Re(1 + conj(a0)) F]
@@ -186,7 +172,7 @@ def m_minus(F_minus: complex, alpha0: complex) -> complex:
     a0c = complex(alpha0).conjugate()
     num = (1.0 - a0c).real - 1j * (1.0 + a0c).imag * F_minus
     den = 1j * (1.0 - a0c).imag - (1.0 + a0c).real * F_minus
-    if abs(den) < 1e-300:
+    if np.any(np.abs(den) < 1e-300):
         raise PoleError("vanishing denominator in the M-minus map")
     return num / den
 
@@ -248,32 +234,18 @@ def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float,
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    target = 2.0 / (1.0 - r) ** 2  # squared-product form of the equation
     n = horizon if horizon is not None else max(64, int(8 * SQRT2 / (1.0 - r)))
     while True:
         s_phi, s_psi = _pair_profiles(seq, lam, z, n)
-        if s_phi[0] * s_psi[0] >= target:
-            return XofR(0.0, clamped=True)
-        if s_phi[-1] * s_psi[-1] >= target:
-            break
-        if horizon is not None or n >= max_horizon:
-            raise HorizonError(f"x(r) beyond horizon {n}")
-        n *= 2
-
-    def product(x: float) -> float:
-        return (transfer._interp_squared(s_phi, x)
-                * transfer._interp_squared(s_psi, x))
-
-    lo, hi = 0.0, float(n)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if product(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return XofR(0.5 * (lo + hi))
+        try:
+            x = _x_from_profiles(s_phi, s_psi, r)
+        except HorizonError:
+            if horizon is not None or n >= max_horizon:
+                raise HorizonError(f"x(r) beyond horizon {n}") from None
+            n *= 2
+            continue
+        # the bisection never returns exactly 0; only the clamp does
+        return XofR(x, clamped=(x == 0.0))
 
 
 def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float,

@@ -14,6 +14,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import caratheodory as cara
 from . import coeffs, operator, spectral, tracemap, transfer, verify
-from .errors import CMVKitError
+from .errors import CMVKitError, UnconvergedWarning
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,12 @@ class RunConfig:
     r_list: tuple = (0.9, 0.99, 0.999)
     eps_list: tuple = (1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1)
     depth: int = 1 << 15
-    window: int = 400
     n_range: tuple = (0, 64)
     trace_levels: int = 10
     steps: int = 1000
     snapshots: int = 5
     start: int = 0
     theta: float | None = None
-    seed: int = 0
     out: str = "runs"
     criteria: tuple = ()
 
@@ -63,8 +62,8 @@ class RunConfig:
             raise CMVKitError("every eps must lie in (0, pi)")
         if self.theta_count < 8:
             raise CMVKitError("theta-count must be at least 8")
-        if self.steps < 0 or self.depth < 1 or self.window < 16:
-            raise CMVKitError("steps/depth/window out of range")
+        if self.steps < 0 or self.depth < 1:
+            raise CMVKitError("steps/depth out of range")
         return self
 
 
@@ -178,22 +177,9 @@ def cmd_holder(cfg: RunConfig) -> int:
         theta0 = float(verify.certified_spectrum_points(alphabet, 1)[0])
     fit = spectral.holder_exponent(profiles, theta0, eps)
     spectral.write_arcmass_csv(fit, out / "arc_mass.csv")
-    Ls = [2 ** k for k in range(6, 14)]
-    lx = np.log(np.array(Ls, dtype=float))
-    slopes = []
-    env_lo, env_hi = math.inf, -math.inf
     z = complex(np.exp(1j * theta0))
-    for lam in (1.0, 1j):
-        for sign in (1.0, -1.0):
-            prof = transfer.norm_profile_batch(
-                seq1, [z], [[1.0, sign * np.conj(lam)]], Ls[-1])[0]
-            slopes.append(float(np.polyfit(lx, 0.5 * np.log(prof[Ls]), 1)[0]))
-            pfit = transfer.fit_power_law([(L, math.sqrt(prof[L])) for L in Ls])
-            env_lo = min(env_lo, pfit.gamma_low)
-            env_hi = max(env_hi, pfit.gamma_high)
-    g_lo, g_hi = min(slopes), max(slopes)
-    prof0 = transfer.norm_profile_batch(seq1, [z], [[1.0, 1.0]], Ls[-1])[0]
-    norm_samples = [(L, math.sqrt(prof0[L])) for L in Ls]
+    growth = transfer.pair_growth_exponents(seq1, z)
+    norm_samples = growth.samples()
     transfer.write_norm_csv(norm_samples, out / "norm_samples.csv")
     transfer.fit_to_json(transfer.fit_power_law(norm_samples),
                          out / "norm_fit.json")
@@ -208,10 +194,10 @@ def cmd_holder(cfg: RunConfig) -> int:
         "theta": theta0,
         "beta_hat": fit.beta_hat,
         "envelope_beta": fit.envelope_beta,
-        "gamma_low": g_lo,
-        "gamma_high": g_hi,
-        "gamma_cross_check": 2.0 * g_lo / (g_lo + g_hi),
-        "gamma_envelope_cross_check": 2.0 * env_lo / (env_lo + env_hi),
+        "gamma_low": growth.g_lo,
+        "gamma_high": growth.g_hi,
+        "gamma_cross_check": growth.beta,
+        "gamma_envelope_cross_check": growth.envelope_beta,
     }
     with open(out / "holder.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
@@ -242,7 +228,7 @@ def cmd_walk(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     out = _run_dir(cfg)
     numbers = set(cfg.criteria) if cfg.criteria else None
-    results = verify.run_all(numbers=numbers, echo=True, window=cfg.window)
+    results = verify.run_all(numbers=numbers, echo=True)
     record = verify.report_to_json(results, out / "verification.json")
     print(f"wrote {out / 'verification.json'}")
     return 0 if record["all_hard_passed"] else 1
@@ -274,9 +260,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=str, default=None, help="comma list of radii")
     p.add_argument("--eps", type=str, default=None, help="comma list of arc scales")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
@@ -291,9 +275,7 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
         "coeff_file": getattr(args, "coeff_file", None),
         "theta_count": getattr(args, "theta_count", None),
         "depth": args.depth,
-        "window": args.window,
         "theta": args.theta,
-        "seed": args.seed,
     }
     if args.value is not None:
         overrides["value"] = _parse_complex(args.value)
@@ -361,8 +343,11 @@ def main(argv=None) -> int:
         args.criteria = tuple(int(x) for x in args.criteria.split(","))
     try:
         cfg = _build_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
-    except CMVKitError as exc:
+        # an unconverged evaluation must not leave results behind as if final
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnconvergedWarning)
+            return _COMMANDS[args.command](cfg)
+    except (CMVKitError, UnconvergedWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,3 +75,7 @@ class ConventionError(CMVKitError):
 
 class DomainError(CMVKitError):
     """Argument outside the mathematical domain of a formula."""
+
+
+class UnconvergedWarning(RuntimeWarning):
+    """An adaptive evaluation stopped at its depth limit before converging."""

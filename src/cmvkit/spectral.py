@@ -11,8 +11,10 @@ the pair (F_plus, M_minus):
 with the origin normalizations u_pm(0) = z + z F, v_pm(0) = -1 + F
 (F = F_plus for the plus pair, M_minus for the minus pair).  Every
 convention here (the z^2 power, the diagonal parity, and the coefficient
-feeding the M_minus map) was pinned against a dense-truncation oracle;
-`resolve_m_minus_convention` reruns that arbitration at runtime.
+feeding the M_minus map) was pinned against a dense-truncation oracle.
+The M_minus map takes the split-site coefficient alpha(-1);
+`resolve_m_minus_convention` re-derives that choice against the oracle
+for acceptance criterion 2 and is not consulted during assembly.
 """
 
 from __future__ import annotations
@@ -151,8 +153,6 @@ class GZContext:
     z: complex
     F_plus: complex
     M_minus: complex
-    alpha0: complex
-    convention: str
     store_lo: int
     store_hi: int
     u_plus: dict = field(repr=False)
@@ -163,7 +163,7 @@ class GZContext:
 
 
 def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
-                        alpha0: complex, convention: str) -> GZContext:
+                        alpha0: complex) -> GZContext:
     W = int(window)
     if W < 16:
         raise WindowError("window half-width must be at least 16")
@@ -207,8 +207,8 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
         (z + a0.conjugate() + M_minus * (z - a0.conjugate())) / rho0, "v_minus")
     mism = max(mism, m)
 
-    return GZContext(seq, z, F_plus, M_minus, alpha0, convention,
-                     -store, store, u_plus, u_minus, v_plus, v_minus, mism)
+    return GZContext(seq, z, F_plus, M_minus, -store, store,
+                     u_plus, u_minus, v_plus, v_minus, mism)
 
 
 _convention_cache: dict = {}
@@ -216,11 +216,13 @@ _convention_cache: dict = {}
 
 def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 + 0.2j,
                                tol: float = 1e-6) -> str:
-    """Pick the coefficient convention for the M_minus map empirically.
+    """Re-derive the coefficient feeding the M_minus map against the oracle.
 
-    Each candidate context is compared against the dense-truncation
-    oracle on a small block of entries; candidates tie exactly when their
-    coefficient values coincide, in which case the first listed wins.
+    Assembly always uses the split-site coefficient; this arbitration is
+    the check of that choice in acceptance criterion 2.  Each candidate
+    context is compared against the dense-truncation oracle on a small
+    block of entries; candidates tie exactly when their coefficient values
+    coincide, in which case the first listed wins.
     """
     key = (seq, complex(z_probe))
     if key in _convention_cache:
@@ -234,7 +236,7 @@ def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 
     for name in _CONVENTIONS:
         try:
             ctx = _build_context_with(seq, z_probe, 48,
-                                      _convention_alpha(seq, name), name)
+                                      _convention_alpha(seq, name))
             err = 0.0
             for i, x in enumerate(xs):
                 for j, y in enumerate(xs):
@@ -251,8 +253,8 @@ def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 
     return best_name
 
 
-def build_gz_context(seq: VerblunskySequence, z: complex, window: int = 200,
-                     alpha0_convention: str = "auto") -> GZContext:
+def build_gz_context(seq: VerblunskySequence, z: complex,
+                     window: int = 200) -> GZContext:
     """Assemble resolvent data at z (off the circle, away from 0)."""
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
@@ -263,10 +265,7 @@ def build_gz_context(seq: VerblunskySequence, z: complex, window: int = 200,
         raise SpectralPointError(
             "direct resolvent evaluation requires | |z| - 1 | >= 1e-3; "
             "approach the circle through the r-profile path instead")
-    name = alpha0_convention
-    if name == "auto":
-        name = resolve_m_minus_convention(seq)
-    return _build_context_with(seq, z, window, _convention_alpha(seq, name), name)
+    return _build_context_with(seq, z, window, seq.alpha(-1))
 
 
 def gz_entry(ctx: GZContext, x: int, y: int) -> complex:
@@ -320,23 +319,15 @@ def F_extended(ctx: GZContext) -> complex:
 
 
 def F_extended_batch(seq: VerblunskySequence, zs, tol: float = 1e-13,
-                     alpha0_convention: str = "auto",
                      max_depth: int = 1 << 17) -> np.ndarray:
     """Vectorized F over an array of |z| < 1 points via the closed corner form."""
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
     zs = np.asarray(zs, dtype=complex)
-    name = alpha0_convention
-    if name == "auto":
-        name = resolve_m_minus_convention(seq)
-    a_conv = _convention_alpha(seq, name)
     right, left = operator.split_at_origin(seq)
     Fp = cara.schur_F_batch(right, zs, tol, max_depth)
     Fm = cara.schur_F_batch(left, zs, tol, max_depth)
-    a0c = complex(a_conv).conjugate()
-    num = (1.0 - a0c).real - 1j * (1.0 + a0c).imag * Fm
-    den = 1j * (1.0 - a0c).imag - (1.0 + a0c).real * Fm
-    Mm = num / den
+    Mm = cara.m_minus(Fm, seq.alpha(-1))
     sigma = corner_trace_sum(Fp, Mm, seq.alpha(0), seq.rho(0), zs)
     return 1.0 + zs * sigma
 

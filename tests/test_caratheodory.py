@@ -35,7 +35,7 @@ def test_free_F_is_one():
 def test_F_at_origin_is_one():
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     assert cara.schur_eval_F(seq, 0.0, 64) == 1.0
-    assert cara.SchurEvaluator(seq)(0.0) == 1.0
+    assert cara.schur_eval_F_adaptive(seq, 0.0) == 1.0
 
 
 def test_disk_guard():

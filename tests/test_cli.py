@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmvkit import cli
+from cmvkit import cli, transfer
 
 
 def run(args):
@@ -103,3 +103,29 @@ def test_verify_subset(tmp_path):
     record = json.loads((d / "verification.json").read_text())
     assert record["all_hard_passed"] is True
     assert [c["number"] for c in record["criteria"]] == [1, 8]
+
+
+def test_holder_free_model(tmp_path):
+    assert run(["holder", "--model", "constant", "--value", "0", "--theta", "1.0",
+                "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9",
+                "--out", str(tmp_path)]) == 0
+    d = latest_run_dir(tmp_path, "holder")
+    record = json.loads((d / "holder.json").read_text())
+    assert abs(record["gamma_cross_check"] - 1.0) < 1e-12
+    assert abs(record["beta_hat"] - 1.0) < 0.02
+    # free solutions have squared norm exactly L + 1; the envelope fit of
+    # sqrt(L + 1) is close to, but not exactly, a power law
+    Ls = [2 ** k for k in range(6, 14)]
+    free_fit = transfer.fit_power_law([(L, math.sqrt(L + 1)) for L in Ls])
+    assert abs(record["gamma_envelope_cross_check"] - free_fit.beta) < 1e-12
+    samples = (d / "norm_samples.csv").read_text().strip().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in samples] == Ls
+
+
+def test_unconverged_measure_fails(tmp_path, capsys):
+    assert run(["measure", "--model", "constant", "--value", "0.5",
+                "--theta-count", "64", "--depth", "4096", "--r", "0.9999",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_depth 4096" in err and "sup gap" in err
+    assert not (latest_run_dir(tmp_path, "measure") / "density.csv").exists()

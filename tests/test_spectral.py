@@ -27,11 +27,42 @@ def random_two_sided(seed=11, n=2048, lo=0.1, hi=0.7):
 
 
 RANDOM2 = random_two_sided()
+FIB_WORD2 = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
+
+
+def _oracle_rel_err(ctx, seq, z):
+    xs = list(range(-3, 4))
+    G = operator.resolvent_oracle_block(seq, z, 160, xs, xs)
+    floor = max(1e-9 * float(np.max(np.abs(G))), 1e-12)
+    return max(abs(spectral.gz_entry(ctx, x, y) - G[i, j]) / max(abs(G[i, j]), floor)
+               for i, x in enumerate(xs) for j, y in enumerate(xs))
 
 
 def test_convention_resolution():
     assert spectral.resolve_m_minus_convention(RANDOM2) == "split-site"
     assert spectral.resolve_m_minus_convention(FREE2) == "split-site"
+    z = 0.45 + 0.2j
+    # the pinned split-site coefficient matches the oracle; the other
+    # candidates miss it unless their coefficient value coincides with it
+    # (on the Sturmian word origin-conj gives 0.5 too, so it ties)
+    for seq, misses in ((RANDOM2, ("origin", "split-site-conj", "origin-conj")),
+                        (FIB_WORD2, ("origin", "split-site-conj"))):
+        assert _oracle_rel_err(spectral.build_gz_context(seq, z, 48), seq, z) < 1e-6
+        for name in misses:
+            ctx = spectral._build_context_with(
+                seq, z, 48, spectral._convention_alpha(seq, name))
+            assert _oracle_rel_err(ctx, seq, z) > 1e-3, name
+
+
+def test_assembly_does_not_arbitrate_convention(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("resolvent assembly called the dense oracle")
+
+    monkeypatch.setattr(operator, "resolvent_oracle_block", no_oracle)
+    monkeypatch.setattr(spectral, "_convention_cache", {})
+    spectral.build_gz_context(RANDOM2, 0.45 + 0.2j, 48)
+    spectral.F_extended_batch(RANDOM2, [0.3, 0.5j])
+    assert spectral._convention_cache == {}
 
 
 @pytest.mark.parametrize("z", [0.45 + 0.2j, 0.9 * cmath.exp(0.7j),

@@ -168,3 +168,17 @@ def test_norm_profile_batch_matches_scalar():
     assert np.allclose(batch[0], prof, rtol=1e-13)
     other = transfer.norm_profile(seq, z, (1.0, -1.0), 50)
     assert np.allclose(batch[1], other, rtol=1e-13)
+
+
+def test_pair_growth_exponents_free_and_batched():
+    free = transfer.pair_growth_exponents(coeffs.make_constant(0.0), cmath.exp(0.7j))
+    assert free.g_lo == free.g_hi and free.beta == 1.0
+    # the (1, 1) row of the shared batch equals its lone propagation bit for bit
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    z = cmath.exp(0.25j)
+    growth = transfer.pair_growth_exponents(seq, z)
+    assert growth.Ls == tuple(2 ** k for k in range(6, 14))
+    alone = transfer.norm_profile_batch(seq, [z], [[1.0, 1.0]], 8192)[0]
+    assert np.array_equal(growth.profile, alone)
+    assert growth.g_lo < growth.g_hi
+    assert growth.samples() == [(L, math.sqrt(alone[L])) for L in growth.Ls]
