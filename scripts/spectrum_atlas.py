@@ -33,11 +33,10 @@ def main() -> int:
     depths = [int(d) for d in args.depths.split(",")]
     cf = tracemap.golden_cf(max(depths) + 6)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_count, endpoint=False)
-    I_sup = tracemap.invariant_sup(alphabet, cf, thetas)
-    K = tracemap.default_trace_bound(I_sup)
-
-    masks = {d: tracemap.spectrum_approx(alphabet, cf, thetas, d, K)
-             for d in depths}
+    # one sweep to the deepest level; its first d levels give the depth-d mask
+    sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), max(depths))
+    K = tracemap.default_trace_bound(sweep.invariant_sup)
+    masks = {d: sweep.mask(K, d) for d in depths}
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta"] + [f"mask_n{d}" for d in depths])
@@ -47,9 +46,8 @@ def main() -> int:
     for d in depths:
         print(f"depth {d:2d}: mask fraction {masks[d].mean():.4f}")
 
-    sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), 1)
-    seed_sups = tuple(float(np.max(sweep.seed_norms[i])) for i in range(3))
-    constants = tracemap.gamma_constants(alphabet, cf, I_sup, seed_sups)
+    constants = tracemap.gamma_constants(alphabet, cf, sweep.invariant_sup,
+                                         sweep.seed_sups)
     record = tracemap.constants_to_json(constants)
     print(json.dumps(record, indent=2))
     print(f"wrote {args.out}")

@@ -211,41 +211,80 @@ def alexandrov_norms(seq: VerblunskySequence, lam: complex, z: complex,
 
 @dataclass(frozen=True)
 class XofR:
+    """The Jitomirskaya-Last scale x(r) and (norm_phi, norm_psi), the norms
+    `alexandrov_norms(seq, lam, z, x)` read from the search's own profiles."""
+
     x: float
+    norm_phi: float
+    norm_psi: float
     clamped: bool = False
 
+    def jl_ratio(self, F_lam: complex) -> float:
+        """|F^lam| * ||phi^lam||_x / ||psi^lam||_x, with F^lam taken at r z."""
+        return abs(F_lam) * self.norm_phi / self.norm_psi
 
-def _pair_profiles(seq, lam, z, n):
-    lc = complex(lam).conjugate()
-    s_phi = transfer.norm_profile(seq, z, (1.0, lc), n)
-    s_psi = transfer.norm_profile(seq, z, (1.0, -lc), n)
-    return s_phi, s_psi
+
+def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> XofR:
+    """Root of the x(r) equation, and the norms there, given precomputed
+    squared-norm profiles."""
+    target = 2.0 / (1.0 - r) ** 2
+    x = 0.0
+    if s_phi[0] * s_psi[0] < target:
+        # compare in log space; far off the spectrum the raw product overflows
+        if math.log(s_phi[-1]) + math.log(s_psi[-1]) < math.log(target):
+            raise HorizonError("profiles end before the x(r) root")
+        lo, hi = 0.0, float(len(s_phi) - 1)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (transfer._interp_squared(s_phi, mid)
+                    * transfer._interp_squared(s_psi, mid)) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-12 * max(1.0, hi):
+                break
+        x = 0.5 * (lo + hi)
+    # the bisection never returns exactly 0; only the clamp does
+    return XofR(x, math.sqrt(transfer._interp_squared(s_phi, x)),
+                math.sqrt(transfer._interp_squared(s_psi, x)), clamped=(x == 0.0))
+
+
+def _search_x(propagate, r: float, horizon: int | None, max_horizon: int) -> list:
+    """x(r) for each point of `propagate(n)`, the (phi, psi) squared-norm
+    profiles to length n, one row per point.  Without a `horizon` n starts
+    at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `max_horizon` until
+    every root lies inside; with one the search is strict at that n."""
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
+    n = horizon if horizon is not None else max(64, int(8 * SQRT2 / (1.0 - r)))
+    while True:
+        s_phi, s_psi = propagate(n)
+        try:
+            return [_x_from_profiles(p, q, r) for p, q in zip(s_phi, s_psi)]
+        except HorizonError:
+            if horizon is not None or n >= max_horizon:
+                raise HorizonError(f"x(r) beyond horizon {n}") from None
+            n *= 2
 
 
 def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float,
                  horizon: int | None = None, max_horizon: int = 1 << 21) -> XofR:
-    """Unique x >= 0 with (1-r) ||phi||_x ||psi||_x = sqrt(2).
+    """Unique x >= 0 with (1-r) ||phi||_x ||psi||_x = sqrt(2), with both norms.
 
     The interpolated squared-norm product is continuous and strictly
     increasing, so bracketing plus bisection is exact up to tolerance.
     With an explicit `horizon` the search is strict and HorizonError is
     raised when the root lies beyond it; otherwise the horizon doubles
-    automatically up to `max_horizon`.
+    automatically up to `max_horizon`.  The pair is propagated by the
+    scalar `transfer.norm_profile`.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    n = horizon if horizon is not None else max(64, int(8 * SQRT2 / (1.0 - r)))
-    while True:
-        s_phi, s_psi = _pair_profiles(seq, lam, z, n)
-        try:
-            x = _x_from_profiles(s_phi, s_psi, r)
-        except HorizonError:
-            if horizon is not None or n >= max_horizon:
-                raise HorizonError(f"x(r) beyond horizon {n}") from None
-            n *= 2
-            continue
-        # the bisection never returns exactly 0; only the clamp does
-        return XofR(x, clamped=(x == 0.0))
+    lc = complex(lam).conjugate()
+
+    def propagate(n):
+        return ([transfer.norm_profile(seq, z, (1.0, lc), n)],
+                [transfer.norm_profile(seq, z, (1.0, -lc), n)])
+
+    return _search_x(propagate, r, horizon, max_horizon)[0]
 
 
 def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float,
@@ -254,73 +293,37 @@ def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float,
 
     Bounded above and below by universal constants when the
     Jitomirskaya-Last comparison applies; equals 1 identically for the
-    free sequence.
+    free sequence.  The norms come from the x(r) search itself
+    (`XofR.jl_ratio`); keyword arguments go to `solve_x_of_r`.
     """
-    x = solve_x_of_r(seq, lam, z, r, **kwargs).x
-    n_phi, n_psi = alexandrov_norms(seq, lam, z, x)
-    F_lam = schur_eval_F_adaptive(rotated(seq, lam), r * z)
-    return abs(F_lam) * n_phi / n_psi
-
-
-def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> float:
-    """Root of the x(r) equation given precomputed squared-norm profiles."""
-    target = 2.0 / (1.0 - r) ** 2
-    if s_phi[0] * s_psi[0] >= target:
-        return 0.0
-    # compare in log space; far off the spectrum the raw product overflows
-    if math.log(s_phi[-1]) + math.log(s_psi[-1]) < math.log(target):
-        raise HorizonError("profiles end before the x(r) root")
-
-    def product(x: float) -> float:
-        return (transfer._interp_squared(s_phi, x)
-                * transfer._interp_squared(s_psi, x))
-
-    lo, hi = 0.0, float(len(s_phi) - 1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if product(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    xr = solve_x_of_r(seq, lam, z, r, **kwargs)
+    return xr.jl_ratio(schur_eval_F_adaptive(rotated(seq, lam), r * z))
 
 
 def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float,
                    max_horizon: int = 1 << 21) -> np.ndarray:
     """jl_ratio over the (lam, z) product grid, shape (len(lams), len(zs)).
 
-    Shares one batched pair propagation across the whole grid, which is
-    much faster than pointwise evaluation for on-circle sweeps.
+    Shares one batched pair propagation (`transfer.norm_profile_batch`)
+    across the whole grid, which is much faster than pointwise evaluation
+    for on-circle sweeps.
     """
     lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
+    # grid point (i, j) sits at flat index i * len(zs) + j
+    flatL, flatZ = np.repeat(lams, len(zs)), np.tile(zs, len(lams))
+    init_phi = np.stack([np.ones_like(flatL), np.conj(flatL)], axis=-1)
+    init_psi = np.stack([np.ones_like(flatL), -np.conj(flatL)], axis=-1)
+
+    def propagate(n):
+        return (transfer.norm_profile_batch(seq, flatZ, init_phi, n),
+                transfer.norm_profile_batch(seq, flatZ, init_psi, n))
+
+    xrs = _search_x(propagate, r, None, max_horizon)
     out = np.empty((len(lams), len(zs)))
-    n = max(64, int(8 * SQRT2 / (1.0 - r)))
-    while True:
-        L, Z = np.meshgrid(lams, zs, indexing="ij")
-        flatL, flatZ = L.ravel(), Z.ravel()
-        init_phi = np.stack([np.ones_like(flatL), np.conj(flatL)], axis=-1)
-        init_psi = np.stack([np.ones_like(flatL), -np.conj(flatL)], axis=-1)
-        s_phi = transfer.norm_profile_batch(seq, flatZ, init_phi, n)
-        s_psi = transfer.norm_profile_batch(seq, flatZ, init_psi, n)
-        try:
-            xs = [_x_from_profiles(s_phi[b], s_psi[b], r)
-                  for b in range(len(flatL))]
-            break
-        except HorizonError:
-            if n >= max_horizon:
-                raise
-            n *= 2
     for i, lam in enumerate(lams):
         F_lam = schur_F_batch(rotated(seq, lam), r * zs)
-        for j in range(len(zs)):
-            b = i * len(zs) + j
-            x = xs[b]
-            n_phi = math.sqrt(transfer._interp_squared(s_phi[b], x))
-            n_psi = math.sqrt(transfer._interp_squared(s_psi[b], x))
-            out[i, j] = abs(F_lam[j]) * n_phi / n_psi
+        out[i] = [xr.jl_ratio(F) for xr, F in zip(xrs[i * len(zs):], F_lam)]
     return out
 
 
@@ -345,8 +348,7 @@ def mobius_sup_grid(F: complex, n: int = 4096, refine: bool = True) -> float:
     and unimodal near its maximum, so this converges to the supremum)."""
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     lams = np.exp(1j * thetas)
-    vals = np.abs(((1.0 - lams) + (1.0 + lams) * F)
-                  / ((1.0 + lams) + (1.0 - lams) * F))
+    vals = np.abs(mobius_map(F, lams))
     k = int(np.argmax(vals))
     best = float(vals[k])
     if not refine:

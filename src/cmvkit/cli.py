@@ -3,7 +3,8 @@
 Subcommands: coeffs | spectrum | measure | holder | walk | verify.
 Every run writes into a timestamped directory under --out with the fully
 resolved configuration echoed as config.json, so results are reproducible
-from the emitted artifacts alone.
+from the emitted artifacts alone.  A run that fails with an error leaves
+the error message in error.txt beside config.json.
 """
 
 from __future__ import annotations
@@ -119,8 +120,7 @@ def _run_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_coeffs(cfg: RunConfig, out: Path) -> int:
     seq = _two_sided_model(cfg)
     lo, hi = cfg.n_range
     coeffs.write_coeffs_csv(seq, lo, hi, out / "coefficients.csv")
@@ -130,26 +130,22 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     cf = tracemap.golden_cf(max(22, cfg.trace_levels + 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     alphabet = cfg.alphabet if cfg.model == "sturmian" else (cfg.value, cfg.value)
-    I_sup = tracemap.invariant_sup(alphabet, cf, thetas)
-    K = tracemap.default_trace_bound(I_sup)
     sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), cfg.trace_levels)
-    mask = tracemap.spectrum_approx(alphabet, cf, thetas, cfg.trace_levels, K)
+    mask = sweep.mask(tracemap.default_trace_bound(sweep.invariant_sup),
+                      cfg.trace_levels)
     tracemap.write_orbit_csv(sweep, cf, thetas, mask, out / "orbit_atlas.csv")
-    seed_sups = tuple(float(np.max(sweep.seed_norms[i])) for i in range(3))
-    gc = tracemap.gamma_constants(alphabet, cf, I_sup, seed_sups)
+    gc = tracemap.gamma_constants(alphabet, cf, sweep.invariant_sup, sweep.seed_sups)
     tracemap.constants_to_json(gc, out / "growth_constants.json")
     print(f"mask fraction {mask.mean():.4f}; beta = {gc.beta:.3e}")
     print(f"wrote {out / 'orbit_atlas.csv'} and {out / 'growth_constants.json'}")
     return 0
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_measure(cfg: RunConfig, out: Path) -> int:
     seq = _two_sided_model(cfg)
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     profiles = [spectral.lambda_r_profile(seq, r, thetas, max_depth=cfg.depth)
@@ -162,8 +158,7 @@ def cmd_measure(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_holder(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_holder(cfg: RunConfig, out: Path) -> int:
     seq2 = _two_sided_model(cfg, default_left="word")
     seq1 = _one_sided_model(cfg)
     eps = np.asarray(sorted(cfg.eps_list))
@@ -185,10 +180,10 @@ def cmd_holder(cfg: RunConfig) -> int:
                          out / "norm_fit.json")
     rows = []
     for r in cfg.r_list:
+        # at lam = 1 the Alexandrov member is seq1 itself, so F0 is F^lam
         F0 = cara.schur_eval_F_adaptive(seq1, r * z)
-        xr = cara.solve_x_of_r(seq1, 1.0, z, r).x
-        ratio = cara.jl_ratio(seq1, 1.0, z, r)
-        rows.append((r, theta0, F0, xr, ratio, cara.mobius_sup(F0)))
+        xr = cara.solve_x_of_r(seq1, 1.0, z, r)
+        rows.append((r, theta0, F0, xr.x, xr.jl_ratio(F0), cara.mobius_sup(F0)))
     cara.write_boundary_csv(rows, out / "boundary.csv")
     record = {
         "theta": theta0,
@@ -207,8 +202,7 @@ def cmd_holder(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_walk(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_walk(cfg: RunConfig, out: Path) -> int:
     seq = _two_sided_model(cfg)
     kmax = cfg.steps
     snaps = sorted({int(round(k)) for k in
@@ -225,8 +219,7 @@ def cmd_walk(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    out = _run_dir(cfg)
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     numbers = set(cfg.criteria) if cfg.criteria else None
     results = verify.run_all(numbers=numbers, echo=True)
     record = verify.report_to_json(results, out / "verification.json")
@@ -341,14 +334,18 @@ def main(argv=None) -> int:
         args.n_range = (int(lo), int(hi))
     if getattr(args, "criteria", None) is not None:
         args.criteria = tuple(int(x) for x in args.criteria.split(","))
+    out = None
     try:
         cfg = _build_config(args.command, args)
+        out = _run_dir(cfg)
         # an unconverged evaluation must not leave results behind as if final
         with warnings.catch_warnings():
             warnings.simplefilter("error", UnconvergedWarning)
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command](cfg, out)
     except (CMVKitError, UnconvergedWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if out is not None:
+            (out / "error.txt").write_text(f"{exc}\n", encoding="utf-8")
         return 2
 
 

@@ -56,11 +56,9 @@ def _F_offcircle(seq: VerblunskySequence, z: complex, tol: float = 1e-13) -> com
     return -complex(cara.schur_eval_F_adaptive(seq, 1.0 / z.conjugate(), tol)).conjugate()
 
 
-def _u_forward(alpha, z, k, pair):
-    a_m1, a0, a1 = alpha(2 * k - 1), alpha(2 * k), alpha(2 * k + 1)
-    r_m1 = math.sqrt(max(1.0 - abs(a_m1) ** 2, 0.0))
-    r0 = math.sqrt(max(1.0 - abs(a0) ** 2, 0.0))
-    r1 = math.sqrt(max(1.0 - abs(a1) ** 2, 0.0))
+def _u_forward(al, rh, j, z, pair):
+    a_m1, a0, a1 = al[j - 1], al[j], al[j + 1]
+    r_m1, r0, r1 = rh[j - 1], rh[j], rh[j + 1]
     um1, u0 = pair
     b1 = (z + a0.conjugate() * a_m1) * u0 - a0.conjugate() * r_m1 * um1
     b2 = r0 * a_m1 * u0 - r0 * r_m1 * um1
@@ -70,11 +68,9 @@ def _u_forward(alpha, z, k, pair):
     return ((b1 * m22 - m12 * b2) / det, (m11 * b2 - m21 * b1) / det)
 
 
-def _u_backward(alpha, z, k, pair):
-    a_m1, a0, a1 = alpha(2 * k - 1), alpha(2 * k), alpha(2 * k + 1)
-    r_m1 = math.sqrt(max(1.0 - abs(a_m1) ** 2, 0.0))
-    r0 = math.sqrt(max(1.0 - abs(a0) ** 2, 0.0))
-    r1 = math.sqrt(max(1.0 - abs(a1) ** 2, 0.0))
+def _u_backward(al, rh, j, z, pair):
+    a_m1, a0, a1 = al[j - 1], al[j], al[j + 1]
+    r_m1, r0, r1 = rh[j - 1], rh[j], rh[j + 1]
     X, Y = pair
     c1 = -a1.conjugate() * r0 * X - r1 * r0 * Y
     c2 = (z + a1.conjugate() * a0) * X + r1 * a0 * Y
@@ -84,48 +80,45 @@ def _u_backward(alpha, z, k, pair):
     return ((c1 * m22 - m12 * c2) / det, (m11 * c2 - m21 * c1) / det)
 
 
-def _directional_solution(alpha, z, direction: str, store_lo: int, store_hi: int,
+def _two_site_steps(direction: str, store_lo: int, store_hi: int, margin: int) -> range:
+    """Steps k of a directional solution in running order; step k reads
+    the coefficients at sites 2k - 1, 2k and 2k + 1."""
+    if direction == "plus":
+        return range((store_hi + margin + 2) // 2 + 1, (store_lo - 2) // 2 - 1, -1)
+    return range((store_lo - margin - 2) // 2 - 1, (store_hi + 2) // 2 + 1)
+
+
+def _directional_solution(coef, z, direction: str, store_lo: int, store_hi: int,
                           margin: int) -> dict:
     """Formal solution decaying at +inf ('plus') or -inf ('minus').
 
     Runs the two-site recurrence from a seed `margin` sites beyond the
     stored range; the contamination by the complementary solution decays
     geometrically over the margin.  Values are tracked with a running log
-    scale and reconstructed relative to the stored range.
+    scale and reconstructed relative to the stored range.  `coef` is
+    (alpha, rho, base): coefficient tables with site n at index n - base.
     """
-    raw = {}
-    logs = {}
+    al, rh, base = coef
+    # 'plus' runs backward and stores sites 2k - 1, 2k; 'minus' runs
+    # forward and stores 2k + 1, 2k + 2
+    step, first = (_u_backward, -1) if direction == "plus" else (_u_forward, 1)
+    raw = {}   # site -> (value, log scale)
     g = 0.0
-    if direction == "plus":
-        k_seed = (store_hi + margin + 2) // 2 + 1
-        k_stop = (store_lo - 2) // 2
-        pair = (1.0 + 0.0j, 1.0 + 0.0j)
-        for k in range(k_seed, k_stop - 1, -1):
-            pair = _u_backward(alpha, z, k, pair)
-            m = max(abs(pair[0]), abs(pair[1]))
-            if m > 1e120 or (0.0 < m < 1e-120):
-                pair = (pair[0] / m, pair[1] / m)
-                g += math.log(m)
-            raw[2 * k - 1], raw[2 * k] = pair
-            logs[2 * k - 1] = logs[2 * k] = g
-    else:
-        k_seed = (store_lo - margin - 2) // 2 - 1
-        k_stop = (store_hi + 2) // 2
-        pair = (1.0 + 0.0j, 1.0 + 0.0j)
-        for k in range(k_seed, k_stop + 1):
-            pair = _u_forward(alpha, z, k, pair)
-            m = max(abs(pair[0]), abs(pair[1]))
-            if m > 1e120 or (0.0 < m < 1e-120):
-                pair = (pair[0] / m, pair[1] / m)
-                g += math.log(m)
-            raw[2 * k + 1], raw[2 * k + 2] = pair
-            logs[2 * k + 1] = logs[2 * k + 2] = g
-    g0 = logs.get(0, 0.0)
+    pair = (1.0 + 0.0j, 1.0 + 0.0j)
+    for k in _two_site_steps(direction, store_lo, store_hi, margin):
+        pair = step(al, rh, 2 * k - base, z, pair)
+        m = max(abs(pair[0]), abs(pair[1]))
+        if m > 1e120 or (0.0 < m < 1e-120):
+            pair = (pair[0] / m, pair[1] / m)
+            g += math.log(m)
+        n = 2 * k + first
+        raw[n], raw[n + 1] = (pair[0], g), (pair[1], g)
+    g0 = raw[0][1] if 0 in raw else 0.0
     out = {}
-    for n, v in raw.items():
+    for n, (v, gn) in raw.items():
         if store_lo - 2 <= n <= store_hi + 2:
             try:
-                out[n] = v * math.exp(logs[n] - g0)
+                out[n] = v * math.exp(gn - g0)
             except OverflowError:
                 out[n] = complex(math.inf, 0.0)
     return out
@@ -167,7 +160,6 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     W = int(window)
     if W < 16:
         raise WindowError("window half-width must be at least 16")
-    gap = abs(abs(z) - 1.0)
     margin_needed = int(math.ceil(23.0 / max(-math.log(min(abs(z), 1.0 / abs(z))), 1e-9)))
     margin = min(margin_needed, max(W // 2, W - 16))
     rep_cap = int(500.0 / max(abs(math.log(abs(z))), 1e-6))
@@ -178,35 +170,35 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     F_minus = _F_offcircle(left, z)
     M_minus = cara.m_minus(F_minus, alpha0)
 
-    u_plus = _directional_solution(seq.alpha, z, "plus", -store, store, margin)
-    u_minus = _directional_solution(seq.alpha, z, "minus", -store, store, margin)
-    alpha_shift = (lambda n: seq.alpha(n + 1))
-    w_plus = _directional_solution(alpha_shift, z, "plus", -store - 1, store + 1, margin)
-    w_minus = _directional_solution(alpha_shift, z, "minus", -store - 1, store + 1, margin)
+    # u runs on alpha(n), the shifted w on alpha(n + 1) over a range one
+    # site wider; alpha and rho are read once over every site they reach
+    runs = [(s, d, _two_site_steps(d, -store - s, store + s, margin))
+            for s in (0, 1) for d in ("plus", "minus")]
+    lo = min(2 * min(ks) - 1 + s for s, _, ks in runs)
+    hi = max(2 * max(ks) + 1 + s for s, _, ks in runs)
+    al = [seq.alpha(n) for n in range(lo, hi + 1)]
+    rh = [math.sqrt(max(1.0 - abs(a) ** 2, 0.0)) for a in al]
+    u_plus, u_minus, w_plus, w_minus = (
+        _directional_solution((al, rh, lo - s), z, d, -store - s, store + s, margin)
+        for s, d, _ in runs)
     # the shifted solution w obeys the transpose equation with v(n) = w(n-1)
     v_plus = {n + 1: v for n, v in w_plus.items()}
     v_minus = {n + 1: v for n, v in w_minus.items()}
 
     a0 = seq.alpha(0)
     rho0 = seq.rho(0)
-    mism = 0.0
-    u_plus, m = _scale_to_targets(
-        u_plus, z * (1.0 + F_plus),
-        (-1.0 - a0 * z + F_plus * (1.0 - a0 * z)) / rho0, "u_plus")
-    mism = max(mism, m)
-    u_minus, m = _scale_to_targets(
-        u_minus, z * (1.0 + M_minus),
-        (-1.0 - a0 * z + M_minus * (1.0 - a0 * z)) / rho0, "u_minus")
-    mism = max(mism, m)
-    v_plus, m = _scale_to_targets(
-        v_plus, -1.0 + F_plus,
-        (z + a0.conjugate() + F_plus * (z - a0.conjugate())) / rho0, "v_plus")
-    mism = max(mism, m)
-    v_minus, m = _scale_to_targets(
-        v_minus, -1.0 + M_minus,
-        (z + a0.conjugate() + M_minus * (z - a0.conjugate())) / rho0, "v_minus")
-    mism = max(mism, m)
 
+    def u_targets(F):
+        return z * (1.0 + F), (-1.0 - a0 * z + F * (1.0 - a0 * z)) / rho0
+
+    def v_targets(F):
+        return -1.0 + F, (z + a0.conjugate() + F * (z - a0.conjugate())) / rho0
+
+    u_plus, m1 = _scale_to_targets(u_plus, *u_targets(F_plus), "u_plus")
+    u_minus, m2 = _scale_to_targets(u_minus, *u_targets(M_minus), "u_minus")
+    v_plus, m3 = _scale_to_targets(v_plus, *v_targets(F_plus), "v_plus")
+    v_minus, m4 = _scale_to_targets(v_minus, *v_targets(M_minus), "v_minus")
+    mism = max(0.0, m1, m2, m3, m4)
     return GZContext(seq, z, F_plus, M_minus, -store, store,
                      u_plus, u_minus, v_plus, v_minus, mism)
 

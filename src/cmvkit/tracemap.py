@@ -140,6 +140,35 @@ class OrbitSweep:
     seed_norms: np.ndarray   # rows: ||M_0||, ||M_1||, ||M_0 M_1||
     first_overflow: np.ndarray  # orbit level at which the point exploded (n_max+1 if never)
 
+    @property
+    def invariant_sup(self) -> float:
+        """Grid maximum of |I(z)|, read at the first level: I is conserved
+        along orbits and the seed traces there are exact.  For complex
+        alphabets I(z) may acquire a small imaginary part; the magnitude is
+        used."""
+        return float(np.max(np.abs(self.invariant[1])))
+
+    @property
+    def seed_sups(self) -> tuple:
+        """Grid suprema of (||M_0||, ||M_1||, ||M_0 M_1||)."""
+        return tuple(float(np.max(row)) for row in self.seed_norms)
+
+    def mask(self, K: float, n: int) -> np.ndarray:
+        """Spectrum mask: a point passes iff for every orbit level m <= n
+        at least one of |x_m|, |z_m| stays below K.  Levels up to n of a
+        deeper sweep equal those of a level-n sweep, so one sweep serves
+        every depth up to n_max."""
+        if K <= 2.0:
+            raise DomainError("the trace bound K must exceed 2")
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"mask level {n} outside 1..{self.n_max}")
+        with np.errstate(invalid="ignore"):
+            ax = np.abs(self.x[1:n + 1])
+            az = np.abs(self.z_mix[1:n + 1])
+        ok = (ax <= K) | (az <= K)
+        ok &= np.isfinite(ax) | np.isfinite(az)
+        return np.all(ok, axis=0)
+
 
 def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSweep:
     zs = np.asarray(zs, dtype=complex)
@@ -241,19 +270,9 @@ def trace_orbit(alphabet, cf: ContinuedFractionData, z: complex, n_max: int) -> 
 
 def spectrum_approx(alphabet, cf: ContinuedFractionData, theta_grid, n: int,
                     K: float) -> np.ndarray:
-    """Mask over the theta grid: point passes iff for every orbit level
-    m <= n at least one of |x_m|, |z_m| stays below K."""
-    if K <= 2.0:
-        raise DomainError("the trace bound K must exceed 2")
-    thetas = np.asarray(theta_grid, dtype=float)
-    zs = np.exp(1j * thetas)
-    sweep = orbit_sweep(alphabet, cf, zs, n)
-    with np.errstate(invalid="ignore"):
-        ax = np.abs(sweep.x[1:n + 1])
-        az = np.abs(sweep.z_mix[1:n + 1])
-    ok = (ax <= K) | (az <= K)
-    ok &= np.isfinite(ax) | np.isfinite(az)
-    return np.all(ok, axis=0)
+    """Level-n spectrum mask over the theta grid (`OrbitSweep.mask`)."""
+    zs = np.exp(1j * np.asarray(theta_grid, dtype=float))
+    return orbit_sweep(alphabet, cf, zs, n).mask(K, n)
 
 
 def default_trace_bound(I_sup: float) -> float:
@@ -264,16 +283,9 @@ def default_trace_bound(I_sup: float) -> float:
 
 
 def invariant_sup(alphabet, cf: ContinuedFractionData, theta_grid) -> float:
-    """Grid maximum of |I(z)| on the circle.
-
-    The invariant is conserved along orbits, so it is evaluated at the
-    first level, where the seed traces are still exactly representable.
-    For complex alphabets I(z) may acquire a small imaginary part; the
-    magnitude is used.
-    """
+    """Grid maximum of |I(z)| on the circle (`OrbitSweep.invariant_sup`)."""
     zs = np.exp(1j * np.asarray(theta_grid, dtype=float))
-    sweep = orbit_sweep(alphabet, cf, zs, 1)
-    return float(np.max(np.abs(sweep.invariant[1])))
+    return orbit_sweep(alphabet, cf, zs, 1).invariant_sup
 
 
 @dataclass(frozen=True)

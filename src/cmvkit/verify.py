@@ -55,15 +55,18 @@ def _criterion_z_set():
     return [complex(R * np.exp(1j * t)) for R in (0.5, 0.9, 1.1) for t in angles]
 
 
+def _spectrum_mask(alphabet, cf, thetas, n: int) -> np.ndarray:
+    """Level-n spectrum mask at the angles `thetas`, from one orbit sweep
+    that also gives the trace bound; the sweep is dropped on return."""
+    sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), n)
+    return sweep.mask(tracemap.default_trace_bound(sweep.invariant_sup), n)
+
+
 def _spectrum_points(alphabet, count: int, grid: int = 256, n: int = 10):
-    cf = tracemap.golden_cf(22)
+    """`count` evenly spread angles of the level-n spectrum mask."""
     thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    I_sup = tracemap.invariant_sup(alphabet, cf, thetas)
-    K = tracemap.default_trace_bound(I_sup)
-    mask = tracemap.spectrum_approx(alphabet, cf, thetas, n, K)
-    idx = np.where(mask)[0]
-    sel = idx[np.linspace(0, len(idx) - 1, count).astype(int)]
-    return thetas[sel], cf, I_sup, K, mask, thetas
+    idx = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, n))[0]
+    return thetas[idx[np.linspace(0, len(idx) - 1, count).astype(int)]]
 
 
 def criterion_1(seed: int = 0) -> CriterionResult:
@@ -146,13 +149,11 @@ def criterion_4() -> CriterionResult:
         worst_corner = max(worst_corner, abs(spectral.corner_trace(ctx)))
     errs["F_minus_1"] = worst_F
     errs["corner"] = worst_corner
-    prof = spectral.lambda_r_profile(
-        seq, 0.95, np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+    grid = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    prof = spectral.lambda_r_profile(seq, 0.95, grid)
     errs["density"] = float(np.max(np.abs(prof.density - 1.0 / (2.0 * math.pi))))
     eps = np.geomspace(1e-3, 1e-1, 6)
-    profs = [spectral.lambda_r_profile(
-        seq, 1.0 - e, np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
-        for e in eps]
+    profs = [spectral.lambda_r_profile(seq, 1.0 - e, grid) for e in eps]
     fit = spectral.holder_exponent(profs, 1.0, eps)
     errs["beta_minus_1"] = abs(fit.beta_hat - 1.0)
     worst_x = 0.0
@@ -242,12 +243,10 @@ def criterion_8(seed: int = 1) -> CriterionResult:
 def criterion_9() -> CriterionResult:
     cf = tracemap.golden_cf(22)
     thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    I_sup = tracemap.invariant_sup(FIB_ALPHABET, cf, thetas)
-    K = tracemap.default_trace_bound(I_sup)
-    mask = tracemap.spectrum_approx(FIB_ALPHABET, cf, thetas, 10, K)
     sweep = tracemap.orbit_sweep(FIB_ALPHABET, cf, np.exp(1j * thetas), 10)
-    seed_sups = tuple(float(np.max(sweep.seed_norms[i])) for i in range(3))
-    gc = tracemap.gamma_constants(FIB_ALPHABET, cf, I_sup, seed_sups)
+    mask = sweep.mask(tracemap.default_trace_bound(sweep.invariant_sup), 10)
+    gc = tracemap.gamma_constants(FIB_ALPHABET, cf, sweep.invariant_sup,
+                                  sweep.seed_sups)
     violations = 0
     margin = math.inf
     for g in np.where(mask)[0]:
@@ -265,8 +264,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     seq = _fib_one_sided()
-    sel_thetas, _, _, _, _, _ = _spectrum_points(FIB_ALPHABET, 8)
-    zs = np.exp(1j * sel_thetas)
+    zs = np.exp(1j * _spectrum_points(FIB_ALPHABET, 8))
     lams = np.exp(2j * math.pi * np.arange(8) / 8.0)
     lo, hi = math.inf, 0.0
     for r in (0.9, 0.99, 0.999):
@@ -286,12 +284,9 @@ def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
     """Points of the spectrum mask whose solution norms are certified
     subpolynomial out to L_max: among masked grid angles, those with the
     smallest envelope growth slope, kept pairwise separated."""
-    cf = tracemap.golden_cf(mask_level + 6)
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    I_sup = tracemap.invariant_sup(alphabet, cf, thetas)
-    K = tracemap.default_trace_bound(I_sup)
-    mask = tracemap.spectrum_approx(alphabet, cf, thetas, mask_level, K)
-    cand = np.where(mask)[0]
+    cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(mask_level + 6),
+                                   thetas, mask_level))[0]
     seq = coeffs.make_sturmian(*alphabet, coeffs.GOLDEN_MEAN)
     zs = np.exp(1j * thetas[cand])
     Ls = [2 ** k for k in range(6, int(math.log2(L_max)) + 1)]

@@ -164,10 +164,13 @@ def test_x_of_r_monotone_and_residual():
     z = cmath.exp(0.25j)
     xs = []
     for r in (0.9, 0.95, 0.99):
-        x = cara.solve_x_of_r(seq, 1.0, z, r).x
+        xr = cara.solve_x_of_r(seq, 1.0, z, r)
+        x = xr.x
         xs.append(x)
         n_phi, n_psi = cara.alexandrov_norms(seq, 1.0, z, x)
         assert abs((1 - r) * n_phi * n_psi - math.sqrt(2)) < 1e-10
+        # the norms the search carries match an independent propagation
+        assert (xr.norm_phi, xr.norm_psi) == (n_phi, n_psi)
     assert xs[0] < xs[1] < xs[2]
 
 
@@ -188,6 +191,19 @@ def test_jl_ratio_horizon_stability():
     a = cara.jl_ratio(seq, 1j, z, 0.99)
     b = cara.jl_ratio(seq, 1j, z, 0.99, horizon=1 << 14)
     assert abs(a - b) < 1e-9
+
+
+def test_jl_ratio_sweep_matches_pointwise():
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    lams = [1.0, 1j, cmath.exp(0.9j)]
+    zs = [cmath.exp(0.25j), cmath.exp(1.3j), cmath.exp(-2.0j)]
+    for r in (0.9, 0.99):
+        sweep = cara.jl_ratio_sweep(seq, lams, zs, r)
+        assert sweep.shape == (3, 3)
+        for i, lam in enumerate(lams):
+            for j, z in enumerate(zs):
+                point = cara.jl_ratio(seq, lam, z, r)
+                assert abs(sweep[i, j] - point) <= 1e-12 * abs(point)
 
 
 def test_mobius_examples():

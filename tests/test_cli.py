@@ -128,4 +128,9 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "max_depth 4096" in err and "sup gap" in err
-    assert not (latest_run_dir(tmp_path, "measure") / "density.csv").exists()
+    d = latest_run_dir(tmp_path, "measure")
+    assert not (d / "density.csv").exists()
+    # the run directory records why the run failed
+    reason = (d / "error.txt").read_text(encoding="utf-8")
+    assert "max_depth 4096" in reason and "sup gap" in reason
+    assert err == f"error: {reason}"

@@ -125,6 +125,13 @@ def test_spectrum_masks_monotone_and_gapped():
     shallow = tracemap.spectrum_approx((0.8, -0.8), cf, thetas, 6, K)
     assert 0.0 < deep.mean() < 1.0
     assert np.all(shallow >= deep)
+    # one level-12 sweep gives the invariant and the masks at every depth
+    sweep = tracemap.orbit_sweep((0.8, -0.8), cf, np.exp(1j * thetas), 12)
+    assert sweep.invariant_sup == I_sup
+    assert np.array_equal(sweep.mask(K, 12), deep)
+    assert np.array_equal(sweep.mask(K, 6), shallow)
+    with pytest.raises(ValueError):
+        sweep.mask(K, 13)
     wider = tracemap.spectrum_approx((0.8, -0.8), cf, thetas, 12, K + 3.0)
     assert np.all(wider >= deep)
 
@@ -159,8 +166,7 @@ def test_gamma_constants_beta_across_alphabets():
     for alphabet in ((0.3, -0.3), (0.5, -0.5), (0.2 + 0.1j, -0.4)):
         I_sup = tracemap.invariant_sup(alphabet, cf, thetas)
         sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), 1)
-        seed_sups = tuple(float(np.max(sweep.seed_norms[i])) for i in range(3))
-        gc = tracemap.gamma_constants(alphabet, cf, I_sup, seed_sups)
+        gc = tracemap.gamma_constants(alphabet, cf, I_sup, sweep.seed_sups)
         assert 0.0 < gc.beta < 1.0 and gc.gamma1 < gc.gamma2
 
 
@@ -171,8 +177,7 @@ def test_norm_bound_on_mask():
     K = tracemap.default_trace_bound(I_sup)
     mask = tracemap.spectrum_approx(FIB, cf, thetas, 10, K)
     sweep = tracemap.orbit_sweep(FIB, cf, np.exp(1j * thetas), 10)
-    seed_sups = tuple(float(np.max(sweep.seed_norms[i])) for i in range(3))
-    gc = tracemap.gamma_constants(FIB, cf, I_sup, seed_sups)
+    gc = tracemap.gamma_constants(FIB, cf, I_sup, sweep.seed_sups)
     for g in np.where(mask)[0]:
         for m in range(11):
             if np.isfinite(sweep.norms[m, g]):
