@@ -17,9 +17,9 @@ from .operator import (FiniteCMV, State, apply_extended,
                        extended_window, resolvent_oracle,
                        resolvent_oracle_block, spectral_basis_reach,
                        split_at_origin)
-from .transfer import (FitResult, Mat2C, branch_sqrt, cocycle_product,
+from .transfer import (FitResult, branch_sqrt, cocycle_product,
                        fit_power_law, norm_profile, normalize_sl2, one_step,
-                       pair_growth_exponents, solution_norm)
+                       pair_growth_exponents, solution_norm, szego_matrices)
 from .caratheodory import (alexandrov_norms, jl_ratio, jl_ratio_sweep,
                            m_minus, measure_oracle_F, mobius_sup,
                            mobius_sup_grid, resolvent_oracle_F, rotated,

@@ -3,8 +3,9 @@
 Subcommands: coeffs | spectrum | measure | holder | walk | verify.
 Every run writes into a timestamped directory under --out with the fully
 resolved configuration echoed as config.json, so results are reproducible
-from the emitted artifacts alone.  A run that fails with an error leaves
-the error message in error.txt beside config.json.
+from the emitted artifacts alone.  A run whose configuration is rejected
+or that fails with an error leaves the error message in error.txt beside
+config.json.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class RunConfig:
             raise CMVKitError("theta-count must be at least 8")
         if self.steps < 0 or self.depth < 1:
             raise CMVKitError("steps/depth out of range")
+        if self.trace_levels < 1:
+            raise CMVKitError("trace-levels must be at least 1")
+        if any(not 1 <= c <= len(verify.ALL_CRITERIA) for c in self.criteria):
+            raise CMVKitError(f"criteria must lie in 1..{len(verify.ALL_CRITERIA)}")
         return self
 
 
@@ -79,11 +84,19 @@ def _one_sided_model(cfg: RunConfig):
         return coeffs.make_sturmian(cfg.alphabet[0], cfg.alphabet[1], cfg.omega)
     if cfg.model == "explicit":
         values = []
-        with open(cfg.coeff_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    values.append(_parse_complex(line.split(",")[0]))
+        try:
+            with open(cfg.coeff_file, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if line and not line.startswith("#"):
+                        try:
+                            values.append(_parse_complex(line.split(",")[0]))
+                        except ValueError:
+                            raise CMVKitError(
+                                f"{cfg.coeff_file}, line {lineno}: "
+                                f"not a complex number: {line!r}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CMVKitError(f"cannot read coefficient file: {exc}") from None
         return coeffs.make_explicit(values)
     raise CMVKitError(f"unknown model {cfg.model!r}")
 
@@ -293,7 +306,7 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
     unknown = set(fields) - known
     if unknown:
         raise CMVKitError(f"unknown config fields: {sorted(unknown)}")
-    return RunConfig(**fields).validated()
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
@@ -338,6 +351,8 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args.command, args)
         out = _run_dir(cfg)
+        # validated here so that a rejected configuration leaves error.txt
+        cfg = cfg.validated()
         # an unconverged evaluation must not leave results behind as if final
         with warnings.catch_warnings():
             warnings.simplefilter("error", UnconvergedWarning)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FrequencyRangeError, ModulusError, SupportError, WindowError
+from .errors import (DegenerateRhoError, FrequencyRangeError, ModulusError,
+                     SupportError, WindowError)
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -52,6 +53,20 @@ def fibonacci_word(length: int) -> np.ndarray:
     return np.array(word[:length], dtype=np.int8)
 
 
+def rho_of(alpha, nonzero: bool = False):
+    """rho = sqrt(1 - |alpha|^2), elementwise over an array or for one
+    coefficient, clipped to 0 outside the open disk.
+
+    With nonzero=True a rho at or below 1e-12 raises DegenerateRhoError:
+    the Szegő recurrence divides by it.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    r = np.sqrt(np.maximum(1.0 - (a.real * a.real + a.imag * a.imag), 0.0))
+    if nonzero and np.any(r <= 1e-12):
+        raise DegenerateRhoError("rho vanished inside the requested range")
+    return r if r.ndim else float(r)
+
+
 def _check_modulus(a: complex) -> complex:
     a = complex(a)
     if abs(a) >= 1.0:
@@ -68,8 +83,7 @@ class VerblunskySequence:
         raise NotImplementedError
 
     def rho(self, n: int) -> float:
-        a = self.alpha(n)
-        return math.sqrt(max(1.0 - (a.real * a.real + a.imag * a.imag), 0.0))
+        return rho_of(self.alpha(n))
 
     @property
     def is_two_sided(self) -> bool:
@@ -82,10 +96,6 @@ class VerblunskySequence:
     def alpha_array(self, lo: int, hi: int) -> np.ndarray:
         """Vector of alpha(n) for n in [lo, hi)."""
         return np.array([self.alpha(n) for n in range(lo, hi)], dtype=complex)
-
-    def rho_array(self, lo: int, hi: int) -> np.ndarray:
-        a = self.alpha_array(lo, hi)
-        return np.sqrt(np.maximum(1.0 - np.abs(a) ** 2, 0.0))
 
 
 @dataclass(frozen=True)

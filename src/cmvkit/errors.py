@@ -61,10 +61,6 @@ class HorizonError(CMVKitError):
     """Root search exceeded the computed solution horizon."""
 
 
-class NoRootError(CMVKitError):
-    """Defining equation has no root in the admissible range."""
-
-
 class DegenerateError(CMVKitError):
     """Resolvent denominator too close to zero."""
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .coeffs import (ConjugateReflectedSequence, ShiftedSequence,
-                     VerblunskySequence)
+                     VerblunskySequence, rho_of)
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 
@@ -58,7 +58,7 @@ def band_diagonals(alpha: Callable[[int], complex], r0: int, r1: int) -> dict:
             return 0.0
 
     a = np.array([fetch(m) for m in range(r0 - 2, r1 + 2)], dtype=complex)
-    r = np.sqrt(np.maximum(1.0 - np.abs(a) ** 2, 0.0))
+    r = rho_of(a)
 
     def A(off):  # a(m + off) aligned with rows r0..r1
         return a[2 + off:2 + off + n]

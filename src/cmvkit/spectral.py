@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import VerblunskySequence
+from .coeffs import VerblunskySequence, rho_of
 from .errors import (ConventionError, DegenerateError, InsufficientDataError,
                      SpectralPointError, SupportError, WindowError)
 from . import caratheodory as cara
@@ -177,7 +177,7 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     lo = min(2 * min(ks) - 1 + s for s, _, ks in runs)
     hi = max(2 * max(ks) + 1 + s for s, _, ks in runs)
     al = [seq.alpha(n) for n in range(lo, hi + 1)]
-    rh = [math.sqrt(max(1.0 - abs(a) ** 2, 0.0)) for a in al]
+    rh = rho_of(al).tolist()
     u_plus, u_minus, w_plus, w_minus = (
         _directional_solution((al, rh, lo - s), z, d, -store - s, store + s, margin)
         for s, d, _ in runs)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModulusError
-from .transfer import branch_sqrt
+from .coeffs import rho_of
+from .errors import DomainError
+from .transfer import branch_sqrt, szego_matrices
 
 _BIG = 1e100
 # traces beyond this size no longer support a trustworthy invariant
@@ -95,20 +96,9 @@ def _letter_matrices(alphabet, zs: np.ndarray) -> tuple:
     orbit seeds are M_{q_0} = M_b and M_{q_1} = M_a, matching the
     standard words w_0 = b, w_1 = a.
     """
-    out = []
-    for letter in alphabet:
-        al = complex(letter)
-        r = math.sqrt(1.0 - abs(al) ** 2)
-        if r == 0.0:
-            raise ModulusError("alphabet letter on the unit circle")
-        s = np.array([branch_sqrt(z) for z in zs])
-        M = np.empty((len(zs), 2, 2), dtype=complex)
-        M[:, 0, 0] = zs / (r * s)
-        M[:, 0, 1] = -np.conj(al) / (r * s)
-        M[:, 1, 0] = -al * zs / (r * s)
-        M[:, 1, 1] = 1.0 / (r * s)
-        out.append(M)
-    return out[0], out[1]
+    s = np.array([branch_sqrt(z) for z in zs])[:, None, None]
+    Ma, Mb = (szego_matrices(letter, zs) / s for letter in alphabet)
+    return Ma, Mb
 
 
 def _norms(M: np.ndarray) -> np.ndarray:
@@ -238,13 +228,6 @@ class TraceOrbit:
     seed_norms: tuple
     overflowed: bool
 
-    def invariant_drift(self) -> float:
-        vals = [r.invariant for r in self.records if r.n >= 1]
-        if not vals:
-            return 0.0
-        ref = vals[0]
-        return max(abs(v - ref) / (1.0 + abs(ref)) for v in vals)
-
 
 def trace_orbit(alphabet, cf: ContinuedFractionData, z: complex, n_max: int) -> TraceOrbit:
     """Substitution orbit at a single spectral parameter.
@@ -314,8 +297,7 @@ def gamma_constants(alphabet, cf: ContinuedFractionData, I_sup: float,
     """
     if I_sup < -8.0:
         raise DomainError("I_sup < -8 puts the square root off the real axis")
-    ra = math.sqrt(1.0 - abs(complex(alphabet[0])) ** 2)
-    rb = math.sqrt(1.0 - abs(complex(alphabet[1])) ** 2)
+    ra, rb = (rho_of(letter, nonzero=True) for letter in alphabet)
     trace_sup = default_trace_bound(I_sup)
     coupling = max(trace_sup, 4.0 / (ra * rb))
     m = max(2.0, trace_sup)

@@ -20,63 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import VerblunskySequence
-from .errors import (DegenerateRhoError, InsufficientDataError,
-                     NormalizationError, SpectralPointError)
+from .coeffs import VerblunskySequence, rho_of
+from .errors import (InsufficientDataError, NormalizationError,
+                     SpectralPointError)
 
 _RENORM_EVERY = 64
-
-
-@dataclass(frozen=True)
-class Mat2C:
-    """2x2 complex matrix with determinant bookkeeping.
-
-    The cached determinant is propagated multiplicatively through
-    products, which avoids the catastrophic cancellation that direct
-    evaluation of a*d - b*c suffers for long cocycle products.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    det: complex
-
-    @classmethod
-    def of(cls, a, b, c, d) -> "Mat2C":
-        return cls(a, b, c, d, a * d - b * c)
-
-    @classmethod
-    def identity(cls) -> "Mat2C":
-        return cls(1.0, 0.0, 0.0, 1.0, 1.0)
-
-    def __matmul__(self, other: "Mat2C") -> "Mat2C":
-        return Mat2C(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.det * other.det,
-        )
-
-    def scaled(self, s: complex) -> "Mat2C":
-        return Mat2C(self.a * s, self.b * s, self.c * s, self.d * s,
-                     self.det * s * s)
-
-    def recomputed_det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    def norm(self) -> float:
-        """Spectral norm.  Computed by SVD: the 2x2 closed form loses half
-        the working precision when the singular values nearly coincide."""
-        return float(np.linalg.svd(self.array, compute_uv=False)[0])
-
-    def max_abs(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -87,18 +35,27 @@ def branch_sqrt(z: complex) -> complex:
     return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
 
 
-def one_step(seq: VerblunskySequence, z: complex, n: int) -> Mat2C:
+def szego_matrices(alpha, z) -> np.ndarray:
+    """One-step Szegő matrices A(alpha, z), broadcast over alpha and z;
+    shape (..., 2, 2).  Raises DegenerateRhoError where rho vanishes."""
+    a, z = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
+                               np.asarray(z, dtype=complex))
+    inv = 1.0 / rho_of(a, nonzero=True)
+    A = np.empty(a.shape + (2, 2), dtype=complex)
+    A[..., 0, 0] = z * inv
+    A[..., 0, 1] = -np.conj(a) * inv
+    A[..., 1, 0] = -a * z * inv
+    A[..., 1, 1] = inv
+    return A
+
+
+def one_step(seq: VerblunskySequence, z: complex, n: int) -> np.ndarray:
     """One-step Szegő matrix at site n; det equals z."""
-    a = seq.alpha(n)
-    r = seq.rho(n)
-    if r <= 1e-12:
-        raise DegenerateRhoError(f"rho({n}) vanished")
-    inv = 1.0 / r
-    return Mat2C.of(z * inv, -a.conjugate() * inv, -a * z * inv, inv)
+    return szego_matrices(seq.alpha(n), z)
 
 
 def cocycle_product(seq: VerblunskySequence, z: complex, L: int,
-                    start: int = 0) -> Mat2C:
+                    start: int = 0) -> np.ndarray:
     """Ordered product A(start+L-1) ... A(start), renormalized internally.
 
     Entries are rescaled every few steps and the scale reattached at the
@@ -107,55 +64,47 @@ def cocycle_product(seq: VerblunskySequence, z: complex, L: int,
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    acc = Mat2C.identity()
+    acc = np.eye(2, dtype=complex)
     log_scale = 0.0
-    for j in range(L):
-        acc = one_step(seq, z, start + j) @ acc
+    for j, A in enumerate(szego_matrices(seq.alpha_array(start, start + L), z)):
+        acc = A @ acc
         if (j + 1) % _RENORM_EVERY == 0:
-            m = acc.max_abs()
+            m = np.max(np.abs(acc))
             if m > 1e100 or (0.0 < m < 1e-100):
-                acc = acc.scaled(1.0 / m)
+                acc = acc * (1.0 / m)
                 log_scale += math.log(m)
     if log_scale != 0.0:
         if log_scale > 700.0:
             raise OverflowError("cocycle product exceeds floating-point range")
-        acc = acc.scaled(math.exp(log_scale))
-    if not math.isfinite(acc.max_abs()):
+        acc = acc * math.exp(log_scale)
+    if not np.all(np.isfinite(acc)):
         raise OverflowError("cocycle product exceeds floating-point range")
     return acc
 
 
-def normalize_sl2(T: Mat2C, z: complex, n: int) -> Mat2C:
+def normalize_sl2(T: np.ndarray, z: complex, n: int) -> np.ndarray:
     """M_n = T_n / z^(n/2) with the fixed square-root branch; det M = 1."""
-    s = branch_sqrt(z) ** (-n)
-    return T.scaled(s)
+    return T * branch_sqrt(z) ** (-n)
 
 
-def pair_orbit(seq: VerblunskySequence, z: complex, initial, n_max: int) -> np.ndarray:
-    """Propagate the pair (eta_j, eta_j^*) for j = 0..n_max; shape (n_max+1, 2).
+def norm_profile(seq: VerblunskySequence, z: complex, initial, n_max: int) -> np.ndarray:
+    """Cumulative squared norms S[n] = sum_{j<=n} (|eta_j|^2 + |eta_j^*|^2)/2
+    of the pair (eta_j, eta_j^*) propagated from `initial`.
 
     Exponentially escaping orbits saturate to inf once they leave the
     floating-point range instead of degrading into NaNs.
     """
-    out = np.empty((n_max + 1, 2), dtype=complex)
+    alphas = seq.alpha_array(0, n_max)
+    rhos = rho_of(alphas, nonzero=True)
+    orbit = np.empty((n_max + 1, 2), dtype=complex)
     u, v = complex(initial[0]), complex(initial[1])
-    out[0] = (u, v)
-    for j in range(n_max):
-        a = seq.alpha(j)
-        r = seq.rho(j)
-        if r <= 1e-12:
-            raise DegenerateRhoError(f"rho({j}) vanished")
+    orbit[0] = (u, v)
+    for j, (a, r) in enumerate(zip(alphas.tolist(), rhos.tolist())):
         u, v = (z * u - a.conjugate() * v) / r, (-a * z * u + v) / r
         if max(abs(u), abs(v)) > 1e150:
-            out[j + 1:] = complex(math.inf, 0.0)
-            return out
-        out[j + 1] = (u, v)
-    return out
-
-
-def norm_profile(seq: VerblunskySequence, z: complex, initial, n_max: int) -> np.ndarray:
-    """Cumulative squared norms S[n] = sum_{j<=n} (|eta_j|^2 + |eta_j^*|^2)/2."""
-    orbit = pair_orbit(seq, z, initial, n_max)
+            orbit[j + 1:] = complex(math.inf, 0.0)
+            break
+        orbit[j + 1] = (u, v)
     weights = 0.5 * (np.abs(orbit[:, 0]) ** 2 + np.abs(orbit[:, 1]) ** 2)
     return np.cumsum(weights)
 
@@ -165,7 +114,8 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
 
     zs and initials broadcast elementwise over the batch; the coefficient
     sequence is shared, which is what grid sweeps over the spectral
-    parameter need.
+    parameter need.  The scalar `norm_profile` is the faster loop for a
+    single point.
     """
     zs = np.asarray(zs, dtype=complex)
     init = np.asarray(initials, dtype=complex)
@@ -174,9 +124,7 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
     u = np.broadcast_to(init[..., 0], (B,)).astype(complex).copy()
     v = np.broadcast_to(init[..., 1], (B,)).astype(complex).copy()
     alphas = seq.alpha_array(0, n_max)
-    rhos = np.sqrt(np.maximum(1.0 - np.abs(alphas) ** 2, 0.0))
-    if np.any(rhos <= 1e-12):
-        raise DegenerateRhoError("rho vanished inside the propagation range")
+    rhos = rho_of(alphas, nonzero=True)
     out = np.empty((B, n_max + 1))
     out[:, 0] = 0.5 * (np.abs(u) ** 2 + np.abs(v) ** 2)
     dead = np.zeros(B, dtype=bool)

@@ -200,7 +200,7 @@ def criterion_6() -> CriterionResult:
         for n in range(1, n_levels + 1):
             qn = cf.q[n]
             T = transfer.normalize_sl2(
-                transfer.cocycle_product(seq_word, z, qn), z, qn).array
+                transfer.cocycle_product(seq_word, z, qn), z, qn)
             worst = max(worst, float(np.max(np.abs(M_cur[0] - T))
                                      / np.max(np.abs(T))))
             M_prev, M_cur = M_cur, M_prev @ M_cur

@@ -134,3 +134,24 @@ def test_unconverged_measure_fails(tmp_path, capsys):
     reason = (d / "error.txt").read_text(encoding="utf-8")
     assert "max_depth 4096" in reason and "sup gap" in reason
     assert err == f"error: {reason}"
+
+
+@pytest.mark.parametrize("case", ["missing-file", "malformed-line",
+                                  "no-trace-levels", "unknown-criterion"])
+def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
+    argv, command = {
+        "missing-file": (["measure", "--model", "explicit", "--coeff-file",
+                          str(tmp_path / "missing.txt")], "measure"),
+        "malformed-line": (["measure", "--model", "explicit", "--coeff-file",
+                            str(bad)], "measure"),
+        "no-trace-levels": (["spectrum", "--trace-levels", "0"], "spectrum"),
+        "unknown-criterion": (["verify", "--criteria", "99"], "verify"),
+    }[case]
+    assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    d = latest_run_dir(tmp_path / "runs", command)
+    assert err == f"error: {(d / 'error.txt').read_text(encoding='utf-8')}"
+    assert sorted(p.name for p in d.iterdir()) == ["config.json", "error.txt"]

@@ -103,7 +103,7 @@ def test_recursion_matches_direct_products():
     for n in range(1, 12):
         qn = cf.q[n]
         direct = transfer.normalize_sl2(
-            transfer.cocycle_product(seq, z, qn), z, qn).array
+            transfer.cocycle_product(seq, z, qn), z, qn)
         err = np.max(np.abs(M_cur[0] - direct)) / np.max(np.abs(direct))
         assert err < 1e-10, f"level {n}"
         M_prev, M_cur = M_cur, M_prev @ M_cur
