@@ -20,9 +20,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .coeffs import VerblunskySequence
+from .coeffs import VerblunskySequence, ZeroExtendedSequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
-                     SupportError, UnconvergedWarning, WindowError)
+                     SupportError, UnconvergedWarning)
 from . import operator, transfer
 
 SQRT2 = math.sqrt(2.0)
@@ -38,22 +38,6 @@ def _schur_f(alphas: np.ndarray, z) -> np.ndarray:
     return f
 
 
-def _alpha_prefix(seq: VerblunskySequence, depth: int) -> np.ndarray:
-    """First `depth` coefficients; sequences backed by a finite stored
-    list are zero-extended past their range, consistent with the zero
-    tail of the truncated Schur algorithm."""
-    try:
-        return seq.alpha_array(0, depth)
-    except WindowError:
-        vals = []
-        for n in range(depth):
-            try:
-                vals.append(seq.alpha(n))
-            except WindowError:
-                break
-        return np.array(vals, dtype=complex)
-
-
 def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
     """F(z) from the depth-truncated Schur algorithm (tail function 0).
 
@@ -64,7 +48,7 @@ def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
         raise DiskError(f"|z| = {abs(z)} >= 1")
     if depth < 1:
         raise DepthError("depth must be >= 1")
-    alphas = _alpha_prefix(seq, depth)
+    alphas = ZeroExtendedSequence(seq).alpha_array(0, depth)
     f = complex(_schur_f(alphas, complex(z)))
     return (1.0 + z * f) / (1.0 - z * f)
 
@@ -80,8 +64,10 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
+    # past the end of a finite list the Schur tail reads zeros
+    padded = ZeroExtendedSequence(seq)
     depth = min(256, max_depth)
-    alphas = _alpha_prefix(seq, depth)
+    alphas = padded.alpha_array(0, depth)
 
     def F_of(f):
         zf = zs * f
@@ -91,7 +77,7 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     gap = math.inf
     while depth < max_depth:
         depth *= 2
-        alphas = _alpha_prefix(seq, depth)
+        alphas = padded.alpha_array(0, depth)
         cur = F_of(_schur_f(alphas, zs))
         gap = float(np.max(np.abs(cur - prev)))
         if gap < tol:
@@ -185,11 +171,8 @@ class RotatedSequence(VerblunskySequence):
     lam: complex
     support: str = "half"
 
-    def alpha(self, n: int) -> complex:
-        return self.lam * self.base.alpha(n)
-
-    def alpha_array(self, lo: int, hi: int) -> np.ndarray:
-        return self.lam * self.base.alpha_array(lo, hi)
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        return self.lam * self.base._values(lo, hi)
 
 
 def rotated(seq: VerblunskySequence, lam: complex) -> RotatedSequence:

@@ -51,6 +51,11 @@ class RunConfig:
     criteria: tuple = ()
 
     def validated(self) -> "RunConfig":
+        for name in _PARSERS:
+            if isinstance(getattr(self, name), str):
+                raise CMVKitError(f"{name}: cannot parse {getattr(self, name)!r}")
+        if len(self.alphabet) != 2 or len(self.n_range) != 2:
+            raise CMVKitError("alphabet and n_range take two values each")
         if self.model == "constant" and abs(self.value) >= 1.0:
             raise CMVKitError(f"|alpha| = {abs(self.value)} >= 1")
         if self.model == "sturmian":
@@ -75,6 +80,21 @@ class RunConfig:
 
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", "").replace("i", "j"))
+
+
+def _comma_list(parse):
+    return lambda text: tuple(parse(x) for x in text.split(","))
+
+
+# RunConfig fields given as text, by flag or config file, and their parsers
+_PARSERS = {
+    "value": _parse_complex,
+    "alphabet": _comma_list(_parse_complex),
+    "r_list": _comma_list(float),
+    "eps_list": _comma_list(float),
+    "n_range": _comma_list(int),
+    "criteria": _comma_list(int),
+}
 
 
 def _one_sided_model(cfg: RunConfig):
@@ -274,34 +294,32 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields.update(json.load(fh))
-    overrides = {
+    flags = {
         "out": args.out,
         "model": args.model,
+        "value": args.value,
+        "alphabet": args.alphabet,
         "omega": args.omega,
-        "coeff_file": getattr(args, "coeff_file", None),
-        "theta_count": getattr(args, "theta_count", None),
+        "coeff_file": args.coeff_file,
+        "theta_count": args.theta_count,
+        "r_list": args.r,
+        "eps_list": args.eps,
         "depth": args.depth,
         "theta": args.theta,
     }
-    if args.value is not None:
-        overrides["value"] = _parse_complex(args.value)
-    if args.alphabet is not None:
-        a, b = args.alphabet.split(",")
-        overrides["alphabet"] = (_parse_complex(a), _parse_complex(b))
-    if args.r is not None:
-        overrides["r_list"] = tuple(float(x) for x in args.r.split(","))
-    if args.eps is not None:
-        overrides["eps_list"] = tuple(float(x) for x in args.eps.split(","))
     for extra in ("steps", "snapshots", "criteria", "n_range",
                   "trace_levels", "start"):
-        if hasattr(args, extra) and getattr(args, extra) is not None:
-            fields[extra] = getattr(args, extra)
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "alphabet" in fields and not isinstance(fields["alphabet"], tuple):
-        fields["alphabet"] = tuple(_parse_complex(str(x))
-                                   for x in fields["alphabet"])
-    if "value" in fields and isinstance(fields["value"], str):
-        fields["value"] = _parse_complex(fields["value"])
+        flags[extra] = getattr(args, extra, None)
+    fields.update({k: v for k, v in flags.items() if v is not None})
+    for name in _PARSERS.keys() & fields.keys():
+        value = fields[name]
+        if isinstance(value, list):  # a JSON array in the config file
+            value = ",".join(map(str, value))
+        if isinstance(value, str):
+            try:
+                fields[name] = _PARSERS[name](value)
+            except ValueError:  # config.json echoes the text, `validated` rejects it
+                fields[name] = value
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(fields) - known
     if unknown:
@@ -342,11 +360,6 @@ def main(argv=None) -> int:
                    help="comma list of criterion numbers (default: all)")
 
     args = parser.parse_args(argv)
-    if getattr(args, "n_range", None) is not None:
-        lo, hi = args.n_range.split(",")
-        args.n_range = (int(lo), int(hi))
-    if getattr(args, "criteria", None) is not None:
-        args.criteria = tuple(int(x) for x in args.criteria.split(","))
     out = None
     try:
         cfg = _build_config(args.command, args)

@@ -23,26 +23,42 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-15
 
 
-def _floor_golden(k: int) -> int:
-    """Exact floor(k * (sqrt(5)-1)/2) via integer square roots."""
-    if k == 0:
-        return 0
-    if k < 0:
-        # k*omega is irrational for k != 0, so floor(-x) = -floor(x) - 1
-        return -_floor_golden(-k) - 1
-    m = math.isqrt(5 * k * k)  # floor(k*sqrt(5))
-    return (m - k) // 2
+# 5 k^2 and (m + 1)^2 with m = floor(sqrt(5) |k|) stay below 2^63
+_FLOOR_INT64_MAX = 1_350_000_000
 
 
-def sturmian_indicator(n: int, omega: float) -> int:
-    """Return v(n) = floor((n+1)*omega) - floor(n*omega).
+def _floor_multiple(k: np.ndarray, omega: float) -> np.ndarray:
+    """floor(k * omega) over an int64 array, exact at the golden mean.
+
+    There floor(|k| sqrt(5)) = isqrt(5 k^2) is the float64 root moved by
+    at most one in int64, which is exact while |k| <= 1.35e9; beyond that
+    a site goes through `math.isqrt`.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    if abs(omega - GOLDEN_MEAN) >= _GOLDEN_TOL:
+        return np.floor(k * omega).astype(np.int64)
+    a = np.abs(k)
+    near = a <= _FLOOR_INT64_MAX
+    s = 5 * np.where(near, a, 0) ** 2
+    m = np.sqrt(s.astype(float)).astype(np.int64)
+    m -= m * m > s
+    m += (m + 1) * (m + 1) <= s
+    f = np.asarray((m - a) // 2)
+    f[~near] = [(math.isqrt(5 * x * x) - x) // 2 for x in a[~near].tolist()]
+    # k*omega is irrational for k != 0, so floor(-x) = -floor(x) - 1
+    return np.where(k < 0, -f - 1, f)
+
+
+def sturmian_indicator(n, omega: float):
+    """Return v(n) = floor((n+1)*omega) - floor(n*omega) for an integer or
+    an integer array n.
 
     For the golden mean the floors are evaluated in exact integer
     arithmetic, so the word is drift-free for arbitrarily large |n|.
     """
-    if abs(omega - GOLDEN_MEAN) < _GOLDEN_TOL:
-        return _floor_golden(n + 1) - _floor_golden(n)
-    return math.floor((n + 1) * omega) - math.floor(n * omega)
+    n = np.asarray(n, dtype=np.int64)
+    v = _floor_multiple(n + 1, omega) - _floor_multiple(n, omega)
+    return v if v.ndim else int(v)
 
 
 def fibonacci_word(length: int) -> np.ndarray:
@@ -69,18 +85,42 @@ def rho_of(alpha, nonzero: bool = False):
 
 def _check_modulus(a: complex) -> complex:
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:  # also rejects NaN, which marks an undefined site
         raise ModulusError(f"|alpha| = {abs(a)} >= 1")
     return a
 
 
 class VerblunskySequence:
-    """Base interface: alpha(n), rho(n) and the support flag."""
+    """Base interface: alpha_array(lo, hi), the one coefficient reader,
+    with alpha(n), rho(n) and the support flag read through it.
+
+    Each class implements `_values(lo, hi)`, vectorized over the range; a
+    NaN there marks a site the sequence does not define (past the end of
+    an explicit list).  `alpha_array` rejects such sites and n < 0 on a
+    one-sided sequence; `ZeroExtendedSequence` reads them as 0.
+    """
 
     support: str  # "half" (n >= 0) or "full" (n in Z)
 
-    def alpha(self, n: int) -> complex:
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        """A new complex array of alpha(n) for n in [lo, hi), NaN where
+        undefined.  Sites n < 0 of a one-sided sequence are the caller's
+        to reject: a two-sided view reads its halves only at n >= 0."""
         raise NotImplementedError
+
+    def alpha_array(self, lo: int, hi: int) -> np.ndarray:
+        """Vector of alpha(n) for n in [lo, hi)."""
+        hi = max(lo, hi)  # an empty range reads nothing, as range(lo, hi) does
+        if self.support == "half" and lo < 0:
+            raise SupportError(f"one-sided sequence queried at n = {lo}")
+        a = self._values(lo, hi)
+        undefined = np.flatnonzero(np.isnan(a))
+        if len(undefined):
+            raise WindowError(f"sequence has no entry at n = {lo + undefined[0]}")
+        return a
+
+    def alpha(self, n: int) -> complex:
+        return complex(self.alpha_array(n, n + 1)[0])
 
     def rho(self, n: int) -> float:
         return rho_of(self.alpha(n))
@@ -89,27 +129,13 @@ class VerblunskySequence:
     def is_two_sided(self) -> bool:
         return self.support == "full"
 
-    def _check_index(self, n: int) -> None:
-        if self.support == "half" and n < 0:
-            raise SupportError(f"one-sided sequence queried at n = {n}")
-
-    def alpha_array(self, lo: int, hi: int) -> np.ndarray:
-        """Vector of alpha(n) for n in [lo, hi)."""
-        return np.array([self.alpha(n) for n in range(lo, hi)], dtype=complex)
-
 
 @dataclass(frozen=True)
 class ConstantSequence(VerblunskySequence):
     value: complex
     support: str = "half"
 
-    def alpha(self, n: int) -> complex:
-        self._check_index(n)
-        return self.value
-
-    def alpha_array(self, lo: int, hi: int) -> np.ndarray:
-        if self.support == "half" and lo < 0:
-            raise SupportError("one-sided sequence queried at negative index")
+    def _values(self, lo: int, hi: int) -> np.ndarray:
         return np.full(hi - lo, self.value, dtype=complex)
 
 
@@ -122,18 +148,8 @@ class SturmianSequence(VerblunskySequence):
     omega: float
     support: str = "half"
 
-    def indicator(self, n: int) -> int:
-        self._check_index(n)
-        return sturmian_indicator(n, self.omega)
-
-    def alpha(self, n: int) -> complex:
-        v = self.indicator(n)
-        return self.letter_a if v else self.letter_b
-
-    def alpha_array(self, lo: int, hi: int) -> np.ndarray:
-        if self.support == "half" and lo < 0:
-            raise SupportError("one-sided sequence queried at negative index")
-        v = np.array([sturmian_indicator(n, self.omega) for n in range(lo, hi)])
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        v = np.diff(_floor_multiple(np.arange(lo, hi + 1), self.omega))
         return np.where(v == 1, complex(self.letter_a), complex(self.letter_b))
 
 
@@ -142,11 +158,12 @@ class ExplicitSequence(VerblunskySequence):
     values: tuple
     support: str = "half"
 
-    def alpha(self, n: int) -> complex:
-        self._check_index(n)
-        if not 0 <= n < len(self.values):
-            raise WindowError(f"explicit sequence has no entry at n = {n}")
-        return self.values[n]
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        out = np.full(hi - lo, np.nan, dtype=complex)
+        a, b = max(lo, 0), min(hi, len(self.values))
+        if a < b:
+            out[a - lo:b - lo] = self.values[a:b]
+        return out
 
 
 @dataclass(frozen=True)
@@ -158,10 +175,10 @@ class TwoSidedSequence(VerblunskySequence):
     negative: VerblunskySequence
     support: str = "full"
 
-    def alpha(self, n: int) -> complex:
-        if n >= 0:
-            return self.positive.alpha(n)
-        return self.negative.alpha(-1 - n)
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        c = min(max(lo, 0), hi)  # sites [lo, c) are j = -1 - n in reverse
+        neg, pos = self.negative._values(-c, -lo)[::-1], self.positive._values(c, hi)
+        return np.concatenate([neg, pos]) if len(neg) else pos
 
 
 @dataclass(frozen=True)
@@ -170,9 +187,8 @@ class ShiftedSequence(VerblunskySequence):
     offset: int
     support: str = "half"
 
-    def alpha(self, n: int) -> complex:
-        self._check_index(n)
-        return self.base.alpha(n + self.offset)
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        return self.base._values(lo + self.offset, hi + self.offset)
 
 
 @dataclass(frozen=True)
@@ -184,9 +200,25 @@ class ConjugateReflectedSequence(VerblunskySequence):
     start: int
     support: str = "half"
 
-    def alpha(self, n: int) -> complex:
-        self._check_index(n)
-        return complex(self.base.alpha(self.start - n)).conjugate()
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        return np.conj(self.base._values(self.start - hi + 1, self.start - lo + 1)[::-1])
+
+
+@dataclass(frozen=True)
+class ZeroExtendedSequence(VerblunskySequence):
+    """`base` with 0 at every site it does not define (past an explicit
+    list, n < 0 on a one-sided base): the zero tail that the truncated
+    Schur algorithm and the band windows read."""
+
+    base: VerblunskySequence
+    support: str = "full"
+
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        a = self.base._values(lo, hi)
+        a[np.isnan(a)] = 0.0
+        if self.base.support == "half" and lo < 0:
+            a[:min(hi, 0) - lo] = 0.0
+        return a
 
 
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:
@@ -219,19 +251,11 @@ def extend_two_sided(positive: VerblunskySequence,
     return TwoSidedSequence(positive, negative)
 
 
-def shifted(seq: VerblunskySequence, m: int) -> VerblunskySequence:
-    """View of alpha(n + m).  One-sided sequences shift only forward."""
-    if seq.support == "half" and m < 0:
-        raise SupportError("cannot shift a one-sided sequence backwards")
-    return ShiftedSequence(seq, m, seq.support)
-
-
 def write_coeffs_csv(seq: VerblunskySequence, lo: int, hi: int, path) -> None:
     """Dump columns n, re_alpha, im_alpha, rho for n in [lo, hi)."""
+    a = seq.alpha_array(lo, hi)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "re_alpha", "im_alpha", "rho"])
-        for n in range(lo, hi):
-            a = seq.alpha(n)
-            writer.writerow([n, repr(float(a.real)), repr(float(a.imag)),
-                             repr(float(seq.rho(n)))])
+        for n, x, r in zip(range(lo, hi), a.tolist(), rho_of(a).tolist()):
+            writer.writerow([n, repr(x.real), repr(x.imag), repr(r)])

@@ -20,44 +20,26 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .coeffs import (ConjugateReflectedSequence, ShiftedSequence,
-                     VerblunskySequence, rho_of)
+                     VerblunskySequence, ZeroExtendedSequence, rho_of)
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 
 
-def _closure_alpha(seq: VerblunskySequence, overrides: dict) -> Callable[[int], complex]:
-    def alpha(n: int) -> complex:
-        if n in overrides:
-            return overrides[n]
-        return seq.alpha(n)
-    return alpha
-
-
-def band_diagonals(alpha: Callable[[int], complex], r0: int, r1: int) -> dict:
+def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
     """Five diagonals of the CMV pattern for rows r0 <= m < r1.
 
-    Returns arrays keyed by column offset in {-2, -1, 0, 1, 2}; entry
-    [m - r0] of diagonal k is E(m, m + k).  Coefficients outside a
-    sequence's stored range are treated as zero: beyond a unitary closure
-    they are multiplied by rho = 0 and never matter, and for finite
-    explicit lists this realizes the same zero-extension the truncated
-    Schur algorithm uses.
+    `alpha` holds the coefficients of sites r0 - 2 ... r1 + 1, as
+    `_band_alpha` reads them.  Returns arrays keyed by column offset in
+    {-2, -1, 0, 1, 2}; entry [m - r0] of diagonal k is E(m, m + k).
     """
     n = r1 - r0
-
-    def fetch(m):
-        try:
-            return alpha(m)
-        except (SupportError, WindowError):
-            return 0.0
-
-    a = np.array([fetch(m) for m in range(r0 - 2, r1 + 2)], dtype=complex)
+    a = np.asarray(alpha, dtype=complex)
     r = rho_of(a)
 
     def A(off):  # a(m + off) aligned with rows r0..r1
@@ -75,6 +57,17 @@ def band_diagonals(alpha: Callable[[int], complex], r0: int, r1: int) -> dict:
     diag[2] = np.where(even, R(1) * R(0), 0.0)
     diag[-2] = np.where(even, 0.0, R(-1) * R(-2))
     return diag
+
+
+def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
+    """Coefficients of sites r0 - 2 ... r1 + 1 for `band_diagonals`.
+
+    Sites the sequence does not define read as zero: beyond a unitary
+    closure they are multiplied by rho = 0 and never matter, and for
+    finite explicit lists this realizes the same zero-extension the
+    truncated Schur algorithm uses.
+    """
+    return ZeroExtendedSequence(seq).alpha_array(r0 - 2, r1 + 2)
 
 
 def _dense_from_diagonals(diag: dict, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -124,12 +117,11 @@ def extended_window(seq: VerblunskySequence, lo: int, hi: int,
     closure=None keeps the raw doubly-infinite entries."""
     if hi < lo + 1:
         raise SizeError("window must contain at least two sites")
-    overrides = {}
+    alpha = _band_alpha(seq, lo, hi + 1)
     if closure is not None:
         if abs(abs(closure) - 1.0) > 1e-12:
             raise ModulusError("closure coefficient must be unimodular")
-        overrides = {lo - 1: closure, hi: closure}
-    alpha = _closure_alpha(seq, overrides)
+        alpha[1] = alpha[-3] = closure  # the cut sites lo - 1 and hi
     return ExtendedCMVWindow(lo, hi, band_diagonals(alpha, lo, hi + 1),
                              closure is not None)
 
@@ -155,8 +147,9 @@ def build_finite_cmv(seq: VerblunskySequence, N: int, eta_b: complex = 1.0) -> F
         raise SizeError(f"N = {N} < 2")
     if abs(abs(eta_b) - 1.0) > 1e-12:
         raise ModulusError(f"|eta_b| = {abs(eta_b)} != 1")
-    overrides = {-1: -1.0, N - 1: complex(eta_b)}
-    alpha = _closure_alpha(seq, overrides)
+    alpha = _band_alpha(seq, 0, N)
+    alpha[1] = -1.0            # the boundary site -1
+    alpha[-3] = complex(eta_b)  # the cut site N - 1
     return FiniteCMV(N, complex(eta_b), band_diagonals(alpha, 0, N))
 
 
@@ -208,12 +201,12 @@ def _apply_diagonals(diag: dict, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _apply_diagonals_adjoint(diag: dict, x: np.ndarray, conj: bool = True) -> np.ndarray:
+def _apply_diagonals_adjoint(diag: dict, x: np.ndarray) -> np.ndarray:
     # y[m] = sum_j Ebar(j, m) x[j]; E(j, m) lives on diagonal off = m - j
     n = len(x)
     y = np.zeros(n, dtype=complex)
     for off, arr in diag.items():
-        a = np.conj(arr) if conj else arr
+        a = np.conj(arr)
         if off >= 0:
             y[off:] += a[:n - off] * x[:n - off]
         else:
@@ -221,20 +214,21 @@ def _apply_diagonals_adjoint(diag: dict, x: np.ndarray, conj: bool = True) -> np
     return y
 
 
-def _padded_window(seq: VerblunskySequence, state: State) -> tuple:
+def _padded_band(seq: VerblunskySequence, state: State) -> tuple:
+    """(lo, diagonals, x): the state padded by two sites on each side, as
+    x from site lo, and the band rows over that padded window."""
     lo = state.offset - 2
     hi = state.offset + len(state.values) + 2
     x = np.zeros(hi - lo, dtype=complex)
     x[2:2 + len(state.values)] = state.values
-    return lo, hi, x
+    return lo, band_diagonals(_band_alpha(seq, lo, hi), lo, hi), x
 
 
 def apply_extended(seq: VerblunskySequence, state: State) -> State:
     """Apply the extended matrix to a finitely supported vector, exactly."""
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
-    lo, hi, x = _padded_window(seq, state)
-    diag = band_diagonals(seq.alpha, lo, hi)
+    lo, diag, x = _padded_band(seq, state)
     return State(lo, _apply_diagonals(diag, x)).trimmed(0.0)
 
 
@@ -242,15 +236,8 @@ def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
     """Apply the adjoint (= inverse) of the extended matrix."""
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
-    lo, hi, x = _padded_window(seq, state)
-    diag = band_diagonals(seq.alpha, lo, hi)
-    return State(lo, _apply_diagonals_adjoint(diag, x, conj=True)).trimmed(0.0)
-
-
-def apply_extended_transpose(seq: VerblunskySequence, state: State) -> State:
-    lo, hi, x = _padded_window(seq, state)
-    diag = band_diagonals(seq.alpha, lo, hi)
-    return State(lo, _apply_diagonals_adjoint(diag, x, conj=False)).trimmed(0.0)
+    lo, diag, x = _padded_band(seq, state)
+    return State(lo, _apply_diagonals_adjoint(diag, x)).trimmed(0.0)
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -295,11 +282,6 @@ def resolvent_oracle_block(seq: VerblunskySequence, z: complex, half_width: int,
     return sol[[x + W for x in xs], :]
 
 
-def resolvent_oracle(seq: VerblunskySequence, z: complex, half_width: int,
-                     x: int, y: int) -> complex:
-    return complex(resolvent_oracle_block(seq, z, half_width, [x], [y])[0, 0])
-
-
 @dataclass(frozen=True)
 class BasisReachReport:
     residuals: dict
@@ -318,8 +300,9 @@ def spectral_basis_reach(seq: VerblunskySequence, n: int) -> BasisReachReport:
     """
     if not seq.is_two_sided:
         raise SupportError("spectral basis check needs a two-sided sequence")
-    a = {k: seq.alpha(k) for k in range(2 * n - 2, 2 * n + 3)}
-    r = {k: seq.rho(k) for k in range(2 * n - 2, 2 * n + 3)}
+    al = seq.alpha_array(2 * n - 2, 2 * n + 3)
+    a = dict(enumerate(al.tolist(), start=2 * n - 2))
+    r = dict(enumerate(rho_of(al).tolist(), start=2 * n - 2))
     for k in (2 * n - 2, 2 * n - 1, 2 * n + 1, 2 * n + 2):
         if r[k] <= 1e-12:
             raise DegenerateRhoError(f"rho({k}) vanished")
@@ -390,7 +373,7 @@ def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
         return State(psi0.offset, psi0.values.copy())
     lo = psi0.offset - 2 * k - 2
     hi = psi0.offset + len(psi0.values) + 2 * k + 2
-    diag = band_diagonals(seq.alpha, lo, hi)
+    diag = band_diagonals(_band_alpha(seq, lo, hi), lo, hi)
     x = np.zeros(hi - lo, dtype=complex)
     y = np.zeros_like(x)
     a = psi0.offset - lo

@@ -38,15 +38,11 @@ _CONVENTIONS = ("split-site", "origin", "split-site-conj", "origin-conj")
 
 
 def _convention_alpha(seq: VerblunskySequence, name: str) -> complex:
-    if name == "split-site":
-        return seq.alpha(-1)
-    if name == "origin":
-        return seq.alpha(0)
-    if name == "split-site-conj":
-        return -complex(seq.alpha(-1)).conjugate()
-    if name == "origin-conj":
-        return -complex(seq.alpha(0)).conjugate()
-    raise ConventionError(f"unknown convention {name!r}")
+    a_split, a0 = seq.alpha_array(-1, 1).tolist()
+    candidates = dict(zip(_CONVENTIONS, (a_split, a0, -a_split.conjugate(), -a0.conjugate())))
+    if name not in candidates:
+        raise ConventionError(f"unknown convention {name!r}")
+    return candidates[name]
 
 
 def _F_offcircle(seq: VerblunskySequence, z: complex, tol: float = 1e-13) -> complex:
@@ -176,8 +172,8 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
             for s in (0, 1) for d in ("plus", "minus")]
     lo = min(2 * min(ks) - 1 + s for s, _, ks in runs)
     hi = max(2 * max(ks) + 1 + s for s, _, ks in runs)
-    al = [seq.alpha(n) for n in range(lo, hi + 1)]
-    rh = rho_of(al).tolist()
+    coef = seq.alpha_array(lo, hi + 1)
+    al, rh = coef.tolist(), rho_of(coef).tolist()
     u_plus, u_minus, w_plus, w_minus = (
         _directional_solution((al, rh, lo - s), z, d, -store - s, store + s, margin)
         for s, d, _ in runs)
@@ -185,8 +181,7 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     v_plus = {n + 1: v for n, v in w_plus.items()}
     v_minus = {n + 1: v for n, v in w_minus.items()}
 
-    a0 = seq.alpha(0)
-    rho0 = seq.rho(0)
+    a0, rho0 = al[-lo], rh[-lo]  # site 0
 
     def u_targets(F):
         return z * (1.0 + F), (-1.0 - a0 * z + F * (1.0 - a0 * z)) / rho0
@@ -319,8 +314,9 @@ def F_extended_batch(seq: VerblunskySequence, zs, tol: float = 1e-13,
     right, left = operator.split_at_origin(seq)
     Fp = cara.schur_F_batch(right, zs, tol, max_depth)
     Fm = cara.schur_F_batch(left, zs, tol, max_depth)
-    Mm = cara.m_minus(Fm, seq.alpha(-1))
-    sigma = corner_trace_sum(Fp, Mm, seq.alpha(0), seq.rho(0), zs)
+    a_split, a0 = seq.alpha_array(-1, 1).tolist()
+    Mm = cara.m_minus(Fm, a_split)
+    sigma = corner_trace_sum(Fp, Mm, a0, rho_of(a0), zs)
     return 1.0 + zs * sigma
 
 

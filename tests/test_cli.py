@@ -137,7 +137,10 @@ def test_unconverged_measure_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["missing-file", "malformed-line",
-                                  "no-trace-levels", "unknown-criterion"])
+                                  "no-trace-levels", "unknown-criterion",
+                                  "criterion-not-int", "one-letter-alphabet",
+                                  "one-value-n-range", "radius-not-float",
+                                  "eps-not-float", "value-not-complex"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -148,6 +151,13 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
                             str(bad)], "measure"),
         "no-trace-levels": (["spectrum", "--trace-levels", "0"], "spectrum"),
         "unknown-criterion": (["verify", "--criteria", "99"], "verify"),
+        "criterion-not-int": (["verify", "--criteria", "x"], "verify"),
+        "one-letter-alphabet": (["spectrum", "--alphabet", "0.5"], "spectrum"),
+        "one-value-n-range": (["coeffs", "--n-range", "5"], "coeffs"),
+        "radius-not-float": (["measure", "--r", "x"], "measure"),
+        "eps-not-float": (["holder", "--eps", "x"], "holder"),
+        "value-not-complex": (["measure", "--model", "constant", "--value", "x"],
+                              "measure"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

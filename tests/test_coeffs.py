@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvkit import coeffs
+from cmvkit import caratheodory, coeffs, operator
 from cmvkit.errors import (FrequencyRangeError, ModulusError, SupportError,
                            WindowError)
 
 GOLDEN = coeffs.GOLDEN_MEAN
+# |k| beyond which the golden floor leaves int64 for math.isqrt
+SWITCH = 1_350_000_000
 
 
 def test_golden_indicator_prefix():
@@ -28,7 +31,7 @@ def test_substitution_word_oracle():
     # v(n+1) = f(n) with f the fixed point of a -> ab, b -> a (a = 1)
     N = 10946  # a Fibonacci number, covers deep prefixes
     f = coeffs.fibonacci_word(N)
-    v = np.array([coeffs.sturmian_indicator(n + 1, GOLDEN) for n in range(N)])
+    v = coeffs.sturmian_indicator(np.arange(1, N + 1), GOLDEN)
     assert np.array_equal(f, v)
     assert coeffs.sturmian_indicator(0, GOLDEN) == 0
 
@@ -36,7 +39,7 @@ def test_substitution_word_oracle():
 def test_balancedness():
     # number of ones among v(0..N-1) telescopes to floor(N * omega)
     for N in (10, 137, 4181, 100000):
-        ones = sum(coeffs.sturmian_indicator(n, GOLDEN) for n in range(N))
+        ones = int(np.sum(coeffs.sturmian_indicator(np.arange(N), GOLDEN)))
         assert abs(ones - N * GOLDEN) < 1.0
 
 
@@ -44,9 +47,27 @@ def test_exact_floor_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     omega = (mp.sqrt(5) - 1) / 2
-    for k in (10 ** 6, 10 ** 6 + 1, 832040, 7, 10 ** 7 + 123):
-        exact = coeffs._floor_golden(k)
-        assert exact == int(mp.floor(k * omega))
+    ks = [10 ** 6, 10 ** 6 + 1, 832040, 7, 10 ** 7 + 123, -1, -7, -832040,
+          -10 ** 7 - 123, SWITCH, SWITCH + 1, -SWITCH, -SWITCH - 1, 10 ** 15]
+    exact = coeffs._floor_multiple(np.array(ks), GOLDEN)
+    for k, f in zip(ks, exact):
+        assert f == int(mp.floor(k * omega))
+
+
+def _floor_golden_reference(k: int) -> int:
+    # floor(k * omega) = (isqrt(5 k^2) - k) // 2 for k >= 0, and
+    # floor(-x) = -floor(x) - 1 for the irrational k * omega, k != 0
+    if k < 0:
+        return -_floor_golden_reference(-k) - 1
+    return (math.isqrt(5 * k * k) - k) // 2
+
+
+def test_golden_floor_int64_matches_isqrt():
+    for lo, hi in ((0, 1 << 17), (-(1 << 17), 0), ((1 << 30) - 5000, 1 << 30),
+                   (SWITCH - 2000, SWITCH + 2000), (-SWITCH - 2000, -SWITCH + 2000)):
+        k = np.arange(lo, hi)
+        expect = [_floor_golden_reference(int(x)) for x in k]
+        assert np.array_equal(coeffs._floor_multiple(k, GOLDEN), expect)
 
 
 def test_constant_examples():
@@ -92,8 +113,6 @@ def test_one_sided_support_guard():
         s.alpha(-1)
     with pytest.raises(WindowError):
         coeffs.make_explicit([0.1]).alpha(3)
-    with pytest.raises(SupportError):
-        coeffs.shifted(s, -2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,6 +136,51 @@ def test_two_sided_sturmian_matches_indicator():
     for n in range(-30, 30):
         expect = 0.4 if coeffs.sturmian_indicator(n, GOLDEN) else -0.2
         assert seq.alpha(n) == expect
+
+
+def test_alpha_reads_its_array():
+    # alpha(n) and alpha_array(lo, hi)[n - lo] are one read, bit for bit
+    rng = np.random.default_rng(11)
+
+    def explicit(n):
+        return coeffs.make_explicit(rng.uniform(0, 0.9, n)
+                                    * np.exp(2j * math.pi * rng.uniform(0, 1, n)))
+
+    two = coeffs.extend_two_sided(explicit(40), explicit(30))
+    right, left = operator.split_at_origin(two)
+    word = coeffs.make_sturmian(0.3 + 0.2j, -0.4 - 0.1j, GOLDEN)
+    cases = [
+        (coeffs.make_constant(0.3 - 0.2j, support="full"), -20, 20),
+        (coeffs.make_sturmian(0.4, -0.2, GOLDEN, support="full"), -50, 50),
+        (coeffs.make_sturmian(0.4, -0.2, 0.3), 0, 100),
+        (explicit(25), 0, 25),
+        (two, -30, 40),
+        (right, 0, 40),
+        (left, 0, 28),
+        (caratheodory.rotated(word, cmath.exp(0.9j)), 0, 2000),
+    ]
+    for seq, lo, hi in cases:
+        a = seq.alpha_array(lo, hi)
+        for n in range(lo, hi):
+            assert seq.alpha(n) == a[n - lo]
+            assert seq.rho(n) == coeffs.rho_of(a[n - lo])
+
+
+def test_zero_tail_readers():
+    # a short explicit list reads as if followed by stored zeros, in the
+    # Schur tail and past the end of a band window
+    rng = np.random.default_rng(12)
+    vals = 0.8 * rng.uniform(0, 1, 5) * np.exp(2j * math.pi * rng.uniform(0, 1, 5))
+    short = coeffs.make_explicit(vals)
+    padded = coeffs.make_explicit(np.concatenate([vals, np.zeros(600)]))
+    zs = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
+    assert np.array_equal(caratheodory.schur_F_batch(short, zs),
+                          caratheodory.schur_F_batch(padded, zs))
+    for N in (6, 7, 12):
+        assert np.array_equal(operator.build_finite_cmv(short, N).dense(),
+                              operator.build_finite_cmv(padded, N).dense())
+    with pytest.raises(WindowError):
+        short.alpha_array(0, 6)
 
 
 def test_coeffs_csv(tmp_path):

@@ -138,8 +138,9 @@ def test_split_at_origin_values_and_decoupling():
     with pytest.raises(SupportError):
         operator.split_at_origin(right)
     # the modified operator decouples exactly at the origin
-    modified = operator._closure_alpha(seq, {-1: -1.0})
-    diag = operator.band_diagonals(modified, -10, 11)
+    alpha = seq.alpha_array(-12, 13)
+    alpha[11] = -1.0  # site -1
+    diag = operator.band_diagonals(alpha, -10, 11)
     dense = operator._dense_from_diagonals(diag, -10, 11, -10, 11)
     assert np.max(np.abs(dense[:10, 10:])) == 0.0
     assert np.max(np.abs(dense[10:, :10])) == 0.0
@@ -153,9 +154,9 @@ def test_split_at_origin_values_and_decoupling():
 
 def test_resolvent_oracle_guards():
     with pytest.raises(SpectralPointError):
-        operator.resolvent_oracle(FREE2, 0.0, 50, 0, 0)
+        operator.resolvent_oracle_block(FREE2, 0.0, 50, [0], [0])[0, 0]
     with pytest.raises(WindowError):
-        operator.resolvent_oracle(FREE2, 0.5, 50, 40, 0)
+        operator.resolvent_oracle_block(FREE2, 0.5, 50, [40], [0])[0, 0]
 
 
 def test_resolvent_oracle_residual():
@@ -183,8 +184,8 @@ def test_resolvent_oracle_doubling_stability():
     rng = np.random.default_rng(7)
     seq = random_two_sided(rng, 1024)
     for z in (0.9 * cmath.exp(0.8j), 1.1 * cmath.exp(2.0j)):
-        a = operator.resolvent_oracle(seq, z, 400, 2, -1)
-        b = operator.resolvent_oracle(seq, z, 800, 2, -1)
+        a = operator.resolvent_oracle_block(seq, z, 400, [2], [-1])[0, 0]
+        b = operator.resolvent_oracle_block(seq, z, 800, [2], [-1])[0, 0]
         assert abs(a - b) < 1e-8
 
 
@@ -229,7 +230,7 @@ def test_evolve_walk_light_cone_matches_full_window():
     for psi0 in (operator.State.delta(0), wide):
         lo = psi0.offset - 2 * k - 2
         hi = psi0.offset + len(psi0.values) + 2 * k + 2
-        diag = operator.band_diagonals(fib.alpha, lo, hi)
+        diag = operator.band_diagonals(fib.alpha_array(lo - 2, hi + 2), lo, hi)
         x = np.zeros(hi - lo, dtype=complex)
         x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
         for _ in range(k):

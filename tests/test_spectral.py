@@ -134,7 +134,7 @@ def test_context_normalization_and_decay():
     for n in range(-20, 20):
         row = 0.0
         for off in (-2, -1, 0, 1, 2):
-            diag = operator.band_diagonals(FIB2.alpha, n, n + 1)
+            diag = operator.band_diagonals(FIB2.alpha_array(n - 2, n + 3), n, n + 1)
             row += complex(diag[off][0]) * ctx.u_plus.get(n + off, 0.0)
         scale = max(abs(ctx.u_plus.get(n, 0.0)), 1e-30)
         assert abs(row - z * ctx.u_plus[n]) / scale < 1e-9
@@ -148,7 +148,10 @@ def test_v_solutions_satisfy_transpose_equation():
     for sol in (ctx.v_plus, ctx.v_minus):
         vec = operator.State.from_dict(
             {n: sol[n] for n in range(-30, 31)})
-        out = operator.apply_extended_transpose(RANDOM2, vec)
+        # E^T v = conj(E^* conj(v))
+        adj = operator.apply_extended_adjoint(
+            RANDOM2, operator.State(vec.offset, np.conj(vec.values)))
+        out = operator.State(adj.offset, np.conj(adj.values))
         for n in range(-25, 26):
             scale = max(abs(sol[n]), 1e-30)
             assert abs(out[n] - z * sol[n]) / scale < 1e-9
