@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .coeffs import VerblunskySequence, ZeroExtendedSequence
+from .coeffs import VerblunskySequence, zero_extended_array
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
                      SupportError, UnconvergedWarning)
 from . import operator, transfer
@@ -48,7 +48,7 @@ def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
         raise DiskError(f"|z| = {abs(z)} >= 1")
     if depth < 1:
         raise DepthError("depth must be >= 1")
-    alphas = ZeroExtendedSequence(seq).alpha_array(0, depth)
+    alphas = zero_extended_array(seq, 0, depth)
     f = complex(_schur_f(alphas, complex(z)))
     return (1.0 + z * f) / (1.0 - z * f)
 
@@ -64,10 +64,9 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
-    # past the end of a finite list the Schur tail reads zeros
-    padded = ZeroExtendedSequence(seq)
     depth = min(256, max_depth)
-    alphas = padded.alpha_array(0, depth)
+    # past the end of a finite list the Schur tail reads zeros
+    alphas = zero_extended_array(seq, 0, depth)
 
     def F_of(f):
         zf = zs * f
@@ -77,7 +76,7 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     gap = math.inf
     while depth < max_depth:
         depth *= 2
-        alphas = padded.alpha_array(0, depth)
+        alphas = zero_extended_array(seq, 0, depth)
         cur = F_of(_schur_f(alphas, zs))
         gap = float(np.max(np.abs(cur - prev)))
         if gap < tol:

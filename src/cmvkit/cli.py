@@ -79,11 +79,12 @@ class RunConfig:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    return complex(str(text).replace(" ", "").replace("i", "j"))
 
 
 def _comma_list(parse):
-    return lambda text: tuple(parse(x) for x in text.split(","))
+    """Parser of comma-list text or of a JSON array, as config.json writes it."""
+    return lambda v: tuple(parse(str(x)) for x in (v if isinstance(v, list) else v.split(",")))
 
 
 # RunConfig fields given as text, by flag or config file, and their parsers
@@ -313,13 +314,11 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
     fields.update({k: v for k, v in flags.items() if v is not None})
     for name in _PARSERS.keys() & fields.keys():
         value = fields[name]
-        if isinstance(value, list):  # a JSON array in the config file
-            value = ",".join(map(str, value))
-        if isinstance(value, str):
+        if isinstance(value, (str, list)):
             try:
                 fields[name] = _PARSERS[name](value)
             except ValueError:  # config.json echoes the text, `validated` rejects it
-                fields[name] = value
+                fields[name] = str(value)
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(fields) - known
     if unknown:

@@ -27,38 +27,43 @@ _GOLDEN_TOL = 1e-15
 _FLOOR_INT64_MAX = 1_350_000_000
 
 
-def _floor_multiple(k: np.ndarray, omega: float) -> np.ndarray:
-    """floor(k * omega) over an int64 array, exact at the golden mean.
+def _floor_multiple(lo: int, hi: int, omega: float) -> np.ndarray:
+    """floor(k * omega) for k in [lo, hi), exact at the golden mean.
 
-    There floor(|k| sqrt(5)) = isqrt(5 k^2) is the float64 root moved by
-    at most one in int64, which is exact while |k| <= 1.35e9; beyond that
-    a site goes through `math.isqrt`.
+    There floor(|k| omega) = (isqrt(5 k^2) - |k|) // 2.  While |k| <= 1.35e9
+    the root is the float64 one moved by at most one in int64; a range
+    reaching past that is read site by site in Python integers of any size.
     """
-    k = np.asarray(k, dtype=np.int64)
-    if abs(omega - GOLDEN_MEAN) >= _GOLDEN_TOL:
+    golden = abs(omega - GOLDEN_MEAN) < _GOLDEN_TOL
+    if max(-lo, hi - 1) > _FLOOR_INT64_MAX:
+        return np.array([_floor_golden(k) if golden else math.floor(k * omega)
+                         for k in range(lo, hi)], dtype=object)
+    k = np.arange(lo, hi, dtype=np.int64)
+    if not golden:
         return np.floor(k * omega).astype(np.int64)
     a = np.abs(k)
-    near = a <= _FLOOR_INT64_MAX
-    s = 5 * np.where(near, a, 0) ** 2
+    s = 5 * a * a
     m = np.sqrt(s.astype(float)).astype(np.int64)
     m -= m * m > s
     m += (m + 1) * (m + 1) <= s
-    f = np.asarray((m - a) // 2)
-    f[~near] = [(math.isqrt(5 * x * x) - x) // 2 for x in a[~near].tolist()]
+    f = (m - a) // 2
+    return np.where(k < 0, -f - 1, f)  # as in _floor_golden
+
+
+def _floor_golden(k: int) -> int:
+    f = (math.isqrt(5 * k * k) - abs(k)) // 2
     # k*omega is irrational for k != 0, so floor(-x) = -floor(x) - 1
-    return np.where(k < 0, -f - 1, f)
+    return -f - 1 if k < 0 else f
 
 
-def sturmian_indicator(n, omega: float):
-    """Return v(n) = floor((n+1)*omega) - floor(n*omega) for an integer or
-    an integer array n.
+def _sturmian_word(lo: int, hi: int, omega: float) -> np.ndarray:
+    """v(n) = floor((n+1)*omega) - floor(n*omega) for n in [lo, hi)."""
+    return np.diff(_floor_multiple(lo, hi + 1, omega))
 
-    For the golden mean the floors are evaluated in exact integer
-    arithmetic, so the word is drift-free for arbitrarily large |n|.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    v = _floor_multiple(n + 1, omega) - _floor_multiple(n, omega)
-    return v if v.ndim else int(v)
+
+def sturmian_indicator(n: int, omega: float) -> int:
+    """v(n) at one index; at the golden mean it is exact for any |n|."""
+    return int(_sturmian_word(n, n + 1, omega)[0])
 
 
 def fibonacci_word(length: int) -> np.ndarray:
@@ -97,7 +102,7 @@ class VerblunskySequence:
     Each class implements `_values(lo, hi)`, vectorized over the range; a
     NaN there marks a site the sequence does not define (past the end of
     an explicit list).  `alpha_array` rejects such sites and n < 0 on a
-    one-sided sequence; `ZeroExtendedSequence` reads them as 0.
+    one-sided sequence; `zero_extended_array` reads them as 0.
     """
 
     support: str  # "half" (n >= 0) or "full" (n in Z)
@@ -149,7 +154,7 @@ class SturmianSequence(VerblunskySequence):
     support: str = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        v = np.diff(_floor_multiple(np.arange(lo, hi + 1), self.omega))
+        v = _sturmian_word(lo, hi, self.omega)
         return np.where(v == 1, complex(self.letter_a), complex(self.letter_b))
 
 
@@ -204,23 +209,6 @@ class ConjugateReflectedSequence(VerblunskySequence):
         return np.conj(self.base._values(self.start - hi + 1, self.start - lo + 1)[::-1])
 
 
-@dataclass(frozen=True)
-class ZeroExtendedSequence(VerblunskySequence):
-    """`base` with 0 at every site it does not define (past an explicit
-    list, n < 0 on a one-sided base): the zero tail that the truncated
-    Schur algorithm and the band windows read."""
-
-    base: VerblunskySequence
-    support: str = "full"
-
-    def _values(self, lo: int, hi: int) -> np.ndarray:
-        a = self.base._values(lo, hi)
-        a[np.isnan(a)] = 0.0
-        if self.base.support == "half" and lo < 0:
-            a[:min(hi, 0) - lo] = 0.0
-        return a
-
-
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:
     """Constant sequence alpha(n) = a on the requested support."""
     return ConstantSequence(_check_modulus(a), support)
@@ -249,6 +237,18 @@ def extend_two_sided(positive: VerblunskySequence,
     if positive.support != "half" or negative.support != "half":
         raise SupportError("extend_two_sided expects two one-sided sequences")
     return TwoSidedSequence(positive, negative)
+
+
+def zero_extended_array(seq: VerblunskySequence, lo: int, hi: int) -> np.ndarray:
+    """alpha(n) for n in [lo, hi), read as 0 at every site `seq` does not
+    define (past an explicit list, n < 0 on a one-sided sequence): the
+    zero tail that the truncated Schur algorithm and the band windows read.
+    """
+    a = seq._values(lo, hi)
+    a[np.isnan(a)] = 0.0
+    if seq.support == "half" and lo < 0:
+        a[:min(hi, 0) - lo] = 0.0
+    return a
 
 
 def write_coeffs_csv(seq: VerblunskySequence, lo: int, hi: int, path) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .coeffs import (ConjugateReflectedSequence, ShiftedSequence,
-                     VerblunskySequence, ZeroExtendedSequence, rho_of)
+                     VerblunskySequence, rho_of, zero_extended_array)
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 
@@ -67,7 +67,7 @@ def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     finite explicit lists this realizes the same zero-extension the
     truncated Schur algorithm uses.
     """
-    return ZeroExtendedSequence(seq).alpha_array(r0 - 2, r1 + 2)
+    return zero_extended_array(seq, r0 - 2, r1 + 2)
 
 
 def _dense_from_diagonals(diag: dict, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:

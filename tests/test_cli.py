@@ -91,6 +91,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert resolved["r_list"] == [0.5]
 
 
+def test_config_json_reruns_the_run(tmp_path):
+    # a run's own config.json, defaults and JSON arrays included, reruns it
+    assert run(["coeffs", "--alphabet", "0.3+0.2j,-0.4", "--n-range=-5,5",
+                "--out", str(tmp_path / "a")]) == 0
+    first = latest_run_dir(tmp_path / "a", "coeffs")
+    config = json.loads((first / "config.json").read_text())
+    assert config["criteria"] == []
+    assert run(["coeffs", "--config", str(first / "config.json"),
+                "--out", str(tmp_path / "b")]) == 0
+    again = latest_run_dir(tmp_path / "b", "coeffs")
+    assert ((again / "coefficients.csv").read_text()
+            == (first / "coefficients.csv").read_text())
+
+
 def test_unknown_config_field_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery": 1}))
@@ -140,10 +154,13 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "no-trace-levels", "unknown-criterion",
                                   "criterion-not-int", "one-letter-alphabet",
                                   "one-value-n-range", "radius-not-float",
-                                  "eps-not-float", "value-not-complex"])
+                                  "eps-not-float", "value-not-complex",
+                                  "config-radius-not-float"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"r_list": ["x"]}), encoding="utf-8")
     argv, command = {
         "missing-file": (["measure", "--model", "explicit", "--coeff-file",
                           str(tmp_path / "missing.txt")], "measure"),
@@ -158,6 +175,8 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         "eps-not-float": (["holder", "--eps", "x"], "holder"),
         "value-not-complex": (["measure", "--model", "constant", "--value", "x"],
                               "measure"),
+        "config-radius-not-float": (["measure", "--config", str(bad_config)],
+                                    "measure"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

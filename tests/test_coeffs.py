@@ -31,7 +31,7 @@ def test_substitution_word_oracle():
     # v(n+1) = f(n) with f the fixed point of a -> ab, b -> a (a = 1)
     N = 10946  # a Fibonacci number, covers deep prefixes
     f = coeffs.fibonacci_word(N)
-    v = coeffs.sturmian_indicator(np.arange(1, N + 1), GOLDEN)
+    v = np.array([coeffs.sturmian_indicator(n + 1, GOLDEN) for n in range(N)])
     assert np.array_equal(f, v)
     assert coeffs.sturmian_indicator(0, GOLDEN) == 0
 
@@ -39,7 +39,7 @@ def test_substitution_word_oracle():
 def test_balancedness():
     # number of ones among v(0..N-1) telescopes to floor(N * omega)
     for N in (10, 137, 4181, 100000):
-        ones = int(np.sum(coeffs.sturmian_indicator(np.arange(N), GOLDEN)))
+        ones = sum(coeffs.sturmian_indicator(n, GOLDEN) for n in range(N))
         assert abs(ones - N * GOLDEN) < 1.0
 
 
@@ -48,10 +48,10 @@ def test_exact_floor_against_mpmath():
     mp.mp.dps = 60
     omega = (mp.sqrt(5) - 1) / 2
     ks = [10 ** 6, 10 ** 6 + 1, 832040, 7, 10 ** 7 + 123, -1, -7, -832040,
-          -10 ** 7 - 123, SWITCH, SWITCH + 1, -SWITCH, -SWITCH - 1, 10 ** 15]
-    exact = coeffs._floor_multiple(np.array(ks), GOLDEN)
-    for k, f in zip(ks, exact):
-        assert f == int(mp.floor(k * omega))
+          -10 ** 7 - 123, SWITCH, SWITCH + 1, -SWITCH, -SWITCH - 1, 10 ** 15,
+          2 ** 63 - 1, 2 ** 63 + 5, -2 ** 63 - 5, 10 ** 30]
+    for k in ks:
+        assert coeffs._floor_multiple(k, k + 1, GOLDEN)[0] == int(mp.floor(k * omega))
 
 
 def _floor_golden_reference(k: int) -> int:
@@ -63,11 +63,16 @@ def _floor_golden_reference(k: int) -> int:
 
 
 def test_golden_floor_int64_matches_isqrt():
+    # the int64 path up to |k| = SWITCH, and windows that straddle it
     for lo, hi in ((0, 1 << 17), (-(1 << 17), 0), ((1 << 30) - 5000, 1 << 30),
+                   (SWITCH - 4000, SWITCH + 1), (-SWITCH, -SWITCH + 4000),
                    (SWITCH - 2000, SWITCH + 2000), (-SWITCH - 2000, -SWITCH + 2000)):
-        k = np.arange(lo, hi)
-        expect = [_floor_golden_reference(int(x)) for x in k]
-        assert np.array_equal(coeffs._floor_multiple(k, GOLDEN), expect)
+        expect = [_floor_golden_reference(k) for k in range(lo, hi)]
+        assert np.array_equal(coeffs._floor_multiple(lo, hi, GOLDEN), expect)
+    # indices past int64 read in Python integers, without overflow
+    for n in (2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 10 ** 30):
+        expect = _floor_golden_reference(n + 1) - _floor_golden_reference(n)
+        assert coeffs.sturmian_indicator(n, GOLDEN) == expect
 
 
 def test_constant_examples():
