@@ -187,8 +187,7 @@ def alexandrov_norms(seq: VerblunskySequence, lam: complex, z: complex,
     """(||phi^lam||_L, ||psi^lam||_L) from initial pairs (1, conj(lam))
     and (1, -conj(lam)); both satisfy the normalization |.|^2 sum = 2."""
     lc = complex(lam).conjugate()
-    return (transfer.solution_norm(seq, z, (1.0, lc), L),
-            transfer.solution_norm(seq, z, (1.0, -lc), L))
+    return tuple(transfer.solution_norms(seq, z, [(1.0, lc), (1.0, -lc)], L))
 
 
 @dataclass(frozen=True)
@@ -231,18 +230,24 @@ def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> XofR:
                 math.sqrt(transfer._interp_squared(s_psi, x)), clamped=(x == 0.0))
 
 
-def _search_x(propagate, r: float, horizon: int | None, max_horizon: int) -> list:
-    """x(r) for each point of `propagate(n)`, the (phi, psi) squared-norm
-    profiles to length n, one row per point.  Without a `horizon` n starts
-    at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `max_horizon` until
-    every root lies inside; with one the search is strict at that n."""
+def _search_x(seq: VerblunskySequence, lams, zs, r: float, horizon: int | None,
+              max_horizon: int) -> list:
+    """x(r) at each point (lams[i], zs[i]); one batched propagation carries
+    the phi rows of all points, then their psi rows, to length n.  Without
+    a `horizon` n starts at max(64, 8 sqrt(2)/(1 - r)) and doubles up to
+    `max_horizon` until every root lies inside; with one the search is
+    strict at that n."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
+    lc = np.conj(np.asarray(lams, dtype=complex))
+    phi = np.stack([np.ones_like(lc), lc], axis=-1)
+    inits = np.concatenate([phi, phi * [1.0, -1.0]])
     n = horizon if horizon is not None else max(64, int(8 * SQRT2 / (1.0 - r)))
     while True:
-        s_phi, s_psi = propagate(n)
+        prof = transfer.norm_profile_batch(seq, np.tile(zs, 2), inits, n)
         try:
-            return [_x_from_profiles(p, q, r) for p, q in zip(s_phi, s_psi)]
+            return [_x_from_profiles(p, q, r)
+                    for p, q in zip(prof[:len(lc)], prof[len(lc):])]
         except HorizonError:
             if horizon is not None or n >= max_horizon:
                 raise HorizonError(f"x(r) beyond horizon {n}") from None
@@ -257,16 +262,9 @@ def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float,
     increasing, so bracketing plus bisection is exact up to tolerance.
     With an explicit `horizon` the search is strict and HorizonError is
     raised when the root lies beyond it; otherwise the horizon doubles
-    automatically up to `max_horizon`.  The pair is propagated by the
-    scalar `transfer.norm_profile`.
+    automatically up to `max_horizon`.  phi and psi share one propagation.
     """
-    lc = complex(lam).conjugate()
-
-    def propagate(n):
-        return ([transfer.norm_profile(seq, z, (1.0, lc), n)],
-                [transfer.norm_profile(seq, z, (1.0, -lc), n)])
-
-    return _search_x(propagate, r, horizon, max_horizon)[0]
+    return _search_x(seq, [lam], [complex(z)], r, horizon, max_horizon)[0]
 
 
 def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float,
@@ -286,22 +284,15 @@ def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float,
                    max_horizon: int = 1 << 21) -> np.ndarray:
     """jl_ratio over the (lam, z) product grid, shape (len(lams), len(zs)).
 
-    Shares one batched pair propagation (`transfer.norm_profile_batch`)
-    across the whole grid, which is much faster than pointwise evaluation
-    for on-circle sweeps.
+    One `transfer.norm_profile_batch` call per horizon carries the phi and
+    psi pairs of the whole grid, which is much faster than pointwise
+    evaluation for on-circle sweeps.
     """
     lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
     # grid point (i, j) sits at flat index i * len(zs) + j
-    flatL, flatZ = np.repeat(lams, len(zs)), np.tile(zs, len(lams))
-    init_phi = np.stack([np.ones_like(flatL), np.conj(flatL)], axis=-1)
-    init_psi = np.stack([np.ones_like(flatL), -np.conj(flatL)], axis=-1)
-
-    def propagate(n):
-        return (transfer.norm_profile_batch(seq, flatZ, init_phi, n),
-                transfer.norm_profile_batch(seq, flatZ, init_psi, n))
-
-    xrs = _search_x(propagate, r, None, max_horizon)
+    xrs = _search_x(seq, np.repeat(lams, len(zs)), np.tile(zs, len(lams)), r,
+                    None, max_horizon)
     out = np.empty((len(lams), len(zs)))
     for i, lam in enumerate(lams):
         F_lam = schur_F_batch(rotated(seq, lam), r * zs)

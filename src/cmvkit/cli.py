@@ -56,6 +56,8 @@ class RunConfig:
                 raise CMVKitError(f"{name}: cannot parse {getattr(self, name)!r}")
         if len(self.alphabet) != 2 or len(self.n_range) != 2:
             raise CMVKitError("alphabet and n_range take two values each")
+        if self.n_range[1] <= self.n_range[0]:
+            raise CMVKitError(f"n-range {self.n_range[0]},{self.n_range[1]} is empty")
         if self.model == "constant" and abs(self.value) >= 1.0:
             raise CMVKitError(f"|alpha| = {abs(self.value)} >= 1")
         if self.model == "sturmian":

@@ -25,6 +25,7 @@ from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
 
 _RENORM_EVERY = 64
+_BLOCK = 128      # norm-profile steps between escape tests
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -89,56 +90,50 @@ def normalize_sl2(T: np.ndarray, z: complex, n: int) -> np.ndarray:
 
 def norm_profile(seq: VerblunskySequence, z: complex, initial, n_max: int) -> np.ndarray:
     """Cumulative squared norms S[n] = sum_{j<=n} (|eta_j|^2 + |eta_j^*|^2)/2
-    of the pair (eta_j, eta_j^*) propagated from `initial`.
-
-    Exponentially escaping orbits saturate to inf once they leave the
-    floating-point range instead of degrading into NaNs.
-    """
-    alphas = seq.alpha_array(0, n_max)
-    rhos = rho_of(alphas, nonzero=True)
-    orbit = np.empty((n_max + 1, 2), dtype=complex)
-    u, v = complex(initial[0]), complex(initial[1])
-    orbit[0] = (u, v)
-    for j, (a, r) in enumerate(zip(alphas.tolist(), rhos.tolist())):
-        u, v = (z * u - a.conjugate() * v) / r, (-a * z * u + v) / r
-        if max(abs(u), abs(v)) > 1e150:
-            orbit[j + 1:] = complex(math.inf, 0.0)
-            break
-        orbit[j + 1] = (u, v)
-    weights = 0.5 * (np.abs(orbit[:, 0]) ** 2 + np.abs(orbit[:, 1]) ** 2)
-    return np.cumsum(weights)
+    of the pair (eta_j, eta_j^*) propagated from `initial`: the one-row
+    view of `norm_profile_batch`."""
+    return norm_profile_batch(seq, [z], [initial], n_max)[0]
 
 
 def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.ndarray:
-    """Batched cumulative squared norms, shape (batch, n_max + 1).
+    """Cumulative squared norms, shape (batch, n_max + 1), one row per
+    pair (eta_j, eta_j^*) propagated from an initial pair.
 
     zs and initials broadcast elementwise over the batch; the coefficient
-    sequence is shared, which is what grid sweeps over the spectral
-    parameter need.  The scalar `norm_profile` is the faster loop for a
-    single point.
+    sequence is shared.  Each step applies A(alpha_j, z) =
+    A(alpha_j, 1) diag(z, 1) to the (2, batch) state by elementwise
+    products, so a row's values depend neither on the batch it rides in
+    nor on n_max.  A row whose pair leaves 1e150 saturates to inf from
+    that step on instead of degrading into NaNs.
     """
     zs = np.asarray(zs, dtype=complex)
     init = np.asarray(initials, dtype=complex)
-    B = max(len(zs), len(init))
+    B = np.broadcast(zs, init[..., 0]).size
     zs = np.broadcast_to(zs, (B,))
-    u = np.broadcast_to(init[..., 0], (B,)).astype(complex).copy()
-    v = np.broadcast_to(init[..., 1], (B,)).astype(complex).copy()
-    alphas = seq.alpha_array(0, n_max)
-    rhos = rho_of(alphas, nonzero=True)
+    state = np.broadcast_to(init, (B, 2)).T.copy()
+    A = szego_matrices(seq.alpha_array(0, n_max), 1.0)
+    col_u, col_v = A[:, :, 0, None], A[:, :, 1, None]
     out = np.empty((B, n_max + 1))
-    out[:, 0] = 0.5 * (np.abs(u) ** 2 + np.abs(v) ** 2)
-    dead = np.zeros(B, dtype=bool)
-    for j in range(n_max):
-        a, r = alphas[j], rhos[j]
-        u, v = (zs * u - np.conj(a) * v) / r, (-a * zs * u + v) / r
-        escaped = (np.abs(u) > 1e150) | (np.abs(v) > 1e150)
-        if escaped.any():
-            # freeze escaped elements; their partial sums saturate to inf
-            u[escaped] = 0.0
-            v[escaped] = 0.0
-            dead |= escaped
-        out[:, j + 1] = out[:, j] + 0.5 * (np.abs(u) ** 2 + np.abs(v) ** 2)
-        out[dead, j + 1] = np.inf
+    out[:, 0] = 0.5 * (np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)
+    block = np.empty((min(_BLOCK, n_max), 2, B), dtype=complex)
+    # an escaped row runs on to the end of its block; its overflow is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, n_max, _BLOCK):
+            m = min(_BLOCK, n_max - j0)
+            for k in range(m):
+                state = block[k] = (col_u[j0 + k] * (zs * state[0])
+                                    + col_v[j0 + k] * state[1])
+            mod = np.abs(block[:m])
+            weights = 0.5 * (mod[:, 0] ** 2 + mod[:, 1] ** 2)
+            big = (mod > 1e150).any(axis=1)
+            if big.any():
+                # each row is cut at its first crossing, as a per-step test would
+                first = np.where(big.any(axis=0), big.argmax(axis=0), m)
+                weights[np.arange(m)[:, None] >= first] = np.inf
+                state[:, first < m] = 0.0
+            # cumsum adds in order, so the sums do not depend on the block length
+            sums = np.cumsum(np.concatenate([out[None, :, j0], weights]), axis=0)
+            out[:, j0 + 1:j0 + m + 1] = sums[1:].T
     return out
 
 
@@ -155,19 +150,26 @@ def _interp_squared(profile: np.ndarray, L: float) -> float:
     return float((1.0 - frac) * profile[n] + frac * profile[n + 1])
 
 
-def solution_norm(seq: VerblunskySequence, z: complex, initial, L: float) -> float:
-    """||eta||_L for the pair orbit started from `initial`.
+def solution_norms(seq: VerblunskySequence, z: complex, initials, L: float) -> list:
+    """||eta||_L for the pair orbit from each initial pair, read from one
+    batched propagation.
 
-    The initial pair must satisfy |eta_0|^2 + |eta_1|^2 = 2; squared norms
+    Each initial pair must satisfy |eta_0|^2 + |eta_1|^2 = 2; squared norms
     are interpolated linearly between integer L.
     """
-    s = abs(complex(initial[0])) ** 2 + abs(complex(initial[1])) ** 2
-    if abs(s - 2.0) > 1e-10:
-        raise NormalizationError(f"|eta0|^2 + |eta1|^2 = {s}, expected 2")
+    for initial in initials:
+        s = abs(complex(initial[0])) ** 2 + abs(complex(initial[1])) ** 2
+        if abs(s - 2.0) > 1e-10:
+            raise NormalizationError(f"|eta0|^2 + |eta1|^2 = {s}, expected 2")
     if L < 0:
         raise ValueError("L must be nonnegative")
-    profile = norm_profile(seq, z, initial, int(math.ceil(L)))
-    return math.sqrt(_interp_squared(profile, L))
+    profiles = norm_profile_batch(seq, [z], initials, int(math.ceil(L)))
+    return [math.sqrt(_interp_squared(p, L)) for p in profiles]
+
+
+def solution_norm(seq: VerblunskySequence, z: complex, initial, L: float) -> float:
+    """||eta||_L for the pair orbit started from `initial`."""
+    return solution_norms(seq, z, [initial], L)[0]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import caratheodory as cara
 from . import coeffs, operator, spectral, tracemap, transfer
+from .errors import InsufficientDataError
 
 FIB_ALPHABET = (0.5, -0.5)
 # window half-width at which criteria 2 and 3 state their tolerances
@@ -283,7 +284,9 @@ def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
                               min_separation: float = 0.15) -> np.ndarray:
     """Points of the spectrum mask whose solution norms are certified
     subpolynomial out to L_max: among masked grid angles, those with the
-    smallest envelope growth slope, kept pairwise separated."""
+    smallest envelope growth slope, kept pairwise separated.  Raises
+    InsufficientDataError when the mask holds fewer than `count` such
+    points."""
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
     cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(mask_level + 6),
                                    thetas, mask_level))[0]
@@ -294,8 +297,7 @@ def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
     worst_slope = np.full(len(cand), -np.inf)
     for sign in (1.0, -1.0):
         init = np.stack([np.ones(len(zs)), sign * np.ones(len(zs))], axis=-1)
-        prof = transfer.norm_profile_batch(seq, zs, init, Ls[-1])
-        ly = 0.5 * np.log(prof[:, Ls])
+        ly = 0.5 * np.log(transfer.norm_profile_batch(seq, zs, init, Ls[-1])[:, Ls])
         for i in range(len(Ls)):
             for j in range(i + 1, len(Ls)):
                 s = (ly[:, j] - ly[:, i]) / (lx[j] - lx[i])
@@ -307,8 +309,10 @@ def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
                for p in picked):
             picked.append(th)
         if len(picked) == count:
-            break
-    return np.array(sorted(picked))
+            return np.array(sorted(picked))
+    raise InsufficientDataError(
+        f"{len(picked)} of {count} separated points on the level-{mask_level} "
+        f"spectrum mask of the {grid_size}-point theta grid")
 
 
 def criterion_11() -> CriterionResult:

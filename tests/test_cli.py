@@ -155,7 +155,8 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "criterion-not-int", "one-letter-alphabet",
                                   "one-value-n-range", "radius-not-float",
                                   "eps-not-float", "value-not-complex",
-                                  "config-radius-not-float"])
+                                  "config-radius-not-float", "reversed-n-range",
+                                  "no-certified-point"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -177,6 +178,11 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
                               "measure"),
         "config-radius-not-float": (["measure", "--config", str(bad_config)],
                                     "measure"),
+        "reversed-n-range": (["coeffs", "--n-range", "5,3"], "coeffs"),
+        # the level-16 mask of this alphabet holds no certified point
+        "no-certified-point": (["holder", "--model", "sturmian", "--alphabet",
+                                "0.99,-0.99", "--theta-count", "64", "--eps",
+                                "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

@@ -160,14 +160,57 @@ def test_fit_power_law_needs_samples():
         transfer.fit_power_law([(2.0 ** k, 1.0) for k in range(5)])
 
 
-def test_norm_profile_batch_matches_scalar():
-    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
-    z = cmath.exp(0.8j)
-    prof = transfer.norm_profile(seq, z, (1.0, 1.0), 50)
-    batch = transfer.norm_profile_batch(seq, [z, z], [[1.0, 1.0], [1.0, -1.0]], 50)
-    assert np.allclose(batch[0], prof, rtol=1e-13)
-    other = transfer.norm_profile(seq, z, (1.0, -1.0), 50)
-    assert np.allclose(batch[1], other, rtol=1e-13)
+def _per_step_pairs(seq, z, initial, n_max):
+    # the textbook recurrence, one step at a time:
+    # u, v = ((z u - conj(a) v) / rho, (-a z u + v) / rho), saturating to
+    # inf from the first step at which the pair leaves 1e150
+    alphas = seq.alpha_array(0, n_max)
+    rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
+    pairs = np.full((n_max + 1, 2), complex(math.inf, 0.0))
+    u, v = pairs[0] = complex(initial[0]), complex(initial[1])
+    for j, (a, r) in enumerate(zip(alphas.tolist(), rhos.tolist())):
+        u, v = (z * u - a.conjugate() * v) / r, (-a * z * u + v) / r
+        if max(abs(u), abs(v)) > 1e150:
+            break
+        pairs[j + 1] = u, v
+    return pairs
+
+
+def test_norm_profile_batch_matches_per_step_recurrence():
+    seq = coeffs.make_sturmian(0.4 + 0.2j, -0.5, GOLDEN)
+    b = transfer._BLOCK
+    n_max = 2 * b + 88
+    zs = [cmath.exp(0.25j), cmath.exp(0.8j), 0.9 * cmath.exp(2.0j),
+          1e3 * cmath.exp(0.3j)]
+    inits = [(1.0, 1.0), (1.0, -1j), (1.0, 1.0), (1.0, 1.0)]
+    # scale (1, 1) so that the pair first leaves 1e150 at a chosen step:
+    # just before, on and just after the first block boundary, and at the
+    # last step; the phase is the first at which that step sets a record
+    for zmod, step in ((2.0, b - 1), (2.0, b), (2.0, b + 1), (1.05, n_max)):
+        for phase in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+            z = zmod * cmath.exp(1j * phase)
+            top = np.abs(_per_step_pairs(seq, z, (1.0, 1.0), step)).max(axis=1)
+            if top[-1] > (1.0 + 1e-6) * top[:-1].max():
+                break
+        else:
+            pytest.fail(f"no phase sets a record at step {step}")
+        c = 1e150 / math.sqrt(top[-1] * top[:-1].max())
+        zs.append(z)
+        inits.append((c, c))
+    batch = transfer.norm_profile_batch(seq, zs, inits, n_max)
+    assert batch.shape == (len(zs), n_max + 1)
+    # one z and one initial pair make one row
+    assert transfer.norm_profile_batch(seq, zs[:1], inits[0], n_max).shape == (1, n_max + 1)
+    escapes = []
+    for row, z, init in zip(batch, zs, inits):
+        pairs = _per_step_pairs(seq, z, init, n_max)
+        ref = np.cumsum(0.5 * (np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2))
+        assert np.array_equal(np.isinf(row), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert np.allclose(row[finite], ref[finite], rtol=1e-13, atol=0.0)
+        escapes.append(int(np.argmax(np.isinf(row))) if not finite[-1] else None)
+    assert escapes[:3] == [None] * 3 and escapes[3] < b - 1
+    assert escapes[4:] == [b - 1, b, b + 1, n_max]
 
 
 def test_pair_growth_exponents_free_and_batched():
