@@ -65,6 +65,17 @@ class RunConfig:
                 raise CMVKitError(f"omega = {self.omega} outside (0, 1)")
             if any(abs(a) >= 1.0 for a in self.alphabet):
                 raise CMVKitError("alphabet letter outside the unit disk")
+        if self.omega != coeffs.GOLDEN_MEAN:
+            if self.command == "spectrum":
+                raise CMVKitError("spectrum runs the golden-mean trace map; "
+                                  f"omega = {self.omega} is not supported")
+            if self.command == "holder" and self.theta is None:
+                raise CMVKitError("holder takes theta from the golden-mean mask; "
+                                  f"give --theta for omega = {self.omega}")
+        if self.left_model not in ("", "constant", "word"):
+            raise CMVKitError(f"unknown left_model {self.left_model!r}")
+        if self.left_model == "word" and self.model != "sturmian":
+            raise CMVKitError("left_model 'word' needs the sturmian model")
         if any(not 0.0 < r < 1.0 for r in self.r_list):
             raise CMVKitError("every r must lie in (0, 1)")
         if any(not 0.0 < e < math.pi for e in self.eps_list):

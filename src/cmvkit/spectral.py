@@ -32,6 +32,10 @@ from . import caratheodory as cara
 from . import operator
 
 _MIN_CIRCLE_GAP = 1e-3
+_SCHUR_TOL = 1e-13
+# the spectral parameter and oracle tolerance of the M_minus arbitration
+_CONVENTION_PROBE = 0.45 + 0.2j
+_CONVENTION_TOL = 1e-6
 
 # candidate coefficients feeding the M_minus Möbius map, in arbitration order
 _CONVENTIONS = ("split-site", "origin", "split-site-conj", "origin-conj")
@@ -45,98 +49,91 @@ def _convention_alpha(seq: VerblunskySequence, name: str) -> complex:
     return candidates[name]
 
 
-def _F_offcircle(seq: VerblunskySequence, z: complex, tol: float = 1e-13) -> complex:
+def _F_offcircle(seq: VerblunskySequence, z: complex) -> complex:
     """Carathéodory value continued across the circle by F(z) = -conj(F(1/conj(z)))."""
     if abs(z) < 1.0:
-        return cara.schur_eval_F_adaptive(seq, z, tol)
-    return -complex(cara.schur_eval_F_adaptive(seq, 1.0 / z.conjugate(), tol)).conjugate()
+        return cara.schur_eval_F_adaptive(seq, z, _SCHUR_TOL)
+    return -complex(cara.schur_eval_F_adaptive(seq, 1.0 / z.conjugate(), _SCHUR_TOL)).conjugate()
 
 
-def _u_forward(al, rh, j, z, pair):
-    a_m1, a0, a1 = al[j - 1], al[j], al[j + 1]
-    r_m1, r0, r1 = rh[j - 1], rh[j], rh[j + 1]
-    um1, u0 = pair
-    b1 = (z + a0.conjugate() * a_m1) * u0 - a0.conjugate() * r_m1 * um1
-    b2 = r0 * a_m1 * u0 - r0 * r_m1 * um1
-    m11, m12 = a1.conjugate() * r0, r1 * r0
-    m21, m22 = -a1.conjugate() * a0 - z, -r1 * a0
-    det = z * r0 * r1
-    return ((b1 * m22 - m12 * b2) / det, (m11 * b2 - m21 * b1) / det)
-
-
-def _u_backward(al, rh, j, z, pair):
-    a_m1, a0, a1 = al[j - 1], al[j], al[j + 1]
-    r_m1, r0, r1 = rh[j - 1], rh[j], rh[j + 1]
-    X, Y = pair
-    c1 = -a1.conjugate() * r0 * X - r1 * r0 * Y
-    c2 = (z + a1.conjugate() * a0) * X + r1 * a0 * Y
-    m11, m12 = a0.conjugate() * r_m1, -(a0.conjugate() * a_m1 + z)
-    m21, m22 = r0 * r_m1, -r0 * a_m1
-    det = z * r_m1 * r0
-    return ((c1 * m22 - m12 * c2) / det, (m11 * c2 - m21 * c1) / det)
+def _two_site_matrices(alpha: np.ndarray, z: complex):
+    """(T, T^-1) at the centres j = 1 .. len(alpha) - 2, as lists of
+    (t00, t01, t10, t11).  T_j maps (u(j - 1), u(j)) to (u(j + 1), u(j + 2))
+    for E u = z u; det T_j = rho(j - 1)/rho(j + 1), so the backward step
+    is adj(T_j) rho(j + 1)/rho(j - 1)."""
+    rho = rho_of(alpha)
+    am, a0, a1 = alpha[:-2], alpha[1:-1], alpha[2:]
+    rm, r0, r1 = rho[:-2], rho[1:-1], rho[2:]
+    zr = z * r0
+    c = np.conj(a1) + z * np.conj(a0)
+    T = np.array([rm / zr, -(z * a0 + am) / zr, -rm * c / (zr * r1),
+                  (z * (z + np.conj(a1) * a0) + am * c) / (zr * r1)])
+    T_inv = np.array([T[3], -T[1], -T[2], T[0]]) * (r1 / rm)
+    return list(zip(*T.tolist())), list(zip(*T_inv.tolist()))
 
 
 def _two_site_steps(direction: str, store_lo: int, store_hi: int, margin: int) -> range:
-    """Steps k of a directional solution in running order; step k reads
-    the coefficients at sites 2k - 1, 2k and 2k + 1."""
+    """Steps k of a directional solution, ascending ('plus' runs them
+    descending); step k reads the coefficients at sites 2k - 1, 2k, 2k + 1."""
     if direction == "plus":
-        return range((store_hi + margin + 2) // 2 + 1, (store_lo - 2) // 2 - 1, -1)
+        return range((store_lo - 2) // 2, (store_hi + margin + 2) // 2 + 2)
     return range((store_lo - margin - 2) // 2 - 1, (store_hi + 2) // 2 + 1)
 
 
-def _directional_solution(coef, z, direction: str, store_lo: int, store_hi: int,
-                          margin: int) -> dict:
+def _directional_solution(mats, base: int, direction: str, steps: range,
+                          store: int) -> operator.State:
     """Formal solution decaying at +inf ('plus') or -inf ('minus').
 
-    Runs the two-site recurrence from a seed `margin` sites beyond the
-    stored range; the contamination by the complementary solution decays
-    geometrically over the margin.  Values are tracked with a running log
-    scale and reconstructed relative to the stored range.  `coef` is
-    (alpha, rho, base): coefficient tables with site n at index n - base.
+    Runs the two-site recurrence over `steps`, whose seed lies a margin
+    beyond the stored range; the contamination by the complementary
+    solution decays geometrically over the margin.  Values are tracked
+    with a running log scale and reconstructed relative to site 0 over
+    the sites -store - 2 .. store + 2.  `mats` is `_two_site_matrices` of
+    a coefficient table with site n at index n - base.
     """
-    al, rh, base = coef
-    # 'plus' runs backward and stores sites 2k - 1, 2k; 'minus' runs
-    # forward and stores 2k + 1, 2k + 2
-    step, first = (_u_backward, -1) if direction == "plus" else (_u_forward, 1)
-    raw = {}   # site -> (value, log scale)
-    g = 0.0
-    pair = (1.0 + 0.0j, 1.0 + 0.0j)
-    for k in _two_site_steps(direction, store_lo, store_hi, margin):
-        pair = step(al, rh, 2 * k - base, z, pair)
-        m = max(abs(pair[0]), abs(pair[1]))
+    plus = direction == "plus"
+    k0, k1 = steps[0], steps[-1]
+    # 'plus' runs backward on T^-1 and step k yields sites 2k - 1, 2k;
+    # 'minus' runs forward on T and yields 2k + 1, 2k + 2
+    fwd, bwd = mats
+    run = (bwd if plus else fwd)[2 * k0 - base - 1:2 * k1 - base:2]
+    order = slice(None, None, -1 if plus else 1)  # running order <-> ascending k
+    pairs, logs = [], []
+    x, y, g = 1.0 + 0.0j, 1.0 + 0.0j, 0.0
+    for a, b, c, d in run[order]:
+        x, y = a * x + b * y, c * x + d * y
+        m = max(abs(x), abs(y))
         if m > 1e120 or (0.0 < m < 1e-120):
-            pair = (pair[0] / m, pair[1] / m)
+            x, y = x / m, y / m
             g += math.log(m)
-        n = 2 * k + first
-        raw[n], raw[n + 1] = (pair[0], g), (pair[1], g)
-    g0 = raw[0][1] if 0 in raw else 0.0
-    out = {}
-    for n, (v, gn) in raw.items():
-        if store_lo - 2 <= n <= store_hi + 2:
-            try:
-                out[n] = v * math.exp(gn - g0)
-            except OverflowError:
-                out[n] = complex(math.inf, 0.0)
-    return out
+        pairs.append((x, y))
+        logs.append(g)
+    # ascending sites from `first`; each log scale covers its pair
+    first = 2 * k0 - 1 if plus else 2 * k0 + 1
+    logs = np.repeat(logs[order], 2)
+    kept = slice(-store - 2 - first, store + 3 - first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array(pairs[order]).ravel()[kept] * np.exp(logs[kept] - logs[-first])
+    # a site whose value overflows holds inf
+    return operator.State(-store - 2, np.where(np.isfinite(values), values, math.inf))
 
 
-def _scale_to_targets(sol: dict, t0: complex, t1: complex, label: str):
-    r0, r1 = sol.get(0, 0.0), sol.get(1, 0.0)
-    if abs(r0) >= abs(r1):
-        base_raw, base_t, other_raw, other_t = r0, t0, r1, t1
-    else:
-        base_raw, base_t, other_raw, other_t = r1, t1, r0, t0
+def _scale_to_targets(sol: operator.State, t0: complex, t1: complex, label: str):
+    r0, r1 = sol[0], sol[1]
+    (base_raw, base_t), (other_raw, other_t) = (
+        ((r0, t0), (r1, t1)) if abs(r0) >= abs(r1) else ((r1, t1), (r0, t0)))
     if abs(base_raw) == 0.0:
         raise DegenerateError(f"{label} vanished at the origin pair")
     c = base_t / base_raw
     scale = max(abs(base_t), abs(other_t), 1e-30)
     mismatch = abs(c * other_raw - other_t) / scale
-    return {n: c * v for n, v in sol.items()}, mismatch
+    return operator.State(sol.offset, c * sol.values), mismatch
 
 
 @dataclass(frozen=True)
 class GZContext:
-    """Resolvent data for one spectral parameter off the unit circle."""
+    """Resolvent data for one spectral parameter off the unit circle; each
+    directional solution is an `operator.State` from site store_lo - 2."""
 
     seq: VerblunskySequence
     z: complex
@@ -144,10 +141,10 @@ class GZContext:
     M_minus: complex
     store_lo: int
     store_hi: int
-    u_plus: dict = field(repr=False)
-    u_minus: dict = field(repr=False)
-    v_plus: dict = field(repr=False)
-    v_minus: dict = field(repr=False)
+    u_plus: operator.State = field(repr=False)
+    u_minus: operator.State = field(repr=False)
+    v_plus: operator.State = field(repr=False)
+    v_minus: operator.State = field(repr=False)
     normalization_mismatch: float = 0.0
 
 
@@ -159,7 +156,7 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     margin_needed = int(math.ceil(23.0 / max(-math.log(min(abs(z), 1.0 / abs(z))), 1e-9)))
     margin = min(margin_needed, max(W // 2, W - 16))
     rep_cap = int(500.0 / max(abs(math.log(abs(z))), 1e-6))
-    store = max(8, min(W - margin, rep_cap, W))
+    store = max(8, min(W - margin, rep_cap))
 
     right, left = operator.split_at_origin(seq)
     F_plus = _F_offcircle(right, z)
@@ -167,21 +164,19 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     M_minus = cara.m_minus(F_minus, alpha0)
 
     # u runs on alpha(n), the shifted w on alpha(n + 1) over a range one
-    # site wider; alpha and rho are read once over every site they reach
+    # site wider; alpha is read once over every site they reach
     runs = [(s, d, _two_site_steps(d, -store - s, store + s, margin))
             for s in (0, 1) for d in ("plus", "minus")]
-    lo = min(2 * min(ks) - 1 + s for s, _, ks in runs)
-    hi = max(2 * max(ks) + 1 + s for s, _, ks in runs)
+    lo = min(2 * ks[0] - 1 + s for s, _, ks in runs)
+    hi = max(2 * ks[-1] + 1 + s for s, _, ks in runs)
     coef = seq.alpha_array(lo, hi + 1)
-    al, rh = coef.tolist(), rho_of(coef).tolist()
+    mats = _two_site_matrices(coef, z)
     u_plus, u_minus, w_plus, w_minus = (
-        _directional_solution((al, rh, lo - s), z, d, -store - s, store + s, margin)
-        for s, d, _ in runs)
+        _directional_solution(mats, lo - s, d, ks, store + s) for s, d, ks in runs)
     # the shifted solution w obeys the transpose equation with v(n) = w(n-1)
-    v_plus = {n + 1: v for n, v in w_plus.items()}
-    v_minus = {n + 1: v for n, v in w_minus.items()}
+    v_plus, v_minus = (operator.State(w.offset + 1, w.values) for w in (w_plus, w_minus))
 
-    a0, rho0 = al[-lo], rh[-lo]  # site 0
+    a0, rho0 = complex(coef[-lo]), rho_of(coef[-lo])  # site 0
 
     def u_targets(F):
         return z * (1.0 + F), (-1.0 - a0 * z + F * (1.0 - a0 * z)) / rho0
@@ -201,8 +196,7 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
 _convention_cache: dict = {}
 
 
-def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 + 0.2j,
-                               tol: float = 1e-6) -> str:
+def resolve_m_minus_convention(seq: VerblunskySequence) -> str:
     """Re-derive the coefficient feeding the M_minus map against the oracle.
 
     Assembly always uses the split-site coefficient; this arbitration is
@@ -211,18 +205,17 @@ def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 
     block of entries; candidates tie exactly when their coefficient values
     coincide, in which case the first listed wins.
     """
-    key = (seq, complex(z_probe))
-    if key in _convention_cache:
-        return _convention_cache[key]
+    if seq in _convention_cache:
+        return _convention_cache[seq]
     xs = list(range(-3, 4))
-    G = operator.resolvent_oracle_block(seq, z_probe, 160, xs, xs)
+    G = operator.resolvent_oracle_block(seq, _CONVENTION_PROBE, 160, xs, xs)
     # entries that vanish identically have no relative scale of their own;
     # measure those against the block scale instead
     floor = max(1e-9 * float(np.max(np.abs(G))), 1e-12)
     best_name, best_err = None, math.inf
     for name in _CONVENTIONS:
         try:
-            ctx = _build_context_with(seq, z_probe, 48,
+            ctx = _build_context_with(seq, _CONVENTION_PROBE, 48,
                                       _convention_alpha(seq, name))
             err = 0.0
             for i, x in enumerate(xs):
@@ -233,16 +226,22 @@ def resolve_m_minus_convention(seq: VerblunskySequence, z_probe: complex = 0.45 
             continue
         if err < best_err:
             best_name, best_err = name, err
-    if best_name is None or best_err > tol:
+    if best_name is None or best_err > _CONVENTION_TOL:
         raise ConventionError(
             f"no M_minus convention matches the oracle (best {best_err:.2e})")
-    _convention_cache[key] = best_name
+    _convention_cache[seq] = best_name
     return best_name
 
 
 def build_gz_context(seq: VerblunskySequence, z: complex,
                      window: int = 200) -> GZContext:
-    """Assemble resolvent data at z (off the circle, away from 0)."""
+    """Assemble resolvent data at z (off the circle, away from 0).
+
+    With L = |ln|z||, `window` W >= 16 gives the seed margin min(ceil(23/L),
+    max(W // 2, W - 16)) and store = max(8, min(W - margin, int(500/L)));
+    entries with |x|, |y| <= store are available.  Near the circle the
+    margin is capped without any warning, and the entries lose accuracy.
+    """
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
     z = complex(z)

@@ -156,12 +156,19 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "one-value-n-range", "radius-not-float",
                                   "eps-not-float", "value-not-complex",
                                   "config-radius-not-float", "reversed-n-range",
-                                  "no-certified-point"])
+                                  "no-certified-point", "spectrum-omega",
+                                  "holder-omega-no-theta", "unknown-left-model",
+                                  "word-left-model-not-sturmian"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"r_list": ["x"]}), encoding="utf-8")
+    left_config = tmp_path / "left.json"
+    left_config.write_text(json.dumps({"left_model": "nonsense"}), encoding="utf-8")
+    word_config = tmp_path / "word.json"
+    word_config.write_text(json.dumps({"left_model": "word", "model": "constant"}),
+                           encoding="utf-8")
     argv, command = {
         "missing-file": (["measure", "--model", "explicit", "--coeff-file",
                           str(tmp_path / "missing.txt")], "measure"),
@@ -183,6 +190,15 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         "no-certified-point": (["holder", "--model", "sturmian", "--alphabet",
                                 "0.99,-0.99", "--theta-count", "64", "--eps",
                                 "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
+        # the trace map and the certified points follow the golden-mean word
+        "spectrum-omega": (["spectrum", "--omega", "0.3", "--theta-count", "64"],
+                           "spectrum"),
+        "holder-omega-no-theta": (["holder", "--omega", "0.3", "--theta-count", "64",
+                                   "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
+                                  "holder"),
+        "unknown-left-model": (["measure", "--config", str(left_config)], "measure"),
+        "word-left-model-not-sturmian": (["measure", "--config", str(word_config)],
+                                         "measure"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

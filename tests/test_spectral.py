@@ -130,19 +130,35 @@ def test_context_normalization_and_decay():
     mags = [abs(ctx.u_plus[n]) + abs(ctx.u_plus[n + 1]) for n in (20, 40, 60)]
     ratio = (mags[2] / mags[0]) ** (1.0 / 40.0)
     assert abs(ratio - math.sqrt(abs(z))) < 0.1
-    # residual of the recurrence on the stored window, locally normalized
-    for n in range(-20, 20):
-        row = 0.0
-        for off in (-2, -1, 0, 1, 2):
-            diag = operator.band_diagonals(FIB2.alpha_array(n - 2, n + 3), n, n + 1)
-            row += complex(diag[off][0]) * ctx.u_plus.get(n + off, 0.0)
-        scale = max(abs(ctx.u_plus.get(n, 0.0)), 1e-30)
-        assert abs(row - z * ctx.u_plus[n]) / scale < 1e-9
+    # residual of the recurrence on the stored window, locally normalized;
+    # the free left half has M_minus = -1, so u_minus(0) vanishes and is
+    # measured against the largest value in its row instead
+    for sol in (ctx.u_plus, ctx.u_minus):
+        for n in range(-20, 20):
+            row = 0.0
+            for off in (-2, -1, 0, 1, 2):
+                diag = operator.band_diagonals(FIB2.alpha_array(n - 2, n + 3), n, n + 1)
+                row += complex(diag[off][0]) * sol[n + off]
+            row_max = max(abs(sol[n + off]) for off in (-2, -1, 0, 1, 2))
+            scale = max(abs(sol[n]), 1e-7 * row_max, 1e-30)
+            assert abs(row - z * sol[n]) / scale < 1e-9
+
+
+@pytest.mark.parametrize("z", [0.6 * cmath.exp(0.9j), 1.4 * cmath.exp(2.1j)])
+def test_two_site_matrix_table(z):
+    alpha = RANDOM2.alpha_array(-40, 41)
+    T, T_inv = (np.array(m).reshape(-1, 2, 2)
+                for m in spectral._two_site_matrices(alpha, z))
+    rho = coeffs.rho_of(alpha)
+    assert len(T) == len(alpha) - 2
+    assert np.max(np.abs(T @ T_inv - np.eye(2))) < 1e-13
+    # det T_j = rho(j - 1)/rho(j + 1)
+    assert np.max(np.abs(np.linalg.det(T) - rho[:-2] / rho[2:])) < 1e-13
 
 
 def test_v_solutions_satisfy_transpose_equation():
-    # the v families are built from their own two-site recurrences; check
-    # them against an independent band application of the transpose
+    # the v families come from the shifted runs of the two-site table;
+    # check them against an independent band application of the transpose
     z = 0.6 * cmath.exp(0.9j)
     ctx = spectral.build_gz_context(RANDOM2, z, 160)
     for sol in (ctx.v_plus, ctx.v_minus):
