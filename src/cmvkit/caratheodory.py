@@ -28,64 +28,105 @@ from . import operator, transfer
 SQRT2 = math.sqrt(2.0)
 
 
-def _schur_f(alphas: np.ndarray, z) -> np.ndarray:
-    """Schur continued fraction with zero tail, vectorized over z."""
-    z = np.asarray(z, dtype=complex)
-    f = np.zeros_like(z)
-    for a in alphas[::-1]:
-        zf = z * f
-        f = (a + zf) / (1.0 + np.conj(a) * zf)
-    return f
+def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
+                  max_depth: int):
+    """Schur algorithm forward, one pass, over a (B,) array of |z| < 1.
+
+    M_k = [[z, a_k], [conj(a_k) z, 1]] maps the tail f_{k+1} to f_k and
+    N = [[z, 1], [-z, 1]] maps f to F, so Q_d = N M_0 ... M_{d-1} =
+    [[a, b], [c, e]] maps every tail in the closed disk into the disk about
+    Q_d(0) = b/e of radius |det Q_d| / (|e| (|e| - |c|)).  log|det Q_d| =
+    log 2 + (d + 1) log|z| + sum log(1 - |a_k|^2) is summed exactly, never
+    formed as ae - bc.  Once per block of `transfer._BLOCK` sites the state
+    is renormalized by |e| and a point whose radius is below `tol` leaves
+    the batch with F = b/e.  At `seq.zero_tail()` the tail is exactly 0
+    and every remaining point stops with radius 0.
+
+    Returns (F, radius, depth) per point; a radius not below `tol` marks a
+    point that `max_depth` stopped.  With tol = 0 every point runs to
+    min(max_depth, zero tail), the fixed-depth truncation.
+    """
+    B = zs.size
+    F, radius = np.empty(B, dtype=complex), np.zeros(B)
+    depth = np.zeros(B, dtype=np.int64)
+    tail = seq.zero_tail()
+    stop = min(max_depth, tail)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(np.abs(zs))
+    # columns (a, c) and (b, e) of Q, one column of each per active point
+    left, right = np.stack([zs, -zs]), np.ones((2, B), dtype=complex)
+    logdet = math.log(2.0) + log_r
+    active, z = np.arange(B), zs
+    j0 = 0
+    while j0 < stop and len(active):
+        j1 = min(j0 + transfer._BLOCK, stop)
+        alphas = zero_extended_array(seq, j0, j1)
+        t, u = np.empty_like(left), np.empty_like(left)
+        for a, ac in zip(alphas.tolist(), alphas.conj().tolist()):
+            np.multiply(right, ac, out=t)
+            t += left
+            np.multiply(left, a, out=u)
+            right += u
+            np.multiply(t, z, out=left)
+        s = np.abs(right[1])
+        left /= s
+        right /= s
+        logdet += ((j1 - j0) * log_r - 2.0 * np.log(s)
+                   + float(np.sum(np.log1p(-np.abs(alphas) ** 2))))
+        j0 = j1
+        gap = 1.0 - np.abs(left[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rad = np.where(gap > 0.0, np.exp(logdet) / gap, np.inf)
+        if j0 == tail:
+            rad[:] = 0.0
+        done = (rad < tol) | (j0 == stop)
+        idx = active[done]
+        F[idx] = right[0, done] / right[1, done]
+        radius[idx], depth[idx] = rad[done], j0
+        keep = ~done
+        active, left, right = active[keep], left[:, keep], right[:, keep]
+        z, log_r, logdet = z[keep], log_r[keep], logdet[keep]
+    F[active] = right[0] / right[1]  # stop = 0: Q_0(0) = 1
+    return F, radius, depth
 
 
 def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
     """F(z) from the depth-truncated Schur algorithm (tail function 0).
 
-    Converges geometrically in `depth` for fixed |z| < 1; the map back is
-    F = (1 + z f)/(1 - z f), which has Re F > 0 whenever |f| < 1.
+    Converges geometrically in `depth` for fixed |z| < 1; this is Q_d(0)
+    of `_nested_disks` at d = depth.
     """
     if abs(z) >= 1.0:
         raise DiskError(f"|z| = {abs(z)} >= 1")
     if depth < 1:
         raise DepthError("depth must be >= 1")
-    alphas = zero_extended_array(seq, 0, depth)
-    f = complex(_schur_f(alphas, complex(z)))
-    return (1.0 + z * f) / (1.0 - z * f)
+    return complex(_nested_disks(seq, np.array([complex(z)]), 0.0, depth)[0][0])
 
 
 def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
                   max_depth: int = 1 << 17) -> np.ndarray:
-    """Adaptive-depth Schur evaluation over an array of |z| < 1 points.
+    """Certified Schur evaluation over an array of |z| < 1 points.
 
-    Depth doubles until two consecutive depths agree to `tol` (sup over
-    the batch) or `max_depth` is reached; in the latter case an
-    UnconvergedWarning names the last depth and the sup gap it left.
+    Each point runs forward until its nested-disk radius, a proven bound
+    on |F - returned value| over every possible tail, is below `tol`, or
+    until the sequence's zero tail (`_nested_disks`).  A point still above
+    `tol` at `max_depth` raises an UnconvergedWarning naming the depth and
+    the worst remaining tail bound.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
-    depth = min(256, max_depth)
-    # past the end of a finite list the Schur tail reads zeros
-    alphas = zero_extended_array(seq, 0, depth)
-
-    def F_of(f):
-        zf = zs * f
-        return (1.0 + zf) / (1.0 - zf)
-
-    prev = F_of(_schur_f(alphas, zs))
-    gap = math.inf
-    while depth < max_depth:
-        depth *= 2
-        alphas = zero_extended_array(seq, 0, depth)
-        cur = F_of(_schur_f(alphas, zs))
-        gap = float(np.max(np.abs(cur - prev)))
-        if gap < tol:
-            return cur
-        prev = cur
-    warnings.warn(f"schur_F_batch: no convergence within max_depth {max_depth}: "
-                  f"at depth {depth} the sup gap to the previous depth is "
-                  f"{gap:.3e} (tol {tol:.1e})", UnconvergedWarning, stacklevel=2)
-    return prev
+    if max_depth < 1:
+        raise DepthError("max_depth must be >= 1")
+    F, radius, depth = _nested_disks(seq, zs.ravel(), tol, max_depth)
+    unproven = ~(radius < tol)  # a NaN bound counts as unproven
+    if np.any(unproven):
+        warnings.warn(f"schur_F_batch: no convergence within max_depth {max_depth}: "
+                      f"{int(np.sum(unproven))} of {radius.size} points stopped "
+                      f"at depth {int(depth.max())} with worst tail bound "
+                      f"{float(radius.max()):.3e} (tol {tol:.1e})",
+                      UnconvergedWarning, stacklevel=2)
+    return F.reshape(zs.shape)
 
 
 def schur_eval_F_adaptive(seq: VerblunskySequence, z: complex,
@@ -172,6 +213,9 @@ class RotatedSequence(VerblunskySequence):
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         return self.lam * self.base._values(lo, hi)
+
+    def zero_tail(self) -> float:
+        return self.base.zero_tail()
 
 
 def rotated(seq: VerblunskySequence, lam: complex) -> RotatedSequence:

@@ -228,7 +228,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     rows = []
     for r in cfg.r_list:
         # at lam = 1 the Alexandrov member is seq1 itself, so F0 is F^lam
-        F0 = cara.schur_eval_F_adaptive(seq1, r * z)
+        F0 = cara.schur_eval_F_adaptive(seq1, r * z, max_depth=cfg.depth)
         xr = cara.solve_x_of_r(seq1, 1.0, z, r)
         rows.append((r, theta0, F0, xr.x, xr.jl_ratio(F0), cara.mobius_sup(F0)))
     cara.write_boundary_csv(rows, out / "boundary.csv")

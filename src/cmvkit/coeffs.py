@@ -103,6 +103,9 @@ class VerblunskySequence:
     NaN there marks a site the sequence does not define (past the end of
     an explicit list).  `alpha_array` rejects such sites and n < 0 on a
     one-sided sequence; `zero_extended_array` reads them as 0.
+
+    `zero_tail` and `zero_head` state where the sequence is known to
+    vanish; the default states nothing, which is always safe.
     """
 
     support: str  # "half" (n >= 0) or "full" (n in Z)
@@ -127,6 +130,17 @@ class VerblunskySequence:
     def alpha(self, n: int) -> complex:
         return complex(self.alpha_array(n, n + 1)[0])
 
+    def zero_tail(self) -> float:
+        """A site n0 >= 0 with alpha(n) = 0 (or undefined, read as 0) at
+        every n >= n0, or inf: the Schur algorithm reads F exactly at
+        depth n0."""
+        return math.inf
+
+    def zero_head(self) -> float:
+        """A site n1 with alpha(n) = 0 at every n < n1, or -inf; read only
+        by the views that reflect a two-sided sequence's left half."""
+        return -math.inf
+
     def rho(self, n: int) -> float:
         return rho_of(self.alpha(n))
 
@@ -142,6 +156,9 @@ class ConstantSequence(VerblunskySequence):
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         return np.full(hi - lo, self.value, dtype=complex)
+
+    def zero_tail(self) -> float:
+        return 0 if self.value == 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -170,6 +187,12 @@ class ExplicitSequence(VerblunskySequence):
             out[a - lo:b - lo] = self.values[a:b]
         return out
 
+    def zero_tail(self) -> float:
+        n = len(self.values)  # one past the last nonzero stored value
+        while n and self.values[n - 1] == 0:
+            n -= 1
+        return n
+
 
 @dataclass(frozen=True)
 class TwoSidedSequence(VerblunskySequence):
@@ -185,6 +208,13 @@ class TwoSidedSequence(VerblunskySequence):
         neg, pos = self.negative._values(-c, -lo)[::-1], self.positive._values(c, hi)
         return np.concatenate([neg, pos]) if len(neg) else pos
 
+    def zero_tail(self) -> float:
+        return self.positive.zero_tail()
+
+    def zero_head(self) -> float:
+        # negative(j) sits at n = -1 - j
+        return -self.negative.zero_tail()
+
 
 @dataclass(frozen=True)
 class ShiftedSequence(VerblunskySequence):
@@ -194,6 +224,9 @@ class ShiftedSequence(VerblunskySequence):
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         return self.base._values(lo + self.offset, hi + self.offset)
+
+    def zero_tail(self) -> float:
+        return max(0, self.base.zero_tail() - self.offset)
 
 
 @dataclass(frozen=True)
@@ -207,6 +240,9 @@ class ConjugateReflectedSequence(VerblunskySequence):
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         return np.conj(self.base._values(self.start - hi + 1, self.start - lo + 1)[::-1])
+
+    def zero_tail(self) -> float:
+        return max(0, self.start + 1 - self.base.zero_head())
 
 
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:

@@ -19,6 +19,7 @@ for acceptance criterion 2 and is not consulted during assembly.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -255,7 +256,11 @@ def build_gz_context(seq: VerblunskySequence, z: complex,
 
 
 def gz_entry(ctx: GZContext, x: int, y: int) -> complex:
-    """Resolvent entry (x, y) from the directional-solution formula."""
+    """Resolvent entry (x, y) from the directional-solution formula.
+
+    Raises WindowError when the entry is not finite: far from the circle a
+    stored site can lie beyond where a directional solution overflows.
+    """
     if not (ctx.store_lo <= x <= ctx.store_hi and ctx.store_lo <= y <= ctx.store_hi):
         raise WindowError("entry outside the stored solution window")
     denom = ctx.F_plus - ctx.M_minus
@@ -263,8 +268,15 @@ def gz_entry(ctx: GZContext, x: int, y: int) -> complex:
         raise DegenerateError("F_plus - M_minus too small")
     pref = -1.0 / (2.0 * ctx.z ** 2 * denom)
     if x < y or (x == y and x % 2 == 0):
-        return pref * ctx.u_minus[x] * ctx.v_plus[y]
-    return pref * ctx.u_plus[x] * ctx.v_minus[y]
+        u, v = ctx.u_minus[x], ctx.v_plus[y]
+    else:
+        u, v = ctx.u_plus[x], ctx.v_minus[y]
+    entry = pref * u * v
+    if not cmath.isfinite(entry):
+        site = y if cmath.isfinite(u) else x
+        raise WindowError(f"resolvent entry ({x}, {y}) is not finite: a stored "
+                          f"directional solution overflows at site {site}")
+    return entry
 
 
 def corner_trace_sum(F_plus, M_minus, alpha0_site, rho0, z):

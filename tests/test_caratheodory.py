@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit import caratheodory as cara
-from cmvkit import coeffs
+from cmvkit import coeffs, operator
 from cmvkit.errors import DiskError, HorizonError
 
 GOLDEN = coeffs.GOLDEN_MEAN
@@ -58,6 +58,64 @@ def test_schur_batch_converged_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cara.schur_F_batch(seq, zs)
+
+
+def schur_reference(seq, z: complex, depth: int) -> complex:
+    # the backward Schur recursion f_k = (a_k + z f_{k+1})/(1 + conj(a_k) z f_{k+1})
+    # from a zero tail at `depth`, at 40 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        zm, f = mp.mpc(z), mp.mpc(0)
+        for a in coeffs.zero_extended_array(seq, 0, depth)[::-1].tolist():
+            a = mp.mpc(a)
+            zf = zm * f
+            f = (a + zf) / (1 + mp.conj(a) * zf)
+        return complex((1 + zm * f) / (1 - zm * f))
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+def test_certified_schur_vs_deep_backward_reference(r):
+    # every returned value lies within its certified tail bound of F; the
+    # reference runs half as deep again past the certified depth, where the
+    # nested disks have shrunk far below tol.  Near the circle forward and
+    # backward rounding differ by ~eps |F|^2 (1e-11 at |F| = 540,
+    # theta = 3.0189 on the right half at r = 0.999)
+    tol = 1e-12
+    rng = np.random.default_rng(5)
+    n = 1 << 15
+    explicit = coeffs.make_explicit(rng.uniform(0, 0.1, n)
+                                    * np.exp(2j * math.pi * rng.uniform(0, 1, n)))
+    right, left = operator.split_at_origin(
+        coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full"))
+    zs = r * np.exp(1j * np.array([0.4, 3.0189]))
+    for seq in (explicit, right, left, coeffs.make_constant(0.5)):
+        F, radius, depth = cara._nested_disks(seq, zs, tol, 1 << 17)
+        assert np.all(radius < tol)
+        assert np.array_equal(cara.schur_F_batch(seq, zs, tol), F)
+        for z, Fz, d in zip(zs, F, depth):
+            ref = schur_reference(seq, z, int(d) * 3 // 2 + 256)
+            assert abs(Fz - ref) <= tol + 64 * np.finfo(float).eps * abs(Fz) ** 2
+
+
+def test_zero_tail_stops_with_bound_zero():
+    # the constant 0 is exactly 0 from site 0 (F = 1 with no step), so is
+    # the free left half of the Fibonacci model, and a short list from one
+    # past its last nonzero value; the stop ignores tol
+    free_left = operator.split_at_origin(coeffs.extend_two_sided(
+        coeffs.make_sturmian(0.5, -0.5, GOLDEN), coeffs.make_constant(0.0)))[1]
+    short = coeffs.make_explicit([0.3, 0.5j, 0.0, -0.2, 0.0, 0.0])
+    zs = 0.999 * np.exp(2j * math.pi * np.arange(8) / 8)
+    for seq, tail in ((coeffs.make_constant(0.0), 0), (free_left, 0), (short, 4)):
+        F, radius, depth = cara._nested_disks(seq, zs, 0.0, 1 << 17)
+        assert np.all(radius == 0.0) and np.all(depth == tail)
+        if tail == 0:
+            assert np.all(F == 1.0) and np.all(cara.schur_F_batch(seq, zs) == 1.0)
+
+
+def test_fixed_depth_matches_backward_reference():
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    z = 0.95 * cmath.exp(0.7j)
+    assert abs(cara.schur_eval_F(seq, z, 300) - schur_reference(seq, z, 300)) < 1e-13
 
 
 def test_constant_model_fixed_point_oracle():

@@ -136,17 +136,33 @@ def test_holder_free_model(tmp_path):
     assert [float(row.split(",")[0]) for row in samples] == Ls
 
 
+def test_holder_boundary_rows_honour_depth(tmp_path, monkeypatch):
+    # each boundary row's Schur evaluation is capped at --depth
+    seen = []
+    schur = cli.cara.schur_eval_F_adaptive
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("max_depth"))
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(cli.cara, "schur_eval_F_adaptive", spy)
+    assert run(["holder", "--model", "constant", "--value", "0", "--theta", "1.0",
+                "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1",
+                "--r", "0.9,0.99", "--depth", "5000", "--out", str(tmp_path)]) == 0
+    assert seen == [5000, 5000]
+
+
 def test_unconverged_measure_fails(tmp_path, capsys):
     assert run(["measure", "--model", "constant", "--value", "0.5",
                 "--theta-count", "64", "--depth", "4096", "--r", "0.9999",
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "max_depth 4096" in err and "sup gap" in err
+    assert err.startswith("error:") and "max_depth 4096" in err and "tail bound" in err
     d = latest_run_dir(tmp_path, "measure")
     assert not (d / "density.csv").exists()
     # the run directory records why the run failed
     reason = (d / "error.txt").read_text(encoding="utf-8")
-    assert "max_depth 4096" in reason and "sup gap" in reason
+    assert "max_depth 4096" in reason and "tail bound" in reason
     assert err == f"error: {reason}"
 
 

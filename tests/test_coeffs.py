@@ -188,6 +188,26 @@ def test_zero_tail_readers():
         short.alpha_array(0, 6)
 
 
+def test_zero_tail_statements():
+    # where each view says its zero tail begins, and that the zero-extended
+    # read agrees: zeros from there on, a nonzero value just before
+    short = coeffs.make_explicit([0.3, 0.0, 0.2j, 0.0, 0.0])
+    fib = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    right, left = operator.split_at_origin(
+        coeffs.extend_two_sided(fib, coeffs.make_explicit([0.1, 0.2, 0.4, 0.0])))
+    free_right, free_left = operator.split_at_origin(
+        coeffs.extend_two_sided(short, coeffs.make_constant(0.0)))
+    cases = [(short, 3), (coeffs.make_constant(0.0), 0), (coeffs.make_constant(0.4), math.inf),
+             (fib, math.inf), (caratheodory.rotated(short, 1j), 3), (right, math.inf),
+             (left, 2), (free_right, 3), (free_left, 0)]
+    for seq, tail in cases:
+        assert seq.zero_tail() == tail
+        if tail < math.inf:
+            assert not np.any(coeffs.zero_extended_array(seq, tail, tail + 64))
+        if 0 < tail < math.inf:
+            assert coeffs.zero_extended_array(seq, tail - 1, tail)[0] != 0
+
+
 def test_coeffs_csv(tmp_path):
     seq = coeffs.make_constant(0.6)
     path = tmp_path / "c.csv"

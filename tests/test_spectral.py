@@ -185,6 +185,19 @@ def test_guards():
         spectral.gz_entry(ctx, 10 ** 4, 0)
 
 
+def test_overflowed_entry_raises():
+    # far outside the circle the stored window reaches past the site (916)
+    # where u_minus overflows; the entry (920, 922) used to read nan+nanj
+    # while normalization_mismatch stayed at rounding level
+    ctx = spectral.build_gz_context(FIB2, -1.178 - 1.225j, 1000)
+    assert ctx.store_hi >= 922
+    with pytest.raises(WindowError, match="site 920"):
+        spectral.gz_entry(ctx, 920, 922)
+    with pytest.raises(WindowError, match="not finite"):
+        spectral.gz_entry(ctx, 922, 920)
+    assert cmath.isfinite(spectral.gz_entry(ctx, 0, 1))
+
+
 def test_free_profile_uniform():
     thetas = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
     prof = spectral.lambda_r_profile(FREE2, 0.9, thetas)
