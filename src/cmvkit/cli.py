@@ -297,8 +297,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--coeff-file", type=str, default=None)
     p.add_argument("--theta-count", type=int, default=None)
-    p.add_argument("--r", type=str, default=None, help="comma list of radii")
-    p.add_argument("--eps", type=str, default=None, help="comma list of arc scales")
+    p.add_argument("--r", dest="r_list", type=str, default=None, help="comma list of radii")
+    p.add_argument("--eps", dest="eps_list", type=str, default=None,
+                   help="comma list of arc scales")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
 
@@ -308,23 +309,9 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields.update(json.load(fh))
-    flags = {
-        "out": args.out,
-        "model": args.model,
-        "value": args.value,
-        "alphabet": args.alphabet,
-        "omega": args.omega,
-        "coeff_file": args.coeff_file,
-        "theta_count": args.theta_count,
-        "r_list": args.r,
-        "eps_list": args.eps,
-        "depth": args.depth,
-        "theta": args.theta,
-    }
-    for extra in ("steps", "snapshots", "criteria", "n_range",
-                  "trace_levels", "start"):
-        flags[extra] = getattr(args, extra, None)
-    fields.update({k: v for k, v in flags.items() if v is not None})
+    # every flag's dest is the RunConfig field it sets
+    fields.update({k: v for k, v in vars(args).items()
+                   if k not in ("command", "config") and v is not None})
     for name in _PARSERS.keys() & fields.keys():
         value = fields[name]
         if isinstance(value, (str, list)):

@@ -186,16 +186,35 @@ def test_guards():
 
 
 def test_overflowed_entry_raises():
-    # far outside the circle the stored window reaches past the site (916)
-    # where u_minus overflows; the entry (920, 922) used to read nan+nanj
-    # while normalization_mismatch stayed at rounding level
-    ctx = spectral.build_gz_context(FIB2, -1.178 - 1.225j, 1000)
-    assert ctx.store_hi >= 922
-    with pytest.raises(WindowError, match="site 920"):
-        spectral.gz_entry(ctx, 920, 922)
+    # far outside the circle u_minus and v_minus grow past the float range:
+    # |u_minus(1449)| = 7.6e307 relative to its origin pair and site 1450
+    # overflows, while (920, 922) stays finite
+    ctx = spectral.build_gz_context(FIB2, -1.178 - 1.225j, 2000)
+    assert ctx.store_hi == 2000
+    with pytest.raises(WindowError, match="site 1454"):
+        spectral.gz_entry(ctx, 1454, 1456)
     with pytest.raises(WindowError, match="not finite"):
-        spectral.gz_entry(ctx, 922, 920)
+        spectral.gz_entry(ctx, 1456, 1454)
+    assert abs(spectral.gz_entry(ctx, 920, 922) - (0.0370 + 0.1943j)) < 1e-4
     assert cmath.isfinite(spectral.gz_entry(ctx, 0, 1))
+
+
+@pytest.mark.parametrize("seq", [FIB2, FIB_WORD2], ids=["free-left", "word"])
+@pytest.mark.parametrize("r", [0.9, 0.95, 0.99, 0.998, 1.05])
+def test_gz_matches_oracle_near_circle_default_window(seq, r):
+    # the seed margin grows with 1/|ln|z||, so the default window holds
+    # its accuracy up to the circle
+    z = r * cmath.exp(0.7j)
+    ctx = spectral.build_gz_context(seq, z)
+    assert ctx.store_hi == 200
+    assert ctx.normalization_mismatch < 1e-12
+    xs = list(range(-5, 6))
+    G = operator.resolvent_oracle_block(seq, z, 4000 if r > 1 else round(60 / (1 - r)),
+                                        xs, xs)
+    floor = max(1e-9 * float(np.max(np.abs(G))), 1e-300)
+    err = max(abs(spectral.gz_entry(ctx, x, y) - G[i, j]) / max(abs(G[i, j]), floor)
+              for i, x in enumerate(xs) for j, y in enumerate(xs))
+    assert err < 1e-6
 
 
 def test_free_profile_uniform():
