@@ -33,6 +33,7 @@ from . import caratheodory as cara
 from . import operator
 
 _MIN_CIRCLE_GAP = 1e-3
+_TINY = float(np.finfo(float).tiny)  # least normal float
 _SCHUR_TOL = 1e-13
 # the spectral parameter and oracle tolerance of the M_minus arbitration
 _CONVENTION_PROBE = 0.45 + 0.2j
@@ -81,18 +82,23 @@ def _two_site_steps(direction: str, store_lo: int, store_hi: int, margin: int) -
     return range((store_lo - margin - 2) // 2 - 1, (store_hi + 2) // 2 + 1)
 
 
-def _directional_solution(mats, base: int, direction: str, steps: range,
-                          store: int) -> operator.State:
+def _ldexp(values: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """values * 2**exps with each part scaled exactly, so a value over- or
+    underflows only where it leaves the float range itself."""
+    parts = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        return np.ldexp(parts, exps[:, None]).view(complex).ravel()
+
+
+def _directional_solution(mats, base: int, direction: str, steps: range, store: int):
     """Formal solution decaying at +inf ('plus') or -inf ('minus').
 
     Runs the two-site recurrence over `steps`, whose seed lies a margin
     beyond the stored range; the contamination by the complementary
-    solution decays geometrically over the margin.  The running pair is
-    rescaled by exact powers of two, and values are reconstructed relative
-    to the binary exponent of the pair holding site 0 over the sites
-    -store - 2 .. store + 2, so a site overflows only where |u(n)/u(0)|
-    leaves the float range.  `mats` is `_two_site_matrices` of a
-    coefficient table with site n at index n - base.
+    solution decays geometrically over the margin.  Returns a State of
+    mantissas over the sites -store - 2 .. store + 2 and their binary
+    exponents, relative to the pair holding site 0.  `mats` is
+    `_two_site_matrices` of a coefficient table with site n at index n - base.
     """
     plus = direction == "plus"
     k0, k1 = steps[0], steps[-1]
@@ -118,14 +124,12 @@ def _directional_solution(mats, base: int, direction: str, steps: range,
     origin = -first // 2
     exps -= exps[origin] + math.frexp(float(np.max(np.abs(pairs[origin]))))[1]
     kept = slice(-store - 2 - first, store + 3 - first)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = pairs.ravel()[kept] * 2.0 ** np.repeat(exps, 2)[kept]
-    # a site whose value overflows holds inf
-    return operator.State(-store - 2, np.where(np.isfinite(values), values, math.inf))
+    return operator.State(-store - 2, pairs.ravel()[kept]), np.repeat(exps, 2)[kept]
 
 
-def _scale_to_targets(sol: operator.State, t0: complex, t1: complex, label: str):
-    r0, r1 = sol[0], sol[1]
+def _scale_to_targets(sol: operator.State, exps, t0: complex, t1: complex, label: str):
+    # scales sol.values * 2**exps to (t0, t1) at sites 0, 1, rounding each value once
+    r0, r1 = _ldexp(sol.values[-sol.offset:2 - sol.offset], exps[-sol.offset:2 - sol.offset])
     (base_raw, base_t), (other_raw, other_t) = (
         ((r0, t0), (r1, t1)) if abs(r0) >= abs(r1) else ((r1, t1), (r0, t0)))
     if abs(base_raw) == 0.0:
@@ -133,8 +137,7 @@ def _scale_to_targets(sol: operator.State, t0: complex, t1: complex, label: str)
     c = base_t / base_raw
     scale = max(abs(base_t), abs(other_t), 1e-30)
     mismatch = abs(c * other_raw - other_t) / scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        return operator.State(sol.offset, c * sol.values), mismatch
+    return operator.State(sol.offset, _ldexp(c * sol.values, exps)), mismatch
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,10 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     hi = max(2 * ks[-1] + 1 + s for s, _, ks in runs)
     coef = seq.alpha_array(lo, hi + 1)
     mats = _two_site_matrices(coef, z)
-    u_plus, u_minus, w_plus, w_minus = (
-        _directional_solution(mats, lo - s, d, ks, store + s) for s, d, ks in runs)
+    sols = [_directional_solution(mats, lo - s, d, ks, store + s) for s, d, ks in runs]
+    u_plus, u_minus = sols[:2]
     # the shifted solution w obeys the transpose equation with v(n) = w(n-1)
-    v_plus, v_minus = (operator.State(w.offset + 1, w.values) for w in (w_plus, w_minus))
+    v_plus, v_minus = ((operator.State(w.offset + 1, w.values), e) for w, e in sols[2:])
 
     a0, rho0 = complex(coef[-lo]), rho_of(coef[-lo])  # site 0
 
@@ -190,10 +193,10 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     def v_targets(F):
         return -1.0 + F, (z + a0.conjugate() + F * (z - a0.conjugate())) / rho0
 
-    u_plus, m1 = _scale_to_targets(u_plus, *u_targets(F_plus), "u_plus")
-    u_minus, m2 = _scale_to_targets(u_minus, *u_targets(M_minus), "u_minus")
-    v_plus, m3 = _scale_to_targets(v_plus, *v_targets(F_plus), "v_plus")
-    v_minus, m4 = _scale_to_targets(v_minus, *v_targets(M_minus), "v_minus")
+    u_plus, m1 = _scale_to_targets(*u_plus, *u_targets(F_plus), "u_plus")
+    u_minus, m2 = _scale_to_targets(*u_minus, *u_targets(M_minus), "u_minus")
+    v_plus, m3 = _scale_to_targets(*v_plus, *v_targets(F_plus), "v_plus")
+    v_minus, m4 = _scale_to_targets(*v_minus, *v_targets(M_minus), "v_minus")
     mism = max(0.0, m1, m2, m3, m4)
     return GZContext(seq, z, F_plus, M_minus, -store, store,
                      u_plus, u_minus, v_plus, v_minus, mism)
@@ -245,8 +248,7 @@ def build_gz_context(seq: VerblunskySequence, z: complex,
 
     Entries with |x|, |y| <= `window` (at least 16) are available.  Each
     directional solution is seeded ceil(46/|ln|z||) sites beyond them, so
-    the cost grows like 1/|ln|z|| toward the circle (about 9 ms at |z| = 0.9
-    and 150 ms at 0.998 on a 2-CPU host).
+    the cost grows like 1/|ln|z|| toward the circle.
     """
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
@@ -263,8 +265,8 @@ def build_gz_context(seq: VerblunskySequence, z: complex,
 def gz_entry(ctx: GZContext, x: int, y: int) -> complex:
     """Resolvent entry (x, y) from the directional-solution formula.
 
-    Raises WindowError when the entry is not finite: far from the circle a
-    stored site can lie beyond where a directional solution overflows.
+    Raises WindowError when the entry is not finite in floating point: far
+    from the circle a stored solution can leave the float range.
     """
     if not (ctx.store_lo <= x <= ctx.store_hi and ctx.store_lo <= y <= ctx.store_hi):
         raise WindowError("entry outside the stored solution window")
@@ -276,11 +278,15 @@ def gz_entry(ctx: GZContext, x: int, y: int) -> complex:
         u, v = ctx.u_minus[x], ctx.v_plus[y]
     else:
         u, v = ctx.u_plus[x], ctx.v_minus[y]
-    entry = pref * u * v
-    if not cmath.isfinite(entry):
-        site = y if cmath.isfinite(u) else x
-        raise WindowError(f"resolvent entry ({x}, {y}) is not finite: a stored "
-                          f"directional solution overflows at site {site}")
+    entry = pref * (u * v)  # u v stays in range where one factor nears its edge
+    # a factor below the normal range is off by up to 2^-1074: the entry is
+    # kept while that stays below rounding at the norm 1/||z| - 1|
+    lost = min(abs(u), abs(v)) < _TINY and (
+        abs(pref) * max(abs(u), abs(v)) * abs(abs(ctx.z) - 1.0) * _TINY > 1.0)
+    if lost or not cmath.isfinite(entry):
+        site = x if not cmath.isfinite(u) or (cmath.isfinite(v) and abs(u) < abs(v)) else y
+        raise WindowError(f"resolvent entry ({x}, {y}) is not finite in floating point: a "
+                          f"stored directional solution leaves the float range at site {site}")
     return entry
 
 

@@ -188,15 +188,41 @@ def test_guards():
 def test_overflowed_entry_raises():
     # far outside the circle u_minus and v_minus grow past the float range:
     # |u_minus(1449)| = 7.6e307 relative to its origin pair and site 1450
-    # overflows, while (920, 922) stays finite
-    ctx = spectral.build_gz_context(FIB2, -1.178 - 1.225j, 2000)
+    # overflows, while (920, 922) stays finite and matches the oracle
+    z = -1.178 - 1.225j
+    ctx = spectral.build_gz_context(FIB2, z, 2000)
     assert ctx.store_hi == 2000
     with pytest.raises(WindowError, match="site 1454"):
         spectral.gz_entry(ctx, 1454, 1456)
     with pytest.raises(WindowError, match="not finite"):
         spectral.gz_entry(ctx, 1456, 1454)
-    assert abs(spectral.gz_entry(ctx, 920, 922) - (0.0370 + 0.1943j)) < 1e-4
+    G = operator.resolvent_oracle_block(FIB2, z, 1850, [920], [922])[0, 0]
+    assert abs(spectral.gz_entry(ctx, 920, 922) - G) < 1e-6 * abs(G)
     assert cmath.isfinite(spectral.gz_entry(ctx, 0, 1))
+
+
+@pytest.mark.parametrize("seq", [FIB2, FIB_WORD2], ids=["free-left", "word"])
+@pytest.mark.parametrize("z", [1e-5, 3e3 * cmath.exp(0.7j), 1e5], ids=["1e-5", "3e3", "1e5"])
+def test_gz_far_from_circle_matches_oracle_or_raises(seq, z):
+    # far from the circle the directional solutions leave the float range
+    # inside the default window; each entry there either raises or matches
+    # the oracle, and the sites just inside that range still hold digits
+    ctx = spectral.build_gz_context(seq, z)
+    xs = list(range(-200, 201))
+    G = operator.resolvent_oracle_block(seq, z, 400, xs, xs)
+    floor = 1e-9 * float(np.max(np.abs(G)))
+    deep = 0
+    for a in range(len(xs)):
+        for b in (a - 1, a, a + 1, a + 5):
+            if not 0 <= b < len(xs):
+                continue
+            try:
+                g = spectral.gz_entry(ctx, xs[a], xs[b])
+            except WindowError:
+                continue
+            assert abs(g - G[a, b]) < 1e-6 * max(abs(G[a, b]), floor), (xs[a], xs[b])
+            deep += abs(xs[a]) > 100
+    assert deep >= 100
 
 
 @pytest.mark.parametrize("seq", [FIB2, FIB_WORD2], ids=["free-left", "word"])
