@@ -10,14 +10,13 @@ model.
 """
 
 from .coeffs import (GOLDEN_MEAN, VerblunskySequence, extend_two_sided,
-                     fibonacci_word, make_constant, make_explicit,
-                     make_sturmian, sturmian_indicator)
-from .operator import (FiniteCMV, State, apply_extended,
+                     make_constant, make_explicit, make_sturmian)
+from .operator import (CMVBlock, State, apply_extended,
                        apply_extended_adjoint, build_finite_cmv, evolve_walk,
                        extended_window, resolvent_oracle_block,
                        spectral_basis_reach, split_at_origin)
 from .transfer import (FitResult, branch_sqrt, cocycle_product,
-                       fit_power_law, norm_profile, normalize_sl2, one_step,
+                       fit_power_law, norm_profile, normalize_sl2,
                        pair_growth_exponents, solution_norm, szego_matrices)
 from .caratheodory import (alexandrov_norms, jl_ratio, jl_ratio_sweep,
                            m_minus, measure_oracle_F, mobius_sup,

@@ -61,19 +61,6 @@ def _sturmian_word(lo: int, hi: int, omega: float) -> np.ndarray:
     return np.diff(_floor_multiple(lo, hi + 1, omega))
 
 
-def sturmian_indicator(n: int, omega: float) -> int:
-    """v(n) at one index; at the golden mean it is exact for any |n|."""
-    return int(_sturmian_word(n, n + 1, omega)[0])
-
-
-def fibonacci_word(length: int) -> np.ndarray:
-    """Prefix of the fixed point of a -> ab, b -> a, encoded a=1, b=0."""
-    word = [1]
-    while len(word) < length:
-        word = [x for w in word for x in ((1, 0) if w else (1,))]
-    return np.array(word[:length], dtype=np.int8)
-
-
 def rho_of(alpha, nonzero: bool = False):
     """rho = sqrt(1 - |alpha|^2), elementwise over an array or for one
     coefficient, clipped to 0 outside the open disk.

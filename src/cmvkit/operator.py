@@ -80,38 +80,34 @@ def _dense_from_diagonals(diag: dict, r0: int, r1: int, c0: int, c1: int) -> np.
     return out
 
 
-def _banded_from_diagonals(diag: dict) -> np.ndarray:
-    """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded:
-    ab[2 - off, m + off] = E(m, m + off) for a square block."""
-    n = len(diag[0])
-    ab = np.zeros((5, n), dtype=complex)
-    for off, arr in diag.items():
-        if off >= 0:
-            ab[2 - off, off:] = arr[:n - off]
-        else:
-            ab[2 - off, :n + off] = arr[-off:]
-    return ab
-
-
 @dataclass(frozen=True)
-class ExtendedCMVWindow:
-    """Rows [lo, hi] of the extended matrix, optionally closed unitarily."""
+class CMVBlock:
+    """Rows and columns [lo, hi] of a CMV band matrix, held as the five
+    diagonals of `band_diagonals`."""
 
     lo: int
     hi: int
     diagonals: dict = field(repr=False)
-    closed: bool
 
     def dense(self) -> np.ndarray:
         return _dense_from_diagonals(self.diagonals, self.lo, self.hi + 1,
                                      self.lo, self.hi + 1)
 
     def banded(self) -> np.ndarray:
-        return _banded_from_diagonals(self.diagonals)
+        """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded:
+        ab[2 - off, m + off] = E(m, m + off)."""
+        n = self.hi + 1 - self.lo
+        ab = np.zeros((5, n), dtype=complex)
+        for off, arr in self.diagonals.items():
+            if off >= 0:
+                ab[2 - off, off:] = arr[:n - off]
+            else:
+                ab[2 - off, :n + off] = arr[-off:]
+        return ab
 
 
 def extended_window(seq: VerblunskySequence, lo: int, hi: int,
-                    closure: Optional[complex] = 1.0) -> ExtendedCMVWindow:
+                    closure: Optional[complex] = 1.0) -> CMVBlock:
     """Extract rows/columns [lo, hi].  With a unimodular `closure` the cut
     coefficients a(lo-1) and a(hi) are replaced so the block is unitary;
     closure=None keeps the raw doubly-infinite entries."""
@@ -122,27 +118,12 @@ def extended_window(seq: VerblunskySequence, lo: int, hi: int,
         if abs(abs(closure) - 1.0) > 1e-12:
             raise ModulusError("closure coefficient must be unimodular")
         alpha[1] = alpha[-3] = closure  # the cut sites lo - 1 and hi
-    return ExtendedCMVWindow(lo, hi, band_diagonals(alpha, lo, hi + 1),
-                             closure is not None)
+    return CMVBlock(lo, hi, band_diagonals(alpha, lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class FiniteCMV:
-    """N x N unitary truncation with boundary coefficient eta_b at N-1."""
-
-    size: int
-    eta_b: complex
-    diagonals: dict = field(repr=False)
-
-    def dense(self) -> np.ndarray:
-        return _dense_from_diagonals(self.diagonals, 0, self.size, 0, self.size)
-
-    def banded(self) -> np.ndarray:
-        return _banded_from_diagonals(self.diagonals)
-
-
-def build_finite_cmv(seq: VerblunskySequence, N: int, eta_b: complex = 1.0) -> FiniteCMV:
-    """Finite CMV matrix from a(0..N-2) closed with the unimodular eta_b."""
+def build_finite_cmv(seq: VerblunskySequence, N: int, eta_b: complex = 1.0) -> CMVBlock:
+    """N x N unitary truncation: a(0..N-2) closed with the unimodular eta_b
+    at N - 1."""
     if N < 2:
         raise SizeError(f"N = {N} < 2")
     if abs(abs(eta_b) - 1.0) > 1e-12:
@@ -150,7 +131,7 @@ def build_finite_cmv(seq: VerblunskySequence, N: int, eta_b: complex = 1.0) -> F
     alpha = _band_alpha(seq, 0, N)
     alpha[1] = -1.0            # the boundary site -1
     alpha[-3] = complex(eta_b)  # the cut site N - 1
-    return FiniteCMV(N, complex(eta_b), band_diagonals(alpha, 0, N))
+    return CMVBlock(0, N - 1, band_diagonals(alpha, 0, N))
 
 
 @dataclass(frozen=True)

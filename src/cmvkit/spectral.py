@@ -1,8 +1,10 @@
 """Resolvent assembly for the extended operator, boundary spectral
 measures and Hölder-exponent estimation.
 
-The resolvent entries are assembled from four directional solutions and
-the pair (F_plus, M_minus):
+The resolvent entries are assembled from two directional solutions
+u_plus, u_minus of E u = z u, their partners v = M u / z (E = L M, so
+v solves the transpose equation E^T v = z v) and the pair
+(F_plus, M_minus):
 
     (E - z)^(-1)(x, y) = -1/(2 z^2 (F_plus - M_minus)) *
         { u_minus(x) v_plus(y)   if x < y, or x = y even,
@@ -59,13 +61,15 @@ def _F_offcircle(seq: VerblunskySequence, z: complex) -> complex:
 
 
 def _two_site_matrices(alpha: np.ndarray, z: complex):
-    """(T, T^-1) at the centres j = 1 .. len(alpha) - 2, as lists of
-    (t00, t01, t10, t11).  T_j maps (u(j - 1), u(j)) to (u(j + 1), u(j + 2))
-    for E u = z u; det T_j = rho(j - 1)/rho(j + 1), so the backward step
-    is adj(T_j) rho(j + 1)/rho(j - 1)."""
+    """(T, T^-1) at the even centres 2k, as lists of (t00, t01, t10, t11).
+
+    `alpha` holds the sites 2k0 - 1 .. 2k1 + 1 and entry i is the centre
+    2(k0 + i).  T maps (u(2k - 1), u(2k)) to (u(2k + 1), u(2k + 2)) for
+    E u = z u; det T = rho(2k - 1)/rho(2k + 1), so the backward step is
+    adj(T) rho(2k + 1)/rho(2k - 1)."""
     rho = rho_of(alpha)
-    am, a0, a1 = alpha[:-2], alpha[1:-1], alpha[2:]
-    rm, r0, r1 = rho[:-2], rho[1:-1], rho[2:]
+    am, a0, a1 = alpha[:-2:2], alpha[1:-1:2], alpha[2::2]
+    rm, r0, r1 = rho[:-2:2], rho[1:-1:2], rho[2::2]
     zr = z * r0
     c = np.conj(a1) + z * np.conj(a0)
     T = np.array([rm / zr, -(z * a0 + am) / zr, -rm * c / (zr * r1),
@@ -82,30 +86,32 @@ def _two_site_steps(direction: str, store_lo: int, store_hi: int, margin: int) -
     return range((store_lo - margin - 2) // 2 - 1, (store_hi + 2) // 2 + 1)
 
 
-def _ldexp(values: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """values * 2**exps with each part scaled exactly, so a value over- or
-    underflows only where it leaves the float range itself."""
-    parts = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+def _ldexp(pairs: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Rows of `pairs` times 2**exps, flattened; each part is scaled
+    exactly, so a value over- or underflows only where it leaves the float
+    range itself."""
+    parts = np.ascontiguousarray(pairs).view(float)
     with np.errstate(over="ignore"):
         return np.ldexp(parts, exps[:, None]).view(complex).ravel()
 
 
-def _directional_solution(mats, base: int, direction: str, steps: range, store: int):
-    """Formal solution decaying at +inf ('plus') or -inf ('minus').
+def _directional_solution(mats, k_base: int, direction: str, steps: range, store: int):
+    """Formal solution of E u = z u decaying at +inf ('plus') or -inf ('minus').
 
     Runs the two-site recurrence over `steps`, whose seed lies a margin
     beyond the stored range; the contamination by the complementary
-    solution decays geometrically over the margin.  Returns a State of
-    mantissas over the sites -store - 2 .. store + 2 and their binary
-    exponents, relative to the pair holding site 0.  `mats` is
-    `_two_site_matrices` of a coefficient table with site n at index n - base.
+    solution decays geometrically over the margin.  Returns (j0, pairs,
+    exps): row i of `pairs` holds the mantissas of (u(2j - 1), u(2j)) for
+    j = j0 + i, over the pairs covering the sites -store - 2 .. store + 2,
+    and exps[i] its binary exponent relative to the pair holding site 0.
+    `mats` is `_two_site_matrices` with entry i at the centre 2(k_base + i).
     """
     plus = direction == "plus"
     k0, k1 = steps[0], steps[-1]
-    # 'plus' runs backward on T^-1 and step k yields sites 2k - 1, 2k;
-    # 'minus' runs forward on T and yields 2k + 1, 2k + 2
+    # 'plus' runs backward on T^-1 and step k yields the pair j = k;
+    # 'minus' runs forward on T and yields the pair j = k + 1
     fwd, bwd = mats
-    run = (bwd if plus else fwd)[2 * k0 - base - 1:2 * k1 - base:2]
+    run = (bwd if plus else fwd)[k0 - k_base:k1 - k_base + 1]
     order = slice(None, None, -1 if plus else 1)  # running order <-> ascending k
     pairs, exps = [], []
     x, y, e = 1.0 + 0.0j, 1.0 + 0.0j, 0
@@ -118,32 +124,37 @@ def _directional_solution(mats, base: int, direction: str, steps: range, store: 
             e += k
         pairs.append((x, y))
         exps.append(e)
-    # ascending sites from `first`; each binary exponent covers its pair
-    first = 2 * k0 - 1 if plus else 2 * k0 + 1
+    first = k0 if plus else k0 + 1
     pairs, exps = np.array(pairs[order]), np.array(exps[order])
-    origin = -first // 2
-    exps -= exps[origin] + math.frexp(float(np.max(np.abs(pairs[origin]))))[1]
-    kept = slice(-store - 2 - first, store + 3 - first)
-    return operator.State(-store - 2, pairs.ravel()[kept]), np.repeat(exps, 2)[kept]
+    exps -= exps[-first] + math.frexp(float(np.max(np.abs(pairs[-first]))))[1]
+    j0, j1 = -((store + 2) // 2), (store + 3) // 2
+    return j0, pairs[j0 - first:j1 - first + 1], exps[j0 - first:j1 - first + 1]
 
 
-def _scale_to_targets(sol: operator.State, exps, t0: complex, t1: complex, label: str):
-    # scales sol.values * 2**exps to (t0, t1) at sites 0, 1, rounding each value once
-    r0, r1 = _ldexp(sol.values[-sol.offset:2 - sol.offset], exps[-sol.offset:2 - sol.offset])
-    (base_raw, base_t), (other_raw, other_t) = (
-        ((r0, t0), (r1, t1)) if abs(r0) >= abs(r1) else ((r1, t1), (r0, t0)))
-    if abs(base_raw) == 0.0:
+def _scale_to_targets(j0: int, u: np.ndarray, v: np.ndarray, exps: np.ndarray,
+                      u_targets, v_targets, label: str):
+    """u and v as States from site 2 j0 - 1, both scaled by the one constant
+    that takes u to `u_targets` at sites 0, 1, rounding each value once; and
+    the worst miss of the four targets, relative to each pair of them."""
+    at = slice(-j0, 2 - j0)  # the pairs holding sites 0 and 1
+    u01, v01 = (_ldexp(w[at], exps[at])[1:3] for w in (u, v))
+    base = int(np.argmax(np.abs(u01)))
+    if abs(u01[base]) == 0.0:
         raise DegenerateError(f"{label} vanished at the origin pair")
-    c = base_t / base_raw
-    scale = max(abs(base_t), abs(other_t), 1e-30)
-    mismatch = abs(c * other_raw - other_t) / scale
-    return operator.State(sol.offset, _ldexp(c * sol.values, exps)), mismatch
+    c = u_targets[base] / u01[base]
+    mismatch = max(float(np.max(np.abs(c * w - t))) / max(float(np.max(np.abs(t))), 1e-30)
+                   for w, t in ((u01, np.array(u_targets)), (v01, np.array(v_targets))))
+    return (operator.State(2 * j0 - 1, _ldexp(c * u, exps)),
+            operator.State(2 * j0 - 1, _ldexp(c * v, exps)), mismatch)
 
 
 @dataclass(frozen=True)
 class GZContext:
-    """Resolvent data for one spectral parameter off the unit circle; each
-    directional solution is an `operator.State` from site store_lo - 2."""
+    """Resolvent data for one spectral parameter off the unit circle.
+
+    u_plus and u_minus solve E u = z u, v_plus and v_minus = M u / z the
+    transpose equation; each is an `operator.State` covering the sites
+    store_lo - 2 .. store_hi + 2."""
 
     seq: VerblunskySequence
     z: complex
@@ -172,34 +183,31 @@ def _build_context_with(seq: VerblunskySequence, z: complex, window: int,
     F_minus = _F_offcircle(left, z)
     M_minus = cara.m_minus(F_minus, alpha0)
 
-    # u runs on alpha(n), the shifted w on alpha(n + 1) over a range one
-    # site wider; alpha is read once over every site they reach
-    runs = [(s, d, _two_site_steps(d, -store - s, store + s, margin))
-            for s in (0, 1) for d in ("plus", "minus")]
-    lo = min(2 * ks[0] - 1 + s for s, _, ks in runs)
-    hi = max(2 * ks[-1] + 1 + s for s, _, ks in runs)
-    coef = seq.alpha_array(lo, hi + 1)
+    runs = {d: _two_site_steps(d, -store, store, margin) for d in ("plus", "minus")}
+    k_lo = min(ks[0] for ks in runs.values())
+    k_hi = max(ks[-1] for ks in runs.values())
+    # step k reads the sites 2k - 1 .. 2k + 1; alpha is read once over all of them
+    coef = seq.alpha_array(2 * k_lo - 1, 2 * k_hi + 2)
     mats = _two_site_matrices(coef, z)
-    sols = [_directional_solution(mats, lo - s, d, ks, store + s) for s, d, ks in runs]
-    u_plus, u_minus = sols[:2]
-    # the shifted solution w obeys the transpose equation with v(n) = w(n-1)
-    v_plus, v_minus = ((operator.State(w.offset + 1, w.values), e) for w, e in sols[2:])
+    a0, rho0 = complex(coef[1 - 2 * k_lo]), rho_of(coef[1 - 2 * k_lo])  # site 0
 
-    a0, rho0 = complex(coef[-lo]), rho_of(coef[-lo])  # site 0
+    def solutions(direction, F):
+        j0, u, exps = _directional_solution(mats, k_lo, direction, runs[direction], store)
+        # E = L M with M the blocks [[conj(a), r], [r, -a]] of a = alpha(2j - 1)
+        # on the pairs (2j - 1, 2j), so E^T = M L and v = M u / z solves
+        # E^T v = z v; each pair keeps its binary exponent
+        a = coef[2 * (j0 - k_lo)::2][:len(u)]
+        r = rho_of(a)
+        v = np.stack([np.conj(a) * u[:, 0] + r * u[:, 1],
+                      r * u[:, 0] - a * u[:, 1]], axis=1) / z
+        u_targets = (z * (1.0 + F), (-1.0 - a0 * z + F * (1.0 - a0 * z)) / rho0)
+        v_targets = (-1.0 + F, (z + a0.conjugate() + F * (z - a0.conjugate())) / rho0)
+        return _scale_to_targets(j0, u, v, exps, u_targets, v_targets, "u_" + direction)
 
-    def u_targets(F):
-        return z * (1.0 + F), (-1.0 - a0 * z + F * (1.0 - a0 * z)) / rho0
-
-    def v_targets(F):
-        return -1.0 + F, (z + a0.conjugate() + F * (z - a0.conjugate())) / rho0
-
-    u_plus, m1 = _scale_to_targets(*u_plus, *u_targets(F_plus), "u_plus")
-    u_minus, m2 = _scale_to_targets(*u_minus, *u_targets(M_minus), "u_minus")
-    v_plus, m3 = _scale_to_targets(*v_plus, *v_targets(F_plus), "v_plus")
-    v_minus, m4 = _scale_to_targets(*v_minus, *v_targets(M_minus), "v_minus")
-    mism = max(0.0, m1, m2, m3, m4)
+    u_plus, v_plus, m_plus = solutions("plus", F_plus)
+    u_minus, v_minus, m_minus = solutions("minus", M_minus)
     return GZContext(seq, z, F_plus, M_minus, -store, store,
-                     u_plus, u_minus, v_plus, v_minus, mism)
+                     u_plus, u_minus, v_plus, v_minus, max(m_plus, m_minus))
 
 
 _convention_cache: dict = {}
@@ -408,8 +416,9 @@ def holder_exponent(profiles, Theta: float, eps_range) -> HolderFit:
     """
     eps = np.asarray(list(eps_range), dtype=float)
     profiles = list(profiles)
-    if len(eps) < 4 or len(profiles) != len(eps):
-        raise InsufficientDataError("need >= 4 matched (profile, eps) pairs")
+    if len(np.unique(eps)) < 4 or len(profiles) != len(eps):
+        raise InsufficientDataError("need >= 4 matched (profile, eps) pairs "
+                                    "with distinct eps")
     masses = np.array([arc_mass(p, Theta, e) for p, e in zip(profiles, eps)])
     if np.any(masses <= 0):
         raise InsufficientDataError("nonpositive arc mass; refine the grid")

@@ -50,11 +50,6 @@ def szego_matrices(alpha, z) -> np.ndarray:
     return A
 
 
-def one_step(seq: VerblunskySequence, z: complex, n: int) -> np.ndarray:
-    """One-step Szegő matrix at site n; det equals z."""
-    return szego_matrices(seq.alpha(n), z)
-
-
 def cocycle_product(seq: VerblunskySequence, z: complex, L: int,
                     start: int = 0) -> np.ndarray:
     """Ordered product A(start+L-1) ... A(start), renormalized internally.

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,6 @@ def test_schur_batch_converged_is_quiet():
 def schur_reference(seq, z: complex, depth: int) -> complex:
     # the backward Schur recursion f_k = (a_k + z f_{k+1})/(1 + conj(a_k) z f_{k+1})
     # from a zero tail at `depth`, at 40 digits
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         zm, f = mp.mpc(z), mp.mpc(0)
         for a in coeffs.zero_extended_array(seq, 0, depth)[::-1].tolist():

@@ -174,7 +174,7 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "config-radius-not-float", "reversed-n-range",
                                   "no-certified-point", "spectrum-omega",
                                   "holder-omega-no-theta", "unknown-left-model",
-                                  "word-left-model-not-sturmian"])
+                                  "word-left-model-not-sturmian", "repeated-eps"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -215,6 +215,9 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         "unknown-left-model": (["measure", "--config", str(left_config)], "measure"),
         "word-left-model-not-sturmian": (["measure", "--config", str(word_config)],
                                          "measure"),
+        # one log eps gives no slope to fit
+        "repeated-eps": (["holder", "--theta", "0.5", "--theta-count", "64",
+                          "--eps", "0.01,0.01,0.01,0.01", "--r", "0.9"], "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,17 @@ GOLDEN = coeffs.GOLDEN_MEAN
 SWITCH = 1_350_000_000
 
 
+def fibonacci_word(length: int) -> np.ndarray:
+    """Prefix of the fixed point of a -> ab, b -> a, encoded a=1, b=0."""
+    word = [1]
+    while len(word) < length:
+        word = [x for w in word for x in ((1, 0) if w else (1,))]
+    return np.array(word[:length], dtype=np.int8)
+
+
 def test_golden_indicator_prefix():
     # direct evaluation of the floor formula
-    v = [coeffs.sturmian_indicator(n, GOLDEN) for n in range(5)]
+    v = coeffs._sturmian_word(0, 5, GOLDEN).tolist()
     assert v == [0, 1, 0, 1, 1]
 
 
@@ -30,21 +39,20 @@ def test_substitution_word_oracle():
     # the indicator word equals the substitution fixed point shifted by one:
     # v(n+1) = f(n) with f the fixed point of a -> ab, b -> a (a = 1)
     N = 10946  # a Fibonacci number, covers deep prefixes
-    f = coeffs.fibonacci_word(N)
-    v = np.array([coeffs.sturmian_indicator(n + 1, GOLDEN) for n in range(N)])
-    assert np.array_equal(f, v)
-    assert coeffs.sturmian_indicator(0, GOLDEN) == 0
+    f = fibonacci_word(N)
+    v = coeffs._sturmian_word(0, N + 1, GOLDEN)
+    assert np.array_equal(f, v[1:])
+    assert v[0] == 0
 
 
 def test_balancedness():
     # number of ones among v(0..N-1) telescopes to floor(N * omega)
     for N in (10, 137, 4181, 100000):
-        ones = sum(coeffs.sturmian_indicator(n, GOLDEN) for n in range(N))
+        ones = int(np.sum(coeffs._sturmian_word(0, N, GOLDEN)))
         assert abs(ones - N * GOLDEN) < 1.0
 
 
 def test_exact_floor_against_mpmath():
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     omega = (mp.sqrt(5) - 1) / 2
     ks = [10 ** 6, 10 ** 6 + 1, 832040, 7, 10 ** 7 + 123, -1, -7, -832040,
@@ -70,9 +78,11 @@ def test_golden_floor_int64_matches_isqrt():
         expect = [_floor_golden_reference(k) for k in range(lo, hi)]
         assert np.array_equal(coeffs._floor_multiple(lo, hi, GOLDEN), expect)
     # indices past int64 read in Python integers, without overflow
-    for n in (2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 10 ** 30):
-        expect = _floor_golden_reference(n + 1) - _floor_golden_reference(n)
-        assert coeffs.sturmian_indicator(n, GOLDEN) == expect
+    for lo, hi in ((2 ** 63 - 2, 2 ** 63 + 1), (-2 ** 63 - 1, -2 ** 63),
+                   (10 ** 30, 10 ** 30 + 1)):
+        expect = [_floor_golden_reference(n + 1) - _floor_golden_reference(n)
+                  for n in range(lo, hi)]
+        assert coeffs._sturmian_word(lo, hi, GOLDEN).tolist() == expect
 
 
 def test_constant_examples():
@@ -133,13 +143,14 @@ def test_rho_identity(mod, phase, n):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 0.99), st.integers(0, 500))
 def test_general_frequency_indicator_is_binary(omega, n):
-    assert coeffs.sturmian_indicator(n, omega) in (0, 1)
+    assert set(coeffs._sturmian_word(0, n + 1, omega).tolist()) <= {0, 1}
 
 
 def test_two_sided_sturmian_matches_indicator():
     seq = coeffs.make_sturmian(0.4, -0.2, GOLDEN, support="full")
+    word = coeffs._sturmian_word(-30, 30, GOLDEN)
     for n in range(-30, 30):
-        expect = 0.4 if coeffs.sturmian_indicator(n, GOLDEN) else -0.2
+        expect = 0.4 if word[n + 30] else -0.2
         assert seq.alpha(n) == expect
 
 

@@ -146,27 +146,31 @@ def test_context_normalization_and_decay():
 
 @pytest.mark.parametrize("z", [0.6 * cmath.exp(0.9j), 1.4 * cmath.exp(2.1j)])
 def test_two_site_matrix_table(z):
-    alpha = RANDOM2.alpha_array(-40, 41)
+    # the table holds the even centres 2k, k = -20 .. 20, from the sites -41 .. 41
+    alpha = RANDOM2.alpha_array(-41, 42)
     T, T_inv = (np.array(m).reshape(-1, 2, 2)
                 for m in spectral._two_site_matrices(alpha, z))
     rho = coeffs.rho_of(alpha)
-    assert len(T) == len(alpha) - 2
+    assert len(T) == len(T_inv) == 41
     assert np.max(np.abs(T @ T_inv - np.eye(2))) < 1e-13
-    # det T_j = rho(j - 1)/rho(j + 1)
-    assert np.max(np.abs(np.linalg.det(T) - rho[:-2] / rho[2:])) < 1e-13
+    # det T = rho(2k - 1)/rho(2k + 1)
+    assert np.max(np.abs(np.linalg.det(T) - rho[:-2:2] / rho[2::2])) < 1e-13
 
 
-def test_v_solutions_satisfy_transpose_equation():
-    # the v families come from the shifted runs of the two-site table;
-    # check them against an independent band application of the transpose
-    z = 0.6 * cmath.exp(0.9j)
-    ctx = spectral.build_gz_context(RANDOM2, z, 160)
+@pytest.mark.parametrize("z", [0.6 * cmath.exp(0.9j), 0.99 * cmath.exp(2j),
+                               1.4 * cmath.exp(2.1j)])
+def test_v_solutions_satisfy_transpose_equation(z):
+    # v_plus and v_minus are M u / z, formed pairwise from the u runs; check
+    # them against an independent band application of the transpose.  The
+    # seed margin at |z| = 0.99 reaches past RANDOM2, so a longer draw is used
+    seq = random_two_sided(n=8192)
+    ctx = spectral.build_gz_context(seq, z, 160)
     for sol in (ctx.v_plus, ctx.v_minus):
         vec = operator.State.from_dict(
             {n: sol[n] for n in range(-30, 31)})
         # E^T v = conj(E^* conj(v))
         adj = operator.apply_extended_adjoint(
-            RANDOM2, operator.State(vec.offset, np.conj(vec.values)))
+            seq, operator.State(vec.offset, np.conj(vec.values)))
         out = operator.State(adj.offset, np.conj(adj.values))
         for n in range(-25, 26):
             scale = max(abs(sol[n]), 1e-30)

@@ -37,8 +37,7 @@ def test_standard_word_prefix_structure():
         assert np.array_equal(words[n][:len(words[n - 1])], words[n - 1])
     # golden-mean limit equals the shifted indicator word
     w = words[-1]
-    v = np.array([coeffs.sturmian_indicator(n + 1, GOLDEN)
-                  for n in range(len(w))])
+    v = coeffs._sturmian_word(1, len(w) + 1, GOLDEN)
     assert np.array_equal(w, v)
 
 

@@ -14,12 +14,12 @@ GOLDEN = coeffs.GOLDEN_MEAN
 
 def test_one_step_free():
     z = 0.3 + 0.4j
-    A = transfer.one_step(coeffs.make_constant(0.0), z, 5)
+    A = transfer.szego_matrices(0.0, z)
     assert A[0, 0] == z and A[0, 1] == 0.0 and A[1, 0] == 0.0 and A[1, 1] == 1.0
 
 
 def test_one_step_explicit_value():
-    A = transfer.one_step(coeffs.make_constant(0.6), 1.0, 0)
+    A = transfer.szego_matrices(0.6, 1.0)
     expect = np.array([[1.0, -0.6], [-0.6, 1.0]]) / 0.8
     assert np.allclose(A, expect, atol=1e-15)
 
@@ -30,7 +30,7 @@ def test_one_step_explicit_value():
 def test_one_step_det_is_z(mod, phase, zmod, zphase):
     a = mod * cmath.exp(1j * phase)
     z = zmod * cmath.exp(1j * zphase)
-    A = transfer.one_step(coeffs.make_constant(a), z, 0)
+    A = transfer.szego_matrices(a, z)
     assert abs(np.linalg.det(A) - z) < 1e-14 * max(1.0, abs(z))
 
 
@@ -248,5 +248,5 @@ def test_propagation_loops_and_letters_use_the_szego_matrix():
     for M, letter in zip(letters, alphabet):
         for g, zg in enumerate(zs):
             A = transfer.normalize_sl2(
-                transfer.one_step(coeffs.make_constant(letter), zg, 0), zg, 1)
+                transfer.szego_matrices(letter, zg), zg, 1)
             assert np.allclose(M[g], A, rtol=1e-14, atol=0.0)
