@@ -26,6 +26,7 @@ from .errors import (DepthError, DiskError, HorizonError, PoleError,
 from . import operator, transfer
 
 SQRT2 = math.sqrt(2.0)
+_MAX_HORIZON = 1 << 21  # the longest norm profile the x(r) search propagates
 
 
 def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
@@ -211,7 +212,7 @@ class RotatedSequence(VerblunskySequence):
 
     base: VerblunskySequence
     lam: complex
-    support: str = "half"
+    support = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         return self.lam * self.base._values(lo, hi)
@@ -244,7 +245,6 @@ class XofR:
     x: float
     norm_phi: float
     norm_psi: float
-    clamped: bool = False
 
     def jl_ratio(self, F_lam: complex) -> float:
         """|F^lam| * ||phi^lam||_x / ||psi^lam||_x, with F^lam taken at r z."""
@@ -271,63 +271,56 @@ def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> XofR:
             if hi - lo < 1e-12 * max(1.0, hi):
                 break
         x = 0.5 * (lo + hi)
-    # the bisection never returns exactly 0; only the clamp does
     return XofR(x, math.sqrt(transfer._interp_squared(s_phi, x)),
-                math.sqrt(transfer._interp_squared(s_psi, x)), clamped=(x == 0.0))
+                math.sqrt(transfer._interp_squared(s_psi, x)))
 
 
-def _search_x(seq: VerblunskySequence, lams, zs, r: float, horizon: int | None,
-              max_horizon: int) -> list:
+def _search_x(seq: VerblunskySequence, lams, zs, r: float) -> list:
     """x(r) at each point (lams[i], zs[i]); one batched propagation carries
-    the phi rows of all points, then their psi rows, to length n.  Without
-    a `horizon` n starts at max(64, 8 sqrt(2)/(1 - r)) and doubles up to
-    `max_horizon` until every root lies inside; with one the search is
-    strict at that n."""
+    the phi rows of all points, then their psi rows, to length n.  n starts
+    at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `_MAX_HORIZON` until
+    every root lies inside."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     lc = np.conj(np.asarray(lams, dtype=complex))
     phi = np.stack([np.ones_like(lc), lc], axis=-1)
     inits = np.concatenate([phi, phi * [1.0, -1.0]])
-    n = horizon if horizon is not None else max(64, int(8 * SQRT2 / (1.0 - r)))
+    n = max(64, int(8 * SQRT2 / (1.0 - r)))
     while True:
         prof = transfer.norm_profile_batch(seq, np.tile(zs, 2), inits, n)
         try:
             return [_x_from_profiles(p, q, r)
                     for p, q in zip(prof[:len(lc)], prof[len(lc):])]
         except HorizonError:
-            if horizon is not None or n >= max_horizon:
+            if n >= _MAX_HORIZON:
                 raise HorizonError(f"x(r) beyond horizon {n}") from None
             n *= 2
 
 
-def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float,
-                 horizon: int | None = None, max_horizon: int = 1 << 21) -> XofR:
+def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float) -> XofR:
     """Unique x >= 0 with (1-r) ||phi||_x ||psi||_x = sqrt(2), with both norms.
 
     The interpolated squared-norm product is continuous and strictly
     increasing, so bracketing plus bisection is exact up to tolerance.
-    With an explicit `horizon` the search is strict and HorizonError is
-    raised when the root lies beyond it; otherwise the horizon doubles
-    automatically up to `max_horizon`.  phi and psi share one propagation.
+    The horizon doubles up to `_MAX_HORIZON`, past which HorizonError is
+    raised; phi and psi share one propagation.
     """
-    return _search_x(seq, [lam], [complex(z)], r, horizon, max_horizon)[0]
+    return _search_x(seq, [lam], [complex(z)], r)[0]
 
 
-def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float,
-             **kwargs) -> float:
+def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float) -> float:
     """|F^lam(r z)| * ||phi^lam||_x(r) / ||psi^lam||_x(r).
 
     Bounded above and below by universal constants when the
     Jitomirskaya-Last comparison applies; equals 1 identically for the
     free sequence.  The norms come from the x(r) search itself
-    (`XofR.jl_ratio`); keyword arguments go to `solve_x_of_r`.
+    (`XofR.jl_ratio`).
     """
-    xr = solve_x_of_r(seq, lam, z, r, **kwargs)
+    xr = solve_x_of_r(seq, lam, z, r)
     return xr.jl_ratio(schur_eval_F_adaptive(rotated(seq, lam), r * z))
 
 
-def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float,
-                   max_horizon: int = 1 << 21) -> np.ndarray:
+def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float) -> np.ndarray:
     """jl_ratio over the (lam, z) product grid, shape (len(lams), len(zs)).
 
     One `transfer.norm_profile_batch` call per horizon carries the phi and
@@ -337,8 +330,7 @@ def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float,
     lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
     # grid point (i, j) sits at flat index i * len(zs) + j
-    xrs = _search_x(seq, np.repeat(lams, len(zs)), np.tile(zs, len(lams)), r,
-                    None, max_horizon)
+    xrs = _search_x(seq, np.repeat(lams, len(zs)), np.tile(zs, len(lams)), r)
     out = np.empty((len(lams), len(zs)))
     for i, lam in enumerate(lams):
         F_lam = schur_F_batch(rotated(seq, lam), r * zs)
@@ -361,17 +353,16 @@ def mobius_sup(F: complex) -> float:
     return (p + q) / (p - q)
 
 
-def mobius_sup_grid(F: complex, n: int = 4096, refine: bool = True) -> float:
-    """Grid maximum of the boundary Möbius family, with optional local
-    ternary refinement around the best grid point (the profile is smooth
+def mobius_sup_grid(F: complex) -> float:
+    """Maximum of the boundary Möbius family on a 4096-point grid, refined
+    by ternary search around the best grid point (the profile is smooth
     and unimodal near its maximum, so this converges to the supremum)."""
+    n = 4096
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     lams = np.exp(1j * thetas)
     vals = np.abs(mobius_map(F, lams))
     k = int(np.argmax(vals))
     best = float(vals[k])
-    if not refine:
-        return best
     h = 2.0 * math.pi / n
     lo, hi = thetas[k] - h, thetas[k] + h
 

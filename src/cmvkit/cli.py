@@ -65,13 +65,17 @@ class RunConfig:
                 raise CMVKitError(f"omega = {self.omega} outside (0, 1)")
             if any(abs(a) >= 1.0 for a in self.alphabet):
                 raise CMVKitError("alphabet letter outside the unit disk")
-        if self.omega != coeffs.GOLDEN_MEAN:
-            if self.command == "spectrum":
-                raise CMVKitError("spectrum runs the golden-mean trace map; "
-                                  f"omega = {self.omega} is not supported")
-            if self.command == "holder" and self.theta is None:
-                raise CMVKitError("holder takes theta from the golden-mean mask; "
-                                  f"give --theta for omega = {self.omega}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise CMVKitError(f"theta = {self.theta} is not finite")
+        # the trace map and the certified points read a two-letter golden-mean word
+        unmapped = ("the explicit model" if self.model == "explicit" else
+                    f"omega = {self.omega}" if self.omega != coeffs.GOLDEN_MEAN else "")
+        if unmapped and self.command == "spectrum":
+            raise CMVKitError("spectrum runs the golden-mean trace map; "
+                              f"{unmapped} is not supported")
+        if unmapped and self.command == "holder" and self.theta is None:
+            raise CMVKitError("holder takes theta from the golden-mean mask; "
+                              f"give --theta for {unmapped}")
         if self.left_model not in ("", "constant", "word"):
             raise CMVKitError(f"unknown left_model {self.left_model!r}")
         if self.left_model == "word" and self.model != "sturmian":
@@ -108,6 +112,7 @@ _PARSERS = {
     "eps_list": _comma_list(float),
     "n_range": _comma_list(int),
     "criteria": _comma_list(int),
+    "theta": float,
 }
 
 
@@ -133,6 +138,11 @@ def _one_sided_model(cfg: RunConfig):
             raise CMVKitError(f"cannot read coefficient file: {exc}") from None
         return coeffs.make_explicit(values)
     raise CMVKitError(f"unknown model {cfg.model!r}")
+
+
+def _trace_alphabet(cfg: RunConfig) -> tuple:
+    """The trace map's two letters: the Sturmian ones, or the constant twice."""
+    return cfg.alphabet if cfg.model == "sturmian" else (cfg.value, cfg.value)
 
 
 def _two_sided_model(cfg: RunConfig, default_left: str = "constant"):
@@ -180,7 +190,7 @@ def cmd_coeffs(cfg: RunConfig, out: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     cf = tracemap.golden_cf(max(22, cfg.trace_levels + 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
-    alphabet = cfg.alphabet if cfg.model == "sturmian" else (cfg.value, cfg.value)
+    alphabet = _trace_alphabet(cfg)
     sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), cfg.trace_levels)
     mask = sweep.mask(tracemap.default_trace_bound(sweep.invariant_sup),
                       cfg.trace_levels)
@@ -215,8 +225,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     if cfg.theta is not None:
         theta0 = float(cfg.theta)
     else:
-        alphabet = cfg.alphabet if cfg.model == "sturmian" else (cfg.value, cfg.value)
-        theta0 = float(verify.certified_spectrum_points(alphabet, 1)[0])
+        theta0 = float(verify.certified_spectrum_points(_trace_alphabet(cfg), 1)[0])
     fit = spectral.holder_exponent(profiles, theta0, eps)
     spectral.write_arcmass_csv(fit, out / "arc_mass.csv")
     z = complex(np.exp(1j * theta0))
@@ -268,7 +277,7 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     numbers = set(cfg.criteria) if cfg.criteria else None
-    results = verify.run_all(numbers=numbers, echo=True)
+    results = verify.run_all(numbers=numbers)
     record = verify.report_to_json(results, out / "verification.json")
     print(f"wrote {out / 'verification.json'}")
     return 0 if record["all_hard_passed"] else 1

@@ -165,7 +165,7 @@ class SturmianSequence(VerblunskySequence):
 @dataclass(frozen=True)
 class ExplicitSequence(VerblunskySequence):
     values: tuple
-    support: str = "half"
+    support = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         out = np.full(hi - lo, np.nan, dtype=complex)
@@ -188,7 +188,7 @@ class TwoSidedSequence(VerblunskySequence):
 
     positive: VerblunskySequence
     negative: VerblunskySequence
-    support: str = "full"
+    support = "full"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         c = min(max(lo, 0), hi)  # sites [lo, c) are j = -1 - n in reverse
@@ -204,32 +204,32 @@ class TwoSidedSequence(VerblunskySequence):
 
 
 @dataclass(frozen=True)
-class ShiftedSequence(VerblunskySequence):
+class RightHalf(VerblunskySequence):
+    """One-sided view n -> base(n), n >= 0, of a two-sided sequence."""
+
     base: VerblunskySequence
-    offset: int
-    support: str = "half"
+    support = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        return self.base._values(lo + self.offset, hi + self.offset)
+        return self.base._values(lo, hi)
 
     def zero_tail(self) -> float:
-        return max(0, self.base.zero_tail() - self.offset)
+        return self.base.zero_tail()
 
 
 @dataclass(frozen=True)
-class ConjugateReflectedSequence(VerblunskySequence):
-    """One-sided view j -> conj(base(start - j)); used to express the left
+class LeftHalf(VerblunskySequence):
+    """One-sided view j -> conj(base(-2 - j)); used to express the left
     half of a split two-sided operator in standard one-sided form."""
 
     base: VerblunskySequence
-    start: int
-    support: str = "half"
+    support = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        return np.conj(self.base._values(self.start - hi + 1, self.start - lo + 1)[::-1])
+        return np.conj(self.base._values(-1 - hi, -1 - lo)[::-1])
 
     def zero_tail(self) -> float:
-        return max(0, self.start + 1 - self.base.zero_head())
+        return max(0, -1 - self.base.zero_head())
 
 
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:
@@ -246,8 +246,8 @@ def make_sturmian(alpha: complex, beta: complex, omega: float,
                             float(omega), support)
 
 
-def make_explicit(values: Sequence[complex], support: str = "half") -> ExplicitSequence:
-    return ExplicitSequence(tuple(_check_modulus(v) for v in values), support)
+def make_explicit(values: Sequence[complex]) -> ExplicitSequence:
+    return ExplicitSequence(tuple(_check_modulus(v) for v in values))
 
 
 def extend_two_sided(positive: VerblunskySequence,

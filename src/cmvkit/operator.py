@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .coeffs import (ConjugateReflectedSequence, ShiftedSequence,
-                     VerblunskySequence, rho_of, zero_extended_array)
+from .coeffs import (LeftHalf, RightHalf, VerblunskySequence, rho_of,
+                     zero_extended_array)
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 
@@ -162,8 +162,8 @@ class State:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def trimmed(self, tol: float = 0.0) -> "State":
-        mask = np.abs(self.values) > tol
+    def trimmed(self) -> "State":
+        mask = np.abs(self.values) > 0.0
         if not mask.any():
             return State(self.offset, np.zeros(1, dtype=complex))
         i0, i1 = np.argmax(mask), len(mask) - np.argmax(mask[::-1])
@@ -210,7 +210,7 @@ def apply_extended(seq: VerblunskySequence, state: State) -> State:
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
     lo, diag, x = _padded_band(seq, state)
-    return State(lo, _apply_diagonals(diag, x)).trimmed(0.0)
+    return State(lo, _apply_diagonals(diag, x)).trimmed()
 
 
 def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
@@ -218,7 +218,7 @@ def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
     lo, diag, x = _padded_band(seq, state)
-    return State(lo, _apply_diagonals_adjoint(diag, x)).trimmed(0.0)
+    return State(lo, _apply_diagonals_adjoint(diag, x)).trimmed()
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -231,9 +231,7 @@ def split_at_origin(seq: VerblunskySequence):
     """
     if not seq.is_two_sided:
         raise SupportError("split_at_origin needs a two-sided sequence")
-    right = ShiftedSequence(seq, 0, "half")
-    left = ConjugateReflectedSequence(seq, -2, "half")
-    return right, left
+    return RightHalf(seq), LeftHalf(seq)
 
 
 def resolvent_oracle_block(seq: VerblunskySequence, z: complex, half_width: int,
@@ -367,7 +365,7 @@ def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
         for off, arr in diag.items():
             y[a:b] += arr[a:b] * x[a + off:b + off]
         x, y = y, x
-    return State(lo, x).trimmed(0.0)
+    return State(lo, x).trimmed()
 
 
 def write_state_csv(state: State, path) -> None:
@@ -379,7 +377,7 @@ def write_state_csv(state: State, path) -> None:
                              repr(float(v.imag)), repr(float(abs(v) ** 2))])
 
 
-def write_bands_csv(dense: np.ndarray, path, row_offset: int = 0) -> None:
+def write_bands_csv(dense: np.ndarray, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "re", "im"])
@@ -388,5 +386,5 @@ def write_bands_csv(dense: np.ndarray, path, row_offset: int = 0) -> None:
             for j in range(cols):
                 v = dense[i, j]
                 if v != 0:
-                    writer.writerow([i + row_offset, j + row_offset,
+                    writer.writerow([i, j,
                                      repr(float(v.real)), repr(float(v.imag))])

@@ -335,15 +335,15 @@ def F_extended(ctx: GZContext) -> complex:
     return 1.0 + ctx.z * corner_trace(ctx)
 
 
-def F_extended_batch(seq: VerblunskySequence, zs, tol: float = 1e-13,
+def F_extended_batch(seq: VerblunskySequence, zs,
                      max_depth: int = 1 << 17) -> np.ndarray:
     """Vectorized F over an array of |z| < 1 points via the closed corner form."""
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
     zs = np.asarray(zs, dtype=complex)
     right, left = operator.split_at_origin(seq)
-    Fp = cara.schur_F_batch(right, zs, tol, max_depth)
-    Fm = cara.schur_F_batch(left, zs, tol, max_depth)
+    Fp = cara.schur_F_batch(right, zs, _SCHUR_TOL, max_depth)
+    Fm = cara.schur_F_batch(left, zs, _SCHUR_TOL, max_depth)
     a_split, a0 = seq.alpha_array(-1, 1).tolist()
     Mm = cara.m_minus(Fm, a_split)
     sigma = corner_trace_sum(Fp, Mm, a0, rho_of(a0), zs)

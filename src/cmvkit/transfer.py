@@ -50,9 +50,8 @@ def szego_matrices(alpha, z) -> np.ndarray:
     return A
 
 
-def cocycle_product(seq: VerblunskySequence, z: complex, L: int,
-                    start: int = 0) -> np.ndarray:
-    """Ordered product A(start+L-1) ... A(start), renormalized internally.
+def cocycle_product(seq: VerblunskySequence, z: complex, L: int) -> np.ndarray:
+    """Ordered product A(L-1) ... A(0), renormalized internally.
 
     Entries are rescaled every few steps and the scale reattached at the
     end; OverflowError is raised only if the final matrix itself exceeds
@@ -62,7 +61,7 @@ def cocycle_product(seq: VerblunskySequence, z: complex, L: int,
         raise ValueError("L must be nonnegative")
     acc = np.eye(2, dtype=complex)
     log_scale = 0.0
-    for j, A in enumerate(szego_matrices(seq.alpha_array(start, start + L), z)):
+    for j, A in enumerate(szego_matrices(seq.alpha_array(0, L), z)):
         acc = A @ acc
         if (j + 1) % _RENORM_EVERY == 0:
             m = np.max(np.abs(acc))

@@ -22,6 +22,11 @@ from .errors import InsufficientDataError
 FIB_ALPHABET = (0.5, -0.5)
 # window half-width at which criteria 2 and 3 state their tolerances
 GZ_WINDOW = 400
+# theta grid, mask level, longest solution and least separation of the certified points
+_CERTIFIED_GRID = 4096
+_CERTIFIED_LEVEL = 16
+_CERTIFIED_L_MAX = 8192
+_CERTIFIED_SEPARATION = 0.15
 
 
 @dataclass
@@ -63,16 +68,16 @@ def _spectrum_mask(alphabet, cf, thetas, n: int) -> np.ndarray:
     return sweep.mask(tracemap.default_trace_bound(sweep.invariant_sup), n)
 
 
-def _spectrum_points(alphabet, count: int, grid: int = 256, n: int = 10):
-    """`count` evenly spread angles of the level-n spectrum mask."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    idx = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, n))[0]
+def _spectrum_points(alphabet, count: int):
+    """`count` evenly spread angles of the level-10 mask on a 256-point grid."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    idx = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, 10))[0]
     return thetas[idx[np.linspace(0, len(idx) - 1, count).astype(int)]]
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Unitarity of random finite truncations."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(10):
         n = 50
@@ -227,13 +232,13 @@ def criterion_7() -> CriterionResult:
         {"max_abs_err": worst})
 
 
-def criterion_8(seed: int = 1) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def criterion_8() -> CriterionResult:
+    rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(1000):
         F = complex(rng.uniform(0.01, 4.0), rng.uniform(-4.0, 4.0))
         closed = cara.mobius_sup(F)
-        grid = cara.mobius_sup_grid(F, 4096)
+        grid = cara.mobius_sup_grid(F)
         worst = max(worst, abs(closed - grid) / closed)
     return CriterionResult(
         8, "Möbius supremum closed form", worst < 1e-10, "hard",
@@ -279,20 +284,19 @@ def criterion_10() -> CriterionResult:
         {"min": lo, "max": hi})
 
 
-def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
-                              mask_level: int = 16, L_max: int = 8192,
-                              min_separation: float = 0.15) -> np.ndarray:
+def certified_spectrum_points(alphabet, count: int) -> np.ndarray:
     """Points of the spectrum mask whose solution norms are certified
-    subpolynomial out to L_max: among masked grid angles, those with the
-    smallest envelope growth slope, kept pairwise separated.  Raises
-    InsufficientDataError when the mask holds fewer than `count` such
-    points."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(mask_level + 6),
-                                   thetas, mask_level))[0]
+    subpolynomial out to `_CERTIFIED_L_MAX`: among the angles of the
+    `_CERTIFIED_GRID`-point grid on the level-`_CERTIFIED_LEVEL` mask,
+    those with the smallest envelope growth slope, kept pairwise more than
+    `_CERTIFIED_SEPARATION` apart.  Raises InsufficientDataError when the
+    mask holds fewer than `count` such points."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, _CERTIFIED_GRID, endpoint=False)
+    cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(_CERTIFIED_LEVEL + 6),
+                                   thetas, _CERTIFIED_LEVEL))[0]
     seq = coeffs.make_sturmian(*alphabet, coeffs.GOLDEN_MEAN)
     zs = np.exp(1j * thetas[cand])
-    Ls = [2 ** k for k in range(6, int(math.log2(L_max)) + 1)]
+    Ls = [2 ** k for k in range(6, int(math.log2(_CERTIFIED_L_MAX)) + 1)]
     lx = np.log(np.array(Ls, dtype=float))
     worst_slope = np.full(len(cand), -np.inf)
     for sign in (1.0, -1.0):
@@ -305,14 +309,14 @@ def certified_spectrum_points(alphabet, count: int, grid_size: int = 4096,
     picked = []
     for idx in np.argsort(worst_slope):
         th = float(thetas[cand[idx]])
-        if all(min(abs(th - p), 2.0 * math.pi - abs(th - p)) > min_separation
+        if all(min(abs(th - p), 2.0 * math.pi - abs(th - p)) > _CERTIFIED_SEPARATION
                for p in picked):
             picked.append(th)
         if len(picked) == count:
             return np.array(sorted(picked))
     raise InsufficientDataError(
-        f"{len(picked)} of {count} separated points on the level-{mask_level} "
-        f"spectrum mask of the {grid_size}-point theta grid")
+        f"{len(picked)} of {count} separated points on the level-{_CERTIFIED_LEVEL} "
+        f"spectrum mask of the {_CERTIFIED_GRID}-point theta grid")
 
 
 def criterion_11() -> CriterionResult:
@@ -341,8 +345,8 @@ def criterion_11() -> CriterionResult:
         results)
 
 
-def criterion_12(seed: int = 3) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def criterion_12() -> CriterionResult:
+    rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(5):
         mods = rng.uniform(0.0, 0.9, 64)
@@ -396,16 +400,15 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_13]
 
 
-def run_all(numbers=None, echo=True) -> list:
-    """Run the battery, or the criteria whose numbers are in `numbers`."""
+def run_all(numbers=None) -> list:
+    """Run the battery, or the criteria in `numbers`, printing each line."""
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers is not None and i not in numbers:
             continue
         res = fn()
         results.append(res)
-        if echo:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results
 
 

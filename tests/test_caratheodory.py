@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit import caratheodory as cara
-from cmvkit import coeffs, operator
+from cmvkit import coeffs, operator, transfer
 from cmvkit.errors import DiskError, HorizonError
 
 GOLDEN = coeffs.GOLDEN_MEAN
@@ -233,9 +233,11 @@ def test_x_of_r_monotone_and_residual():
 
 
 def test_x_of_r_strict_horizon():
-    seq = coeffs.make_constant(0.0)
+    # 16-step profiles of the free case end before the r = 0.99 root
+    prof = transfer.norm_profile_batch(coeffs.make_constant(0.0), cmath.exp(0.1j),
+                                       [[1.0, 1.0], [1.0, -1.0]], 16)
     with pytest.raises(HorizonError):
-        cara.solve_x_of_r(seq, 1.0, cmath.exp(0.1j), 0.99, horizon=16)
+        cara._x_from_profiles(prof[0], prof[1], 0.99)
 
 
 def test_jl_ratio_free_is_one():
@@ -246,9 +248,13 @@ def test_jl_ratio_free_is_one():
 def test_jl_ratio_horizon_stability():
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     z = cmath.exp(0.25j)
-    a = cara.jl_ratio(seq, 1j, z, 0.99)
-    b = cara.jl_ratio(seq, 1j, z, 0.99, horizon=1 << 14)
-    assert abs(a - b) < 1e-9
+    searched = cara.solve_x_of_r(seq, 1j, z, 0.99)
+    # phi and psi of lam = i start from (1, -i) and (1, i)
+    prof = transfer.norm_profile_batch(seq, z, [[1.0, -1j], [1.0, 1j]], 1 << 14)
+    longer = cara._x_from_profiles(prof[0], prof[1], 0.99)
+    assert abs(searched.x - longer.x) <= 1e-9 * longer.x
+    F_lam = cara.schur_eval_F_adaptive(cara.rotated(seq, 1j), 0.99 * z)
+    assert abs(cara.jl_ratio(seq, 1j, z, 0.99) - longer.jl_ratio(F_lam)) < 1e-9
 
 
 def test_jl_ratio_sweep_matches_pointwise():
@@ -275,7 +281,7 @@ def test_mobius_examples():
 def test_mobius_closed_form_vs_grid(re, im):
     F = complex(re, im)
     closed = cara.mobius_sup(F)
-    grid = cara.mobius_sup_grid(F, 1024)
+    grid = cara.mobius_sup_grid(F)
     assert abs(closed - grid) < 1e-10 * closed
 
 

@@ -174,10 +174,14 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "config-radius-not-float", "reversed-n-range",
                                   "no-certified-point", "spectrum-omega",
                                   "holder-omega-no-theta", "unknown-left-model",
-                                  "word-left-model-not-sturmian", "repeated-eps"])
+                                  "word-left-model-not-sturmian", "repeated-eps",
+                                  "spectrum-explicit", "holder-explicit-no-theta",
+                                  "theta-not-finite"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
+    good = tmp_path / "good.txt"
+    good.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"r_list": ["x"]}), encoding="utf-8")
     left_config = tmp_path / "left.json"
@@ -218,6 +222,14 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         # one log eps gives no slope to fit
         "repeated-eps": (["holder", "--theta", "0.5", "--theta-count", "64",
                           "--eps", "0.01,0.01,0.01,0.01", "--r", "0.9"], "holder"),
+        # an explicit list has no letters for the trace map to read
+        "spectrum-explicit": (["spectrum", "--model", "explicit", "--coeff-file",
+                               str(good), "--theta-count", "64"], "spectrum"),
+        "holder-explicit-no-theta": (["holder", "--model", "explicit", "--coeff-file",
+                                      str(good), "--theta-count", "64", "--eps",
+                                      "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
+        "theta-not-finite": (["holder", "--theta", "nan", "--theta-count", "64",
+                              "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

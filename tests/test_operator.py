@@ -235,7 +235,7 @@ def test_evolve_walk_light_cone_matches_full_window():
         x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
         for _ in range(k):
             x = operator._apply_diagonals(diag, x)
-        full = operator.State(lo, x).trimmed(0.0)
+        full = operator.State(lo, x).trimmed()
         cone = operator.evolve_walk(fib, psi0, k)
         assert cone.offset == full.offset
         assert np.array_equal(cone.values, full.values)
