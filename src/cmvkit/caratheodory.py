@@ -177,15 +177,12 @@ def resolvent_oracle_F(seq: VerblunskySequence, zs, N: int,
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
-    ab = operator.build_finite_cmv(seq, N, eta_b).banded()
+    C = operator.build_finite_cmv(seq, N, eta_b)
     delta0 = np.zeros(N, dtype=complex)
     delta0[0] = 1.0
     F = np.empty(zs.shape, dtype=complex)
     for i, z in np.ndenumerate(zs):
-        shifted = ab.copy()
-        shifted[2] -= z
-        x = scipy.linalg.solve_banded((2, 2), shifted, delta0, overwrite_ab=True)
-        F[i] = 1.0 + 2.0 * z * x[0]
+        F[i] = 1.0 + 2.0 * z * C.solve(z, delta0)[0]
     return F
 
 

@@ -181,8 +181,8 @@ def cmd_coeffs(cfg: RunConfig, out: Path) -> int:
     seq = _two_sided_model(cfg)
     lo, hi = cfg.n_range
     coeffs.write_coeffs_csv(seq, lo, hi, out / "coefficients.csv")
-    matrix = operator.build_finite_cmv(seq, max(hi - max(lo, 0), 8)).dense()
-    operator.write_bands_csv(matrix, out / "bands.csv")
+    block = operator.build_finite_cmv(seq, max(hi - max(lo, 0), 8))
+    operator.write_bands_csv(block, out / "bands.csv")
     print(f"wrote {out / 'coefficients.csv'} and {out / 'bands.csv'}")
     return 0
 
@@ -227,20 +227,16 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     else:
         theta0 = float(verify.certified_spectrum_points(_trace_alphabet(cfg), 1)[0])
     fit = spectral.holder_exponent(profiles, theta0, eps)
-    spectral.write_arcmass_csv(fit, out / "arc_mass.csv")
     z = complex(np.exp(1j * theta0))
     growth = transfer.pair_growth_exponents(seq1, z)
     norm_samples = growth.samples()
-    transfer.write_norm_csv(norm_samples, out / "norm_samples.csv")
-    transfer.fit_to_json(transfer.fit_power_law(norm_samples),
-                         out / "norm_fit.json")
+    norm_fit = transfer.fit_power_law(norm_samples)
     rows = []
     for r in cfg.r_list:
         # at lam = 1 the Alexandrov member is seq1 itself, so F0 is F^lam
         F0 = cara.schur_eval_F_adaptive(seq1, r * z, max_depth=cfg.depth)
         xr = cara.solve_x_of_r(seq1, 1.0, z, r)
         rows.append((r, theta0, F0, xr.x, xr.jl_ratio(F0), cara.mobius_sup(F0)))
-    cara.write_boundary_csv(rows, out / "boundary.csv")
     record = {
         "theta": theta0,
         "beta_hat": fit.beta_hat,
@@ -250,6 +246,11 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         "gamma_cross_check": growth.beta,
         "gamma_envelope_cross_check": growth.envelope_beta,
     }
+    # a failed run writes no result file, so every file waits for the last computation
+    spectral.write_arcmass_csv(fit, out / "arc_mass.csv")
+    transfer.write_norm_csv(norm_samples, out / "norm_samples.csv")
+    transfer.fit_to_json(norm_fit, out / "norm_fit.json")
+    cara.write_boundary_csv(rows, out / "boundary.csv")
     with open(out / "holder.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
     print(json.dumps(record, indent=2))

@@ -70,16 +70,6 @@ def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     return zero_extended_array(seq, r0 - 2, r1 + 2)
 
 
-def _dense_from_diagonals(diag: dict, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    out = np.zeros((r1 - r0, c1 - c0), dtype=complex)
-    for off, arr in diag.items():
-        for i, m in enumerate(range(r0, r1)):
-            j = m + off
-            if c0 <= j < c1:
-                out[i, j - c0] = arr[i]
-    return out
-
-
 @dataclass(frozen=True)
 class CMVBlock:
     """Rows and columns [lo, hi] of a CMV band matrix, held as the five
@@ -90,8 +80,13 @@ class CMVBlock:
     diagonals: dict = field(repr=False)
 
     def dense(self) -> np.ndarray:
-        return _dense_from_diagonals(self.diagonals, self.lo, self.hi + 1,
-                                     self.lo, self.hi + 1)
+        n = self.hi + 1 - self.lo
+        out = np.zeros((n, n), dtype=complex)
+        rows = np.arange(n)
+        for off, arr in self.diagonals.items():
+            i = rows[max(0, -off):n - max(0, off)]
+            out[i, i + off] = arr[i]
+        return out
 
     def banded(self) -> np.ndarray:
         """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded:
@@ -104,6 +99,19 @@ class CMVBlock:
             else:
                 ab[2 - off, :n + off] = arr[-off:]
         return ab
+
+    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
+        """(B - z)^{-1} rhs by one banded LU solve; rhs is a vector or has
+        one column per right-hand side."""
+        ab = self.banded()
+        ab[2] -= z
+        try:
+            sol = scipy.linalg.solve_banded((2, 2), ab, rhs, overwrite_ab=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(str(exc)) from exc
+        if not np.all(np.isfinite(sol)):
+            raise SingularError("truncated system numerically singular")
+        return sol
 
 
 def extended_window(seq: VerblunskySequence, lo: int, hi: int,
@@ -170,55 +178,25 @@ class State:
         return State(self.offset + int(i0), self.values[i0:i1].copy())
 
 
-def _apply_diagonals(diag: dict, x: np.ndarray) -> np.ndarray:
-    # rows and x share the same index range; columns m+off gather from x
-    n = len(x)
-    y = np.zeros(n, dtype=complex)
-    for off, arr in diag.items():
-        if off >= 0:
-            y[:n - off] += arr[:n - off] * x[off:]
-        else:
-            y[-off:] += arr[-off:] * x[:off]
-    return y
-
-
-def _apply_diagonals_adjoint(diag: dict, x: np.ndarray) -> np.ndarray:
-    # y[m] = sum_j Ebar(j, m) x[j]; E(j, m) lives on diagonal off = m - j
-    n = len(x)
-    y = np.zeros(n, dtype=complex)
-    for off, arr in diag.items():
-        a = np.conj(arr)
-        if off >= 0:
-            y[off:] += a[:n - off] * x[:n - off]
-        else:
-            y[:off] += a[-off:] * x[-off:]
-    return y
-
-
-def _padded_band(seq: VerblunskySequence, state: State) -> tuple:
-    """(lo, diagonals, x): the state padded by two sites on each side, as
-    x from site lo, and the band rows over that padded window."""
-    lo = state.offset - 2
-    hi = state.offset + len(state.values) + 2
-    x = np.zeros(hi - lo, dtype=complex)
-    x[2:2 + len(state.values)] = state.values
-    return lo, band_diagonals(_band_alpha(seq, lo, hi), lo, hi), x
-
-
 def apply_extended(seq: VerblunskySequence, state: State) -> State:
     """Apply the extended matrix to a finitely supported vector, exactly."""
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
-    lo, diag, x = _padded_band(seq, state)
-    return State(lo, _apply_diagonals(diag, x)).trimmed()
+    return evolve_walk(seq, state, 1)
 
 
 def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
     """Apply the adjoint (= inverse) of the extended matrix."""
     if not seq.is_two_sided:
         raise SupportError("extended application needs a two-sided sequence")
-    lo, diag, x = _padded_band(seq, state)
-    return State(lo, _apply_diagonals_adjoint(diag, x)).trimmed()
+    band = extended_window(seq, state.offset - 4,
+                           state.offset + len(state.values) + 3, closure=None)
+    # E*(m, m + k) = conj(E(m + k, m)), keyed k = 0, -1, 1, -2, 2.  The
+    # entries that np.roll wraps round sit in the two end rows on each
+    # side, which a one-step light cone never reads.
+    adjoint = {-off: np.roll(np.conj(arr), off)
+               for off, arr in band.diagonals.items()}
+    return _light_cone(CMVBlock(band.lo, band.hi, adjoint), state, 1)
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -245,19 +223,10 @@ def resolvent_oracle_block(seq: VerblunskySequence, z: complex, half_width: int,
     limit = W // 2
     if any(abs(x) > limit for x in xs) or any(abs(y) > limit for y in ys):
         raise WindowError("requested entries outside the safe interior")
-    window = extended_window(seq, -W, W, closure=1.0)
-    ab = window.banded()
-    n = 2 * W + 1
-    ab[2, :] -= z
-    rhs = np.zeros((n, len(ys)), dtype=complex)
+    rhs = np.zeros((2 * W + 1, len(ys)), dtype=complex)
     for j, y in enumerate(ys):
         rhs[y + W, j] = 1.0
-    try:
-        sol = scipy.linalg.solve_banded((2, 2), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularError("truncated system numerically singular")
+    sol = extended_window(seq, -W, W, closure=1.0).solve(z, rhs)
     return sol[[x + W for x in xs], :]
 
 
@@ -339,33 +308,39 @@ def spectral_basis_reach(seq: VerblunskySequence, n: int) -> BasisReachReport:
     return BasisReachReport(res)
 
 
-def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
-    """k-fold band application; the support grows by at most two per step.
+def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
+    """k applications of `band`, whose rows reach 2k + 2 sites past the
+    support of psi0 on each side.
 
     Step t updates only the rows of the light cone [a - 2t, b + 2t) of the
     initial support [a, b); every other row of the full band product is
     a sum of zeros, so the result is the same to the bit.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return State(psi0.offset, psi0.values.copy())
-    lo = psi0.offset - 2 * k - 2
-    hi = psi0.offset + len(psi0.values) + 2 * k + 2
-    diag = band_diagonals(_band_alpha(seq, lo, hi), lo, hi)
-    x = np.zeros(hi - lo, dtype=complex)
+    x = np.zeros(band.hi + 1 - band.lo, dtype=complex)
     y = np.zeros_like(x)
-    a = psi0.offset - lo
+    a = psi0.offset - band.lo
     b = a + len(psi0.values)
     x[a:b] = psi0.values
     for _ in range(k):
         a, b = a - 2, b + 2
         # y holds the state of two steps back, supported inside [a, b)
         y[a:b] = 0.0
-        for off, arr in diag.items():
+        for off, arr in band.diagonals.items():
             y[a:b] += arr[a:b] * x[a + off:b + off]
         x, y = y, x
-    return State(lo, x).trimmed()
+    return State(band.lo, x).trimmed()
+
+
+def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
+    """k-fold band application; the support grows by at most two per step."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return State(psi0.offset, psi0.values.copy())
+    band = extended_window(seq, psi0.offset - 2 * k - 2,
+                           psi0.offset + len(psi0.values) + 2 * k + 1,
+                           closure=None)
+    return _light_cone(band, psi0, k)
 
 
 def write_state_csv(state: State, path) -> None:
@@ -377,14 +352,18 @@ def write_state_csv(state: State, path) -> None:
                              repr(float(v.imag)), repr(float(abs(v) ** 2))])
 
 
-def write_bands_csv(dense: np.ndarray, path) -> None:
+def write_bands_csv(block: CMVBlock, path) -> None:
+    """Nonzero entries of the block, row by row, read off its diagonals;
+    rows and columns count from block.lo."""
+    n = block.hi + 1 - block.lo
+    offs = sorted(block.diagonals)
+    vals = np.stack([block.diagonals[off] for off in offs], axis=1)
+    rows, k = np.nonzero(vals)
+    cols = rows + np.asarray(offs)[k]
+    inside = (cols >= 0) & (cols < n)
+    rows, cols, vals = rows[inside], cols[inside], vals[rows[inside], k[inside]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "re", "im"])
-        rows, cols = dense.shape
-        for i in range(rows):
-            for j in range(cols):
-                v = dense[i, j]
-                if v != 0:
-                    writer.writerow([i, j,
-                                     repr(float(v.real)), repr(float(v.imag))])
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            writer.writerow([i, j, repr(v.real), repr(v.imag)])

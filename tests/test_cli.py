@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmvkit import cli, transfer
+from cmvkit import cli, coeffs, operator, transfer
 
 
 def run(args):
@@ -36,6 +36,27 @@ def test_coeffs_sturmian_matches_word(tmp_path):
     rows = (d / "coefficients.csv").read_text().strip().splitlines()[1:]
     re_alpha = [float(r.split(",")[1]) for r in rows]
     assert re_alpha == [-0.5, 0.5, -0.5, 0.5, 0.5]
+
+
+def test_coeffs_bands_from_diagonals(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    values = 0.8 * rng.uniform(size=50) * np.exp(2j * math.pi * rng.uniform(size=50))
+    values[[3, 10, 11]] = 0.0  # zero coefficients leave zero band entries
+    path = tmp_path / "alpha.txt"
+    path.write_text("\n".join(repr(complex(v)) for v in values), encoding="utf-8")
+    dense = operator.build_finite_cmv(coeffs.make_explicit(values), 40).dense()
+    expected = ["row,col,re,im"] + [
+        f"{i},{j},{float(dense[i, j].real)!r},{float(dense[i, j].imag)!r}"
+        for i, j in zip(*np.nonzero(dense))]
+
+    def no_dense(self):
+        raise AssertionError("bands.csv must not need the dense matrix")
+
+    monkeypatch.setattr(operator.CMVBlock, "dense", no_dense)
+    assert run(["coeffs", "--model", "explicit", "--coeff-file", str(path),
+                "--n-range", "0,40", "--out", str(tmp_path)]) == 0
+    d = latest_run_dir(tmp_path, "coeffs")
+    assert (d / "bands.csv").read_text().splitlines() == expected
 
 
 def test_bad_modulus_rejected(tmp_path):
@@ -176,7 +197,7 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "holder-omega-no-theta", "unknown-left-model",
                                   "word-left-model-not-sturmian", "repeated-eps",
                                   "spectrum-explicit", "holder-explicit-no-theta",
-                                  "theta-not-finite"])
+                                  "theta-not-finite", "holder-explicit-short"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -230,6 +251,11 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
                                       "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
         "theta-not-finite": (["holder", "--theta", "nan", "--theta-count", "64",
                               "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
+        # the growth fit reads past the end of a 3-value list
+        "holder-explicit-short": (["holder", "--model", "explicit", "--coeff-file",
+                                   str(good), "--theta", "0.5", "--theta-count", "64",
+                                   "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
+                                  "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

@@ -122,6 +122,26 @@ def test_apply_extended_isometry_and_inverse():
     assert diff < 1e-12
 
 
+def test_apply_extended_and_adjoint_match_dense_window():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        seq = random_two_sided(rng, 64)
+        offset = int(rng.integers(-20, 10))
+        width = int(rng.integers(1, 12))
+        vec = operator.State(offset, rng.normal(size=width) + 1j * rng.normal(size=width))
+        lo, hi = offset - 6, offset + width + 5
+        window = operator.extended_window(seq, lo, hi, closure=None).dense()
+        x = np.array([vec[n] for n in range(lo, hi + 1)])
+        sites = range(lo + 2, hi - 1)  # rows whose band lies inside the window
+        for apply, matrix in ((operator.apply_extended, window),
+                              (operator.apply_extended_adjoint, window.conj().T)):
+            out = apply(seq, vec)
+            ref = matrix @ x
+            assert max(abs(out[n] - ref[n - lo]) for n in sites) < 1e-14
+            # the result lies inside the rows checked
+            assert out.offset >= lo + 2 and out.offset + len(out.values) <= hi - 1
+
+
 def test_apply_requires_two_sided():
     with pytest.raises(SupportError):
         operator.apply_extended(coeffs.make_constant(0.0),
@@ -141,7 +161,7 @@ def test_split_at_origin_values_and_decoupling():
     alpha = seq.alpha_array(-12, 13)
     alpha[11] = -1.0  # site -1
     diag = operator.band_diagonals(alpha, -10, 11)
-    dense = operator._dense_from_diagonals(diag, -10, 11, -10, 11)
+    dense = operator.CMVBlock(-10, 10, diag).dense()
     assert np.max(np.abs(dense[:10, 10:])) == 0.0
     assert np.max(np.abs(dense[10:, :10])) == 0.0
     # and the left block is the standard matrix of the reflected
@@ -222,6 +242,19 @@ def test_evolve_walk_basics():
     assert abs(out.norm() - 1.0) < 1e-12
 
 
+def _apply_full_window(diag, x):
+    # reference band product: every row of the window, rows and x sharing
+    # one index range; columns m + off gather from x
+    n = len(x)
+    y = np.zeros(n, dtype=complex)
+    for off, arr in diag.items():
+        if off >= 0:
+            y[:n - off] += arr[:n - off] * x[off:]
+        else:
+            y[-off:] += arr[-off:] * x[:off]
+    return y
+
+
 def test_evolve_walk_light_cone_matches_full_window():
     # reference: every step applies the band to the whole 4k-wide window
     k = 3000
@@ -234,7 +267,7 @@ def test_evolve_walk_light_cone_matches_full_window():
         x = np.zeros(hi - lo, dtype=complex)
         x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
         for _ in range(k):
-            x = operator._apply_diagonals(diag, x)
+            x = _apply_full_window(diag, x)
         full = operator.State(lo, x).trimmed()
         cone = operator.evolve_walk(fib, psi0, k)
         assert cone.offset == full.offset
