@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: coeffs | spectrum | measure | holder | walk | verify.
-Every run writes into a timestamped directory under --out with the fully
-resolved configuration echoed as config.json, so results are reproducible
-from the emitted artifacts alone.  A run whose configuration is rejected
-or that fails with an error leaves the error message in error.txt beside
-config.json.
+Each takes, checks and echoes to config.json only the RunConfig fields it
+reads (`_FIELDS`), in a timestamped run directory under --out, so results
+are reproducible from the emitted artifacts alone.  A run whose
+configuration is rejected or that fails leaves the message in error.txt.
 """
 
 from __future__ import annotations
@@ -116,6 +115,40 @@ _PARSERS = {
 }
 
 
+_MODEL = ("model", "value", "alphabet", "omega", "coeff_file", "left_model", "left_value")
+
+# the RunConfig fields each command reads, besides `out`: its flags, the
+# keys its config file may hold and the keys its config.json records
+_FIELDS = {
+    "coeffs": _MODEL + ("n_range",),
+    "spectrum": ("model", "value", "alphabet", "omega", "theta_count", "trace_levels"),
+    "measure": _MODEL + ("theta_count", "r_list", "depth"),
+    "holder": _MODEL + ("theta_count", "r_list", "eps_list", "depth", "theta"),
+    "walk": _MODEL + ("steps", "snapshots", "start"),
+    "verify": ("criteria",),
+}
+
+# each field's flag and argparse options; left_model and left_value are config-only
+_FLAGS = {
+    "model": ("--model", {"choices": ("constant", "sturmian", "explicit")}),
+    "value": ("--value", {"help": "constant-model coefficient, e.g. 0.5 or 0.3+0.2j"}),
+    "alphabet": ("--alphabet", {"help": "two letters a,b for the sturmian model"}),
+    "omega": ("--omega", {"type": float}),
+    "coeff_file": ("--coeff-file", {}),
+    "theta_count": ("--theta-count", {"type": int}),
+    "r_list": ("--r", {"help": "comma list of radii"}),
+    "eps_list": ("--eps", {"help": "comma list of arc scales"}),
+    "depth": ("--depth", {"type": int}),
+    "theta": ("--theta", {"type": float}),
+    "n_range": ("--n-range", {"help": "lo,hi index range"}),
+    "trace_levels": ("--trace-levels", {"type": int}),
+    "steps": ("--steps", {"type": int}),
+    "snapshots": ("--snapshots", {"type": int}),
+    "start": ("--start", {"type": int, "help": "site of the initial delta state"}),
+    "criteria": ("--criteria", {"help": "comma list of criterion numbers (default: all)"}),
+}
+
+
 def _one_sided_model(cfg: RunConfig):
     if cfg.model == "constant":
         return coeffs.make_constant(cfg.value)
@@ -164,20 +197,15 @@ def _run_dir(cfg: RunConfig) -> Path:
         path = Path(cfg.out) / f"{cfg.command}-{stamp}-{n}"
     path.mkdir(parents=True)
 
-    def encode(v):
-        if isinstance(v, complex):
-            return str(v)
-        if isinstance(v, (list, tuple)):
-            return [encode(x) for x in v]
-        return v
-
-    payload = {k: encode(v) for k, v in dataclasses.asdict(cfg).items()}
+    recorded = {"command", "out", *_FIELDS[cfg.command]}
+    payload = {k: v for k, v in dataclasses.asdict(cfg).items() if k in recorded}
     with open(path / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, default=str)  # complex values as text
     return path
 
 
 def cmd_coeffs(cfg: RunConfig, out: Path) -> int:
+    """Dump Verblunsky coefficients and CMV bands as CSV."""
     seq = _two_sided_model(cfg)
     lo, hi = cfg.n_range
     coeffs.write_coeffs_csv(seq, lo, hi, out / "coefficients.csv")
@@ -188,6 +216,7 @@ def cmd_coeffs(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
+    """Trace-map atlas and growth constants."""
     cf = tracemap.golden_cf(max(22, cfg.trace_levels + 2))
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     alphabet = _trace_alphabet(cfg)
@@ -203,6 +232,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_measure(cfg: RunConfig, out: Path) -> int:
+    """Boundary density profiles."""
     seq = _two_sided_model(cfg)
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     profiles = [spectral.lambda_r_profile(seq, r, thetas, max_depth=cfg.depth)
@@ -216,16 +246,15 @@ def cmd_measure(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_holder(cfg: RunConfig, out: Path) -> int:
+    """Arc-mass Hölder fit with cross-check."""
     seq2 = _two_sided_model(cfg, default_left="word")
-    seq1 = _one_sided_model(cfg)
+    seq1 = operator.split_at_origin(seq2)[0]
     eps = np.asarray(sorted(cfg.eps_list))
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     profiles = [spectral.lambda_r_profile(seq2, 1.0 - e, thetas,
                                           max_depth=cfg.depth) for e in eps]
-    if cfg.theta is not None:
-        theta0 = float(cfg.theta)
-    else:
-        theta0 = float(verify.certified_spectrum_points(_trace_alphabet(cfg), 1)[0])
+    theta0 = float(cfg.theta if cfg.theta is not None else
+                   verify.certified_spectrum_points(_trace_alphabet(cfg), 1)[0])
     fit = spectral.holder_exponent(profiles, theta0, eps)
     z = complex(np.exp(1j * theta0))
     growth = transfer.pair_growth_exponents(seq1, z)
@@ -260,10 +289,10 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_walk(cfg: RunConfig, out: Path) -> int:
+    """Evolve a quantum walk and dump snapshots."""
     seq = _two_sided_model(cfg)
-    kmax = cfg.steps
     snaps = sorted({int(round(k)) for k in
-                    np.linspace(0, kmax, max(cfg.snapshots, 2))})
+                    np.linspace(0, cfg.steps, max(cfg.snapshots, 2))})
     cur = operator.State.delta(cfg.start)
     done = 0
     for k in snaps:
@@ -277,6 +306,7 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
+    """Run the acceptance criteria."""
     numbers = set(cfg.criteria) if cfg.criteria else None
     results = verify.run_all(numbers=numbers)
     record = verify.report_to_json(results, out / "verification.json")
@@ -294,34 +324,18 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with RunConfig fields; flags override it")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--model", choices=("constant", "sturmian", "explicit"),
-                   default=None)
-    p.add_argument("--value", type=str, default=None,
-                   help="constant-model coefficient, e.g. 0.5 or 0.3+0.2j")
-    p.add_argument("--alphabet", type=str, default=None,
-                   help="two letters a,b for the sturmian model")
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--coeff-file", type=str, default=None)
-    p.add_argument("--theta-count", type=int, default=None)
-    p.add_argument("--r", dest="r_list", type=str, default=None, help="comma list of radii")
-    p.add_argument("--eps", dest="eps_list", type=str, default=None,
-                   help="comma list of arc scales")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-
-
 def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    fields = {"command": command}
+    fields = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields.update(json.load(fh))
     # every flag's dest is the RunConfig field it sets
     fields.update({k: v for k, v in vars(args).items()
                    if k not in ("command", "config") and v is not None})
+    fields["command"] = command  # a config file's `command` does not pick the command
+    unknown = set(fields) - {"command", "out", *_FIELDS[command]}
+    if unknown:
+        raise CMVKitError(f"unknown config fields: {sorted(unknown)}")
     for name in _PARSERS.keys() & fields.keys():
         value = fields[name]
         if isinstance(value, (str, list)):
@@ -329,10 +343,6 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
                 fields[name] = _PARSERS[name](value)
             except ValueError:  # config.json echoes the text, `validated` rejects it
                 fields[name] = str(value)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(fields) - known
-    if unknown:
-        raise CMVKitError(f"unknown config fields: {sorted(unknown)}")
     return RunConfig(**fields)
 
 
@@ -342,31 +352,16 @@ def main(argv=None) -> int:
         description="spectral toolkit for CMV and extended CMV operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="dump Verblunsky coefficients as CSV")
-    _add_common(p)
-    p.add_argument("--n-range", type=str, default=None, help="lo,hi index range")
-
-    p = sub.add_parser("spectrum", help="trace-map atlas and growth constants")
-    _add_common(p)
-    p.add_argument("--trace-levels", type=int, default=None)
-
-    p = sub.add_parser("measure", help="boundary density profiles")
-    _add_common(p)
-
-    p = sub.add_parser("holder", help="arc-mass Hölder fit with cross-check")
-    _add_common(p)
-
-    p = sub.add_parser("walk", help="evolve a quantum walk and dump snapshots")
-    _add_common(p)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--snapshots", type=int, default=None)
-    p.add_argument("--start", type=int, default=None,
-                   help="site of the initial delta state")
-
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    _add_common(p)
-    p.add_argument("--criteria", type=str, default=None,
-                   help="comma list of criterion numbers (default: all)")
+    for command, fields in _FIELDS.items():
+        # no prefix matching: `measure --theta` must not set --theta-count
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
+        p.add_argument("--config", type=str, default=None,
+                       help="JSON file with the command's RunConfig fields; flags override it")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        for name in fields:
+            if name in _FLAGS:
+                flag, options = _FLAGS[name]
+                p.add_argument(flag, dest=name, default=None, **options)
 
     args = parser.parse_args(argv)
     out = None

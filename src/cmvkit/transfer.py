@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import VerblunskySequence, rho_of
+from .coeffs import VerblunskySequence, rho_of, zero_extended_array
 from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
 
@@ -94,18 +94,18 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
     pair (eta_j, eta_j^*) propagated from an initial pair.
 
     zs and initials broadcast elementwise over the batch; the coefficient
-    sequence is shared.  Each step applies A(alpha_j, z) =
-    A(alpha_j, 1) diag(z, 1) to the (2, batch) state by elementwise
-    products, so a row's values depend neither on the batch it rides in
-    nor on n_max.  A row whose pair leaves 1e150 saturates to inf from
-    that step on instead of degrading into NaNs.
+    sequence is shared, zero-extended as the Schur and band code read it.
+    Each step applies A(alpha_j, z) = A(alpha_j, 1) diag(z, 1) to the
+    (2, batch) state by elementwise products, so a row's values depend
+    neither on the batch it rides in nor on n_max.  A row whose pair
+    leaves 1e150 saturates to inf from that step on, not into NaNs.
     """
     zs = np.asarray(zs, dtype=complex)
     init = np.asarray(initials, dtype=complex)
     B = np.broadcast(zs, init[..., 0]).size
     zs = np.broadcast_to(zs, (B,))
     state = np.broadcast_to(init, (B, 2)).T.copy()
-    A = szego_matrices(seq.alpha_array(0, n_max), 1.0)
+    A = szego_matrices(zero_extended_array(seq, 0, n_max), 1.0)
     col_u, col_v = A[:, :, 0, None], A[:, :, 1, None]
     out = np.empty((B, n_max + 1))
     out[:, 0] = 0.5 * (np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)
@@ -244,12 +244,17 @@ def pair_growth_exponents(seq: VerblunskySequence, z: complex) -> PairGrowth:
 
     The slope range (g_lo, g_hi) feeds the transfer-growth prediction
     2 g_lo / (g_lo + g_hi) of the Hölder exponent; all four pairs share one
-    batched propagation.
+    batched propagation.  A sampled norm that is not finite raises
+    InsufficientDataError before any fit (z off the spectrum).
     """
     Ls = [2 ** k for k in range(6, 14)]
     lx = np.log(np.array(Ls, dtype=float))
     inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
     profiles = norm_profile_batch(seq, [complex(z)], inits, Ls[-1])
+    escaped = ~np.isfinite(profiles[:, Ls]).all(axis=0)
+    if escaped.any():
+        raise InsufficientDataError(f"solution norms at z = {complex(z)} leave the "
+                                    f"floating-point range by L = {Ls[escaped.argmax()]}")
     slopes = []
     env_lo, env_hi = math.inf, -math.inf
     for prof in profiles:

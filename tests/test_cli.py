@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -118,7 +119,7 @@ def test_config_json_reruns_the_run(tmp_path):
                 "--out", str(tmp_path / "a")]) == 0
     first = latest_run_dir(tmp_path / "a", "coeffs")
     config = json.loads((first / "config.json").read_text())
-    assert config["criteria"] == []
+    assert config["n_range"] == [-5, 5]
     assert run(["coeffs", "--config", str(first / "config.json"),
                 "--out", str(tmp_path / "b")]) == 0
     again = latest_run_dir(tmp_path / "b", "coeffs")
@@ -130,6 +131,51 @@ def test_unknown_config_field_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery": 1}))
     assert run(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_config_field_the_command_does_not_read_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "constant", "value": "0", "eps_list": [0.1]}))
+    assert run(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config fields: ['eps_list']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--r", "1.5"],
+                                  ["walk", "--theta-count", "4"],
+                                  ["measure", "--theta", "0.5"],
+                                  ["coeffs", "--depth", "100"],
+                                  ["spectrum", "--coeff-file", "alpha.txt"],
+                                  # not a prefix of --theta-count either
+                                  ["measure", "--theta", "1000"]])
+def test_flag_the_command_does_not_read_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_config_json_records_only_criteria(tmp_path):
+    assert run(["verify", "--criteria", "1", "--out", str(tmp_path)]) == 0
+    d = latest_run_dir(tmp_path, "verify")
+    config = json.loads((d / "config.json").read_text())
+    assert config == {"command": "verify", "out": str(tmp_path), "criteria": [1]}
+
+
+def test_every_field_is_read_by_some_command():
+    read = {"out"}.union(*cli._FIELDS.values())
+    assert read == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+    assert set(cli._FIELDS) == set(cli._COMMANDS)
+
+
+def test_subcommand_sets_command_over_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "walk", "model": "constant", "value": "0"}))
+    assert run(["coeffs", "--config", str(cfg), "--n-range", "0,4",
+                "--out", str(tmp_path / "runs")]) == 0
+    assert [p.name.split("-")[0] for p in (tmp_path / "runs").iterdir()] == ["coeffs"]
+    d = latest_run_dir(tmp_path / "runs", "coeffs")
+    assert json.loads((d / "config.json").read_text())["command"] == "coeffs"
+    assert (d / "coefficients.csv").exists()
 
 
 def test_verify_subset(tmp_path):
@@ -173,6 +219,43 @@ def test_holder_boundary_rows_honour_depth(tmp_path, monkeypatch):
     assert seen == [5000, 5000]
 
 
+def test_holder_builds_its_model_once(tmp_path, monkeypatch):
+    path = tmp_path / "alpha.txt"
+    path.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")
+    calls = []
+    one_sided = cli._one_sided_model
+
+    def spy(cfg):
+        calls.append(cfg.coeff_file)
+        return one_sided(cfg)
+
+    monkeypatch.setattr(cli, "_one_sided_model", spy)
+    assert run(["holder", "--model", "explicit", "--coeff-file", str(path),
+                "--theta", "0.5", "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1",
+                "--r", "0.9", "--out", str(tmp_path)]) == 0
+    assert calls == [str(path)]
+
+
+def test_holder_explicit_short_list_reads_a_zero_tail(tmp_path):
+    # a list shorter than the growth fit's 8192 sites reads as zero-padded
+    short = tmp_path / "short.txt"
+    short.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")
+    padded = tmp_path / "padded.txt"
+    padded.write_text("0.1\n0.2+0.1j\n-0.3\n" + "0\n" * 8200, encoding="utf-8")
+    dirs = []
+    for name, path in (("short", short), ("padded", padded)):
+        assert run(["holder", "--model", "explicit", "--coeff-file", str(path),
+                    "--theta", "0.5", "--theta-count", "64",
+                    "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9",
+                    "--out", str(tmp_path / name)]) == 0
+        dirs.append(latest_run_dir(tmp_path / name, "holder"))
+    results = ["arc_mass.csv", "boundary.csv", "holder.json", "norm_fit.json",
+               "norm_samples.csv"]
+    assert sorted(p.name for p in dirs[0].iterdir()) == sorted(results + ["config.json"])
+    for name in results:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 def test_unconverged_measure_fails(tmp_path, capsys):
     assert run(["measure", "--model", "constant", "--value", "0.5",
                 "--theta-count", "64", "--depth", "4096", "--r", "0.9999",
@@ -197,7 +280,7 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "holder-omega-no-theta", "unknown-left-model",
                                   "word-left-model-not-sturmian", "repeated-eps",
                                   "spectrum-explicit", "holder-explicit-no-theta",
-                                  "theta-not-finite", "holder-explicit-short"])
+                                  "theta-not-finite", "holder-off-spectrum"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -244,18 +327,16 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         "repeated-eps": (["holder", "--theta", "0.5", "--theta-count", "64",
                           "--eps", "0.01,0.01,0.01,0.01", "--r", "0.9"], "holder"),
         # an explicit list has no letters for the trace map to read
-        "spectrum-explicit": (["spectrum", "--model", "explicit", "--coeff-file",
-                               str(good), "--theta-count", "64"], "spectrum"),
+        "spectrum-explicit": (["spectrum", "--model", "explicit", "--theta-count", "64"],
+                              "spectrum"),
         "holder-explicit-no-theta": (["holder", "--model", "explicit", "--coeff-file",
                                       str(good), "--theta-count", "64", "--eps",
                                       "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
         "theta-not-finite": (["holder", "--theta", "nan", "--theta-count", "64",
                               "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
-        # the growth fit reads past the end of a 3-value list
-        "holder-explicit-short": (["holder", "--model", "explicit", "--coeff-file",
-                                   str(good), "--theta", "0.5", "--theta-count", "64",
-                                   "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
-                                  "holder"),
+        # off the spectrum the solution norms leave the floating-point range
+        "holder-off-spectrum": (["holder", "--theta", "2.0", "--theta-count", "64",
+                                 "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

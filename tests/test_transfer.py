@@ -228,6 +228,27 @@ def test_pair_growth_exponents_free_and_batched():
     assert growth.samples() == [(L, math.sqrt(alone[L])) for L in growth.Ls]
 
 
+def test_pair_growth_exponents_off_spectrum_raises_before_any_fit(monkeypatch):
+    # theta = 2 lies in a gap of the Fibonacci spectrum: the norms grow
+    # exponentially and leave the floating-point range before L = 8192
+    def no_fit(samples):
+        raise AssertionError("no fit may run on escaped norms")
+
+    monkeypatch.setattr(transfer, "fit_power_law", no_fit)
+    z = cmath.exp(2.0j)
+    with pytest.raises(InsufficientDataError, match=r"L = 2048") as exc:
+        transfer.pair_growth_exponents(coeffs.make_sturmian(0.5, -0.5, GOLDEN), z)
+    assert str(z) in str(exc.value)
+
+
+def test_norm_profile_batch_reads_an_explicit_list_zero_extended():
+    values = [0.1, 0.2 + 0.1j, -0.3]
+    z, inits = cmath.exp(0.5j), [(1.0, 1.0), (1.0, -1j)]
+    short = transfer.norm_profile_batch(coeffs.make_explicit(values), [z], inits, 300)
+    padded = coeffs.make_explicit(values + [0.0] * 300)
+    assert np.array_equal(short, transfer.norm_profile_batch(padded, [z], inits, 300))
+
+
 def test_propagation_loops_and_letters_use_the_szego_matrix():
     # each profile increment is half the squared norm of the pair that the
     # matrix product carries from the initial pair
