@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .coeffs import VerblunskySequence, zero_extended_array
+from .coeffs import VerblunskySequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
                      SupportError, UnconvergedWarning)
 from . import operator, transfer
@@ -61,7 +61,7 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     j0 = 0
     while j0 < stop and len(active):
         j1 = min(j0 + transfer._BLOCK, stop)
-        alphas = zero_extended_array(seq, j0, j1)
+        alphas = seq.alpha_array(j0, j1)
         t, u = np.empty_like(left), np.empty_like(left)
         for a, ac in zip(alphas.tolist(), alphas.conj().tolist()):
             np.multiply(right, ac, out=t)

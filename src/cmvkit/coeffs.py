@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateRhoError, FrequencyRangeError, ModulusError,
-                     SupportError, WindowError)
+                     SupportError)
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,7 +77,7 @@ def rho_of(alpha, nonzero: bool = False):
 
 def _check_modulus(a: complex) -> complex:
     a = complex(a)
-    if not abs(a) < 1.0:  # also rejects NaN, which marks an undefined site
+    if not abs(a) < 1.0:  # also rejects NaN
         raise ModulusError(f"|alpha| = {abs(a)} >= 1")
     return a
 
@@ -86,10 +86,9 @@ class VerblunskySequence:
     """Base interface: alpha_array(lo, hi), the one coefficient reader,
     with alpha(n), rho(n) and the support flag read through it.
 
-    Each class implements `_values(lo, hi)`, vectorized over the range; a
-    NaN there marks a site the sequence does not define (past the end of
-    an explicit list).  `alpha_array` rejects such sites and n < 0 on a
-    one-sided sequence; `zero_extended_array` reads them as 0.
+    Each class implements `_values(lo, hi)`, vectorized over the range.
+    Every site n >= 0 is defined: an explicit list reads 0 past its end.
+    `alpha_array` rejects n < 0 on a one-sided sequence.
 
     `zero_tail` and `zero_head` state where the sequence is known to
     vanish; the default states nothing, which is always safe.
@@ -98,9 +97,9 @@ class VerblunskySequence:
     support: str  # "half" (n >= 0) or "full" (n in Z)
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        """A new complex array of alpha(n) for n in [lo, hi), NaN where
-        undefined.  Sites n < 0 of a one-sided sequence are the caller's
-        to reject: a two-sided view reads its halves only at n >= 0."""
+        """A new complex array of alpha(n) for n in [lo, hi).  Sites n < 0
+        of a one-sided sequence are the caller's to reject: a two-sided
+        view reads its halves only at n >= 0."""
         raise NotImplementedError
 
     def alpha_array(self, lo: int, hi: int) -> np.ndarray:
@@ -108,19 +107,14 @@ class VerblunskySequence:
         hi = max(lo, hi)  # an empty range reads nothing, as range(lo, hi) does
         if self.support == "half" and lo < 0:
             raise SupportError(f"one-sided sequence queried at n = {lo}")
-        a = self._values(lo, hi)
-        undefined = np.flatnonzero(np.isnan(a))
-        if len(undefined):
-            raise WindowError(f"sequence has no entry at n = {lo + undefined[0]}")
-        return a
+        return self._values(lo, hi)
 
     def alpha(self, n: int) -> complex:
         return complex(self.alpha_array(n, n + 1)[0])
 
     def zero_tail(self) -> float:
-        """A site n0 >= 0 with alpha(n) = 0 (or undefined, read as 0) at
-        every n >= n0, or inf: the Schur algorithm reads F exactly at
-        depth n0."""
+        """A site n0 >= 0 with alpha(n) = 0 at every n >= n0, or inf: the
+        Schur algorithm reads F exactly at depth n0."""
         return math.inf
 
     def zero_head(self) -> float:
@@ -168,7 +162,7 @@ class ExplicitSequence(VerblunskySequence):
     support = "half"
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        out = np.full(hi - lo, np.nan, dtype=complex)
+        out = np.zeros(hi - lo, dtype=complex)  # 0 past the end of the list
         a, b = max(lo, 0), min(hi, len(self.values))
         if a < b:
             out[a - lo:b - lo] = self.values[a:b]
@@ -260,18 +254,6 @@ def extend_two_sided(positive: VerblunskySequence,
     if positive.support != "half" or negative.support != "half":
         raise SupportError("extend_two_sided expects two one-sided sequences")
     return TwoSidedSequence(positive, negative)
-
-
-def zero_extended_array(seq: VerblunskySequence, lo: int, hi: int) -> np.ndarray:
-    """alpha(n) for n in [lo, hi), read as 0 at every site `seq` does not
-    define (past an explicit list, n < 0 on a one-sided sequence): the
-    zero tail that the truncated Schur algorithm and the band windows read.
-    """
-    a = seq._values(lo, hi)
-    a[np.isnan(a)] = 0.0
-    if seq.support == "half" and lo < 0:
-        a[:min(hi, 0) - lo] = 0.0
-    return a
 
 
 def write_coeffs_csv(seq: VerblunskySequence, lo: int, hi: int, path) -> None:

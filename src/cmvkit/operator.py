@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .coeffs import (LeftHalf, RightHalf, VerblunskySequence, rho_of,
-                     zero_extended_array)
+from .coeffs import LeftHalf, RightHalf, VerblunskySequence, rho_of
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 
@@ -62,12 +61,11 @@ def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
 def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     """Coefficients of sites r0 - 2 ... r1 + 1 for `band_diagonals`.
 
-    Sites the sequence does not define read as zero: beyond a unitary
-    closure they are multiplied by rho = 0 and never matter, and for
-    finite explicit lists this realizes the same zero-extension the
-    truncated Schur algorithm uses.
+    Sites n < 0 of a one-sided sequence read as zero: `build_finite_cmv`
+    overwrites site -1 and never reads site -2.
     """
-    return zero_extended_array(seq, r0 - 2, r1 + 2)
+    c = min(max(r0 - 2, 0), r1 + 2) if seq.support == "half" else r0 - 2
+    return np.concatenate([np.zeros(c - r0 + 2, dtype=complex), seq.alpha_array(c, r1 + 2)])
 
 
 @dataclass(frozen=True)

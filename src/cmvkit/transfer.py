@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import VerblunskySequence, rho_of, zero_extended_array
+from .coeffs import VerblunskySequence, rho_of
 from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
 
@@ -94,7 +94,7 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
     pair (eta_j, eta_j^*) propagated from an initial pair.
 
     zs and initials broadcast elementwise over the batch; the coefficient
-    sequence is shared, zero-extended as the Schur and band code read it.
+    sequence is shared.
     Each step applies A(alpha_j, z) = A(alpha_j, 1) diag(z, 1) to the
     (2, batch) state by elementwise products, so a row's values depend
     neither on the batch it rides in nor on n_max.  A row whose pair
@@ -105,7 +105,7 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
     B = np.broadcast(zs, init[..., 0]).size
     zs = np.broadcast_to(zs, (B,))
     state = np.broadcast_to(init, (B, 2)).T.copy()
-    A = szego_matrices(zero_extended_array(seq, 0, n_max), 1.0)
+    A = szego_matrices(seq.alpha_array(0, n_max), 1.0)
     col_u, col_v = A[:, :, 0, None], A[:, :, 1, None]
     out = np.empty((B, n_max + 1))
     out[:, 0] = 0.5 * (np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)
@@ -209,8 +209,11 @@ def fit_power_law(samples) -> FitResult:
             slopes.append((logs[j][1] - logs[i][1]) / dx)
     g_low = min(slopes)
     g_high = max(slopes)
-    c_low = min(v / L ** g_low for L, v in pts)
-    c_high = max(v / L ** g_high for L, v in pts)
+    try:
+        c_low = min(v / L ** g_low for L, v in pts)
+        c_high = max(v / L ** g_high for L, v in pts)
+    except ArithmeticError as exc:  # L ** g leaves the float range, off the spectrum
+        raise InsufficientDataError(f"exponents [{g_low:.3g}, {g_high:.3g}] overflow") from exc
     return FitResult(g_low, g_high, c_low, c_high)
 
 

@@ -66,7 +66,7 @@ def schur_reference(seq, z: complex, depth: int) -> complex:
     # from a zero tail at `depth`, at 40 digits
     with mp.workdps(40):
         zm, f = mp.mpc(z), mp.mpc(0)
-        for a in coeffs.zero_extended_array(seq, 0, depth)[::-1].tolist():
+        for a in seq.alpha_array(0, depth)[::-1].tolist():
             a = mp.mpc(a)
             zf = zm * f
             f = (a + zf) / (1 + mp.conj(a) * zf)

@@ -256,6 +256,27 @@ def test_holder_explicit_short_list_reads_a_zero_tail(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_coeffs_explicit_n_range_reads_the_zero_tail(tmp_path):
+    short = tmp_path / "short.txt"
+    short.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")
+    assert run(["coeffs", "--model", "explicit", "--coeff-file", str(short),
+                "--n-range", "0,5", "--out", str(tmp_path)]) == 0
+    rows = (latest_run_dir(tmp_path, "coeffs") / "coefficients.csv").read_text().splitlines()
+    assert rows[-2:] == ["3,0.0,0.0,1.0", "4,0.0,0.0,1.0"]
+
+
+def test_measure_explicit_empty_list_is_the_free_model(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    dirs = []
+    for name, model in (("empty", ["explicit", "--coeff-file", str(empty)]),
+                        ("free", ["constant", "--value", "0"])):
+        assert run(["measure", "--model", *model, "--theta-count", "64",
+                    "--out", str(tmp_path / name)]) == 0
+        dirs.append(latest_run_dir(tmp_path / name, "measure"))
+    assert (dirs[0] / "density.csv").read_bytes() == (dirs[1] / "density.csv").read_bytes()
+
+
 def test_unconverged_measure_fails(tmp_path, capsys):
     assert run(["measure", "--model", "constant", "--value", "0.5",
                 "--theta-count", "64", "--depth", "4096", "--r", "0.9999",
@@ -280,7 +301,8 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "holder-omega-no-theta", "unknown-left-model",
                                   "word-left-model-not-sturmian", "repeated-eps",
                                   "spectrum-explicit", "holder-explicit-no-theta",
-                                  "theta-not-finite", "holder-off-spectrum"])
+                                  "theta-not-finite", "holder-off-spectrum",
+                                  "holder-off-spectrum-finite-norms"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -337,6 +359,10 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         # off the spectrum the solution norms leave the floating-point range
         "holder-off-spectrum": (["holder", "--theta", "2.0", "--theta-count", "64",
                                  "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"], "holder"),
+        # there the norms stay finite, but the envelope fit's L ** 91.7 overflows
+        "holder-off-spectrum-finite-norms": (["holder", "--theta", "7.0", "--theta-count",
+                                              "64", "--eps", "0.01,0.02,0.05,0.1,0.2",
+                                              "--r", "0.9"], "holder"),
     }[case]
     assert run(argv + ["--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err

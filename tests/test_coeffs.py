@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvkit import caratheodory, coeffs, operator
-from cmvkit.errors import (FrequencyRangeError, ModulusError, SupportError,
-                           WindowError)
+from cmvkit import caratheodory, coeffs, operator, spectral, transfer
+from cmvkit.errors import FrequencyRangeError, ModulusError, SupportError
 
 GOLDEN = coeffs.GOLDEN_MEAN
 # |k| beyond which the golden floor leaves int64 for math.isqrt
@@ -126,8 +125,7 @@ def test_one_sided_support_guard():
     s = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     with pytest.raises(SupportError):
         s.alpha(-1)
-    with pytest.raises(WindowError):
-        coeffs.make_explicit([0.1]).alpha(3)
+    assert coeffs.make_explicit([0.1]).alpha(3) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,25 +181,43 @@ def test_alpha_reads_its_array():
 
 
 def test_zero_tail_readers():
-    # a short explicit list reads as if followed by stored zeros, in the
-    # Schur tail and past the end of a band window
+    # a short explicit list reads as if followed by stored zeros in every
+    # reader: the Schur tail, band windows, cocycles, the spectral basis
+    # check and the resolvent
     rng = np.random.default_rng(12)
     vals = 0.8 * rng.uniform(0, 1, 5) * np.exp(2j * math.pi * rng.uniform(0, 1, 5))
     short = coeffs.make_explicit(vals)
     padded = coeffs.make_explicit(np.concatenate([vals, np.zeros(600)]))
+    assert np.array_equal(short.alpha_array(0, 605), padded.alpha_array(0, 605))
     zs = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
     assert np.array_equal(caratheodory.schur_F_batch(short, zs),
                           caratheodory.schur_F_batch(padded, zs))
     for N in (6, 7, 12):
         assert np.array_equal(operator.build_finite_cmv(short, N).dense(),
                               operator.build_finite_cmv(padded, N).dense())
-    with pytest.raises(WindowError):
-        short.alpha_array(0, 6)
+    for L in (6, 64):
+        assert np.array_equal(transfer.cocycle_product(short, 0.7j, L),
+                              transfer.cocycle_product(padded, 0.7j, L))
+    free = coeffs.make_constant(0.0)
+    short2, padded2 = (coeffs.extend_two_sided(s, free) for s in (short, padded))
+    for n in (2, 5):
+        assert (operator.spectral_basis_reach(short2, n).residuals
+                == operator.spectral_basis_reach(padded2, n).residuals)
+    z = 0.6 * cmath.exp(0.4j)
+    xs = list(range(-6, 9))
+    G = operator.resolvent_oracle_block(short2, z, 160, xs, xs)
+    floor = 1e-9 * float(np.max(np.abs(G)))
+    ctx_short, ctx_padded = (spectral.build_gz_context(s, z, 32) for s in (short2, padded2))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            g = spectral.gz_entry(ctx_short, x, y)
+            assert g == spectral.gz_entry(ctx_padded, x, y)
+            assert abs(g - G[i, j]) / max(abs(G[i, j]), floor) < 1e-8
 
 
 def test_zero_tail_statements():
-    # where each view says its zero tail begins, and that the zero-extended
-    # read agrees: zeros from there on, a nonzero value just before
+    # where each view says its zero tail begins, and that alpha_array
+    # agrees: zeros from there on, a nonzero value just before
     short = coeffs.make_explicit([0.3, 0.0, 0.2j, 0.0, 0.0])
     fib = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     right, left = operator.split_at_origin(
@@ -214,9 +230,9 @@ def test_zero_tail_statements():
     for seq, tail in cases:
         assert seq.zero_tail() == tail
         if tail < math.inf:
-            assert not np.any(coeffs.zero_extended_array(seq, tail, tail + 64))
+            assert not np.any(seq.alpha_array(tail, tail + 64))
         if 0 < tail < math.inf:
-            assert coeffs.zero_extended_array(seq, tail - 1, tail)[0] != 0
+            assert seq.alpha_array(tail - 1, tail)[0] != 0
 
 
 def test_coeffs_csv(tmp_path):

@@ -161,6 +161,15 @@ def test_fit_power_law_needs_samples():
         transfer.fit_power_law([(2.0 ** k, 1.0) for k in range(5)])
 
 
+@pytest.mark.parametrize("slope", [90, -90])
+def test_fit_power_law_exponent_past_float_range(slope):
+    # finite norms whose envelope exponent makes L ** gamma leave the float
+    # range at L = 8192 (as off the spectrum): an error, not an OverflowError
+    samples = [(2.0 ** k, 2.0 ** (slope * (k - 13) + 100)) for k in range(6, 14)]
+    with pytest.raises(InsufficientDataError, match="overflow"):
+        transfer.fit_power_law(samples)
+
+
 def _per_step_pairs(seq, z, initial, n_max):
     # the textbook recurrence, one step at a time:
     # u, v = ((z u - conj(a) v) / rho, (-a z u + v) / rho), saturating to
