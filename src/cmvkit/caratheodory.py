@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .coeffs import VerblunskySequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
@@ -145,6 +144,7 @@ def _unitary_eigensystem(seq: VerblunskySequence, N: int, eta_b: complex):
     triangular factor is diagonal to machine precision and the transform
     is exactly unitary, so the weights sum to one by construction.
     """
+    import scipy.linalg  # only the truncation oracles need scipy
     C = operator.build_finite_cmv(seq, N, eta_b).dense()
     T, Z = scipy.linalg.schur(C, output="complex")
     eigs = np.diag(T).copy()

@@ -379,6 +379,13 @@ def main(argv=None) -> int:
         if out is not None:
             (out / "error.txt").write_text(f"{exc}\n", encoding="utf-8")
         return 2
+    except Exception as exc:
+        # not a known failure: keep the traceback and exit status 1, but say
+        # in the run directory why it holds no results
+        if out is not None:
+            (out / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n",
+                                           encoding="utf-8")
+        raise
 
 
 if __name__ == "__main__":

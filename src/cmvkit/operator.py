@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .coeffs import LeftHalf, RightHalf, VerblunskySequence, rho_of
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
@@ -101,6 +100,7 @@ class CMVBlock:
     def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
         """(B - z)^{-1} rhs by one banded LU solve; rhs is a vector or has
         one column per right-hand side."""
+        import scipy.linalg  # only the truncation oracles need scipy
         ab = self.banded()
         ab[2] -= z
         try:

@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -164,6 +168,44 @@ def test_resolvent_oracle_vs_eigen_oracle():
         F_res = cara.resolvent_oracle_F(seq, zs, 400, eta)
         F_eig = [cara.measure_oracle_F(seq, z, 400, eta) for z in zs]
         assert np.max(np.abs(F_res - F_eig)) < 1e-10
+
+
+# Computes the three truncation oracles on the model saved in argv[1] in a
+# fresh interpreter, so that scipy.linalg is first imported by the oracles.
+_ORACLES_FRESH = """
+import sys
+import numpy as np
+from cmvkit import caratheodory as cara, coeffs, operator
+assert "scipy" not in sys.modules
+right, left, zs = np.load(sys.argv[1])
+seq = coeffs.make_explicit(right)
+two = coeffs.extend_two_sided(seq, coeffs.make_explicit(left))
+np.save(sys.argv[2], np.concatenate([
+    cara.resolvent_oracle_F(seq, zs, 40),
+    [cara.measure_oracle_F(seq, z, 40) for z in zs],
+    operator.resolvent_oracle_block(two, zs[0], 30, [-3, 0, 2], [-1, 4]).ravel()]))
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_oracles_import_scipy_on_first_use(tmp_path):
+    rng = np.random.default_rng(16)
+    model = np.stack([0.8 * rng.uniform(size=8) * np.exp(2j * math.pi * rng.uniform(size=8))
+                      for _ in range(3)])
+    model[2] *= 0.9  # the spectral points, inside the disk
+    np.save(tmp_path / "model.npy", model)
+    src = Path(cara.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _ORACLES_FRESH, str(tmp_path / "model.npy"),
+                    str(tmp_path / "fresh.npy")], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+    right, left, zs = model
+    seq = coeffs.make_explicit(right)
+    two = coeffs.extend_two_sided(seq, coeffs.make_explicit(left))
+    here = np.concatenate([
+        cara.resolvent_oracle_F(seq, zs, 40),
+        [cara.measure_oracle_F(seq, z, 40) for z in zs],
+        operator.resolvent_oracle_block(two, zs[0], 30, [-3, 0, 2], [-1, 4]).ravel()])
+    assert np.array_equal(np.load(tmp_path / "fresh.npy"), here)
 
 
 def test_m_minus_examples():

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -370,3 +373,38 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     d = latest_run_dir(tmp_path / "runs", command)
     assert err == f"error: {(d / 'error.txt').read_text(encoding='utf-8')}"
     assert sorted(p.name for p in d.iterdir()) == ["config.json", "error.txt"]
+
+
+def test_unforeseen_error_leaves_error_file(tmp_path, monkeypatch):
+    def divide(cfg, out):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._COMMANDS, "walk", divide)
+    with pytest.raises(ZeroDivisionError):
+        run(["walk", "--out", str(tmp_path)])
+    d = latest_run_dir(tmp_path, "walk")
+    assert (d / "error.txt").read_text(encoding="utf-8") == \
+        "ZeroDivisionError: division by zero\n"
+
+
+# Runs every command but verify in a fresh interpreter, then verify's
+# criterion 7, whose truncation oracle is the first to need scipy.
+_COMMANDS_FRESH = """
+import sys
+from cmvkit import cli
+for argv in (["coeffs", "--n-range", "0,50"],
+             ["spectrum", "--theta-count", "64", "--trace-levels", "8"],
+             ["measure", "--theta-count", "64", "--r", "0.9"],
+             ["holder", "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
+             ["walk", "--steps", "40", "--snapshots", "3"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["verify", "--criteria", "7", "--out", sys.argv[1]]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_the_truncation_oracles_import_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _COMMANDS_FRESH, str(tmp_path)], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
