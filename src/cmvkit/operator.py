@@ -169,7 +169,7 @@ class State:
         return float(np.linalg.norm(self.values))
 
     def trimmed(self) -> "State":
-        mask = np.abs(self.values) > 0.0
+        mask = self.values != 0  # a NaN entry is kept
         if not mask.any():
             return State(self.offset, np.zeros(1, dtype=complex))
         i0, i1 = np.argmax(mask), len(mask) - np.argmax(mask[::-1])
@@ -310,9 +310,13 @@ def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
     """k applications of `band`, whose rows reach 2k + 2 sites past the
     support of psi0 on each side.
 
-    Step t updates only the rows of the light cone [a - 2t, b + 2t) of the
-    initial support [a, b); every other row of the full band product is
-    a sum of zeros, so the result is the same to the bit.
+    Each step first narrows [a, b) to the exact nonzero range of the
+    current state (an entry is zero when `x[i] == 0`, so a NaN stays in)
+    and then updates only the rows [a - 2, b + 2).  Every other row of the
+    full band product sums +0 and products of zeros, which gives +0 under
+    round-to-nearest, and the loop never makes a -0 from a +0 start: the
+    result is the full product's, bit for bit.  An all-zero state ends the
+    loop early.
     """
     x = np.zeros(band.hi + 1 - band.lo, dtype=complex)
     y = np.zeros_like(x)
@@ -320,11 +324,19 @@ def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
     b = a + len(psi0.values)
     x[a:b] = psi0.values
     for _ in range(k):
+        rows = slice(a, b)  # x is +0 outside these rows
+        while a < b and x[a] == 0:
+            a += 1
+        while a < b and x[b - 1] == 0:
+            b -= 1
+        if a == b:
+            break
         a, b = a - 2, b + 2
-        # y holds the state of two steps back, supported inside [a, b)
-        y[a:b] = 0.0
         for off, arr in band.diagonals.items():
             y[a:b] += arr[a:b] * x[a + off:b + off]
+        # clear the consumed state, so that y is all +0 when next written,
+        # also where a shrinking support leaves rows outside the new [a, b)
+        x[rows] = 0.0
         x, y = y, x
     return State(band.lo, x).trimmed()
 

@@ -416,7 +416,7 @@ def holder_exponent(profiles, Theta: float, eps_range) -> HolderFit:
     """
     eps = np.asarray(list(eps_range), dtype=float)
     profiles = list(profiles)
-    if len(np.unique(eps)) < 4 or len(profiles) != len(eps):
+    if len(set(eps.tolist())) < 4 or len(profiles) != len(eps):
         raise InsufficientDataError("need >= 4 matched (profile, eps) pairs "
                                     "with distinct eps")
     masses = np.array([arc_mass(p, Theta, e) for p, e in zip(profiles, eps)])

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,27 @@ def test_free_holder_exponent():
     assert abs(fit.envelope_beta - 1.0) < 0.02
     with pytest.raises(InsufficientDataError):
         spectral.holder_exponent(profiles[:2], 2.0, eps[:2])
+
+
+# A fit in a fresh interpreter: counting distinct eps must not import
+# numpy.ma, which np.unique does under numpy 2.
+_HOLDER_FRESH = """
+import math, sys
+import numpy as np
+from cmvkit import coeffs, spectral
+free = coeffs.extend_two_sided(coeffs.make_constant(0.0), coeffs.make_constant(0.0))
+thetas = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+eps = np.geomspace(1e-2, 1e-1, 4)
+profiles = [spectral.lambda_r_profile(free, 1 - e, thetas) for e in eps]
+spectral.holder_exponent(profiles, 2.0, eps)
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_holder_exponent_leaves_numpy_ma_unloaded():
+    src = Path(spectral.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _HOLDER_FRESH], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_corner_vs_mobius_diagnostic():
