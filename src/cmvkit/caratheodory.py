@@ -10,7 +10,6 @@ supremum.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 import warnings
@@ -29,7 +28,7 @@ _MAX_HORIZON = 1 << 21  # the longest norm profile the x(r) search propagates
 
 
 def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
-                  max_depth: int):
+                  max_depth: int, lam=1.0):
     """Schur algorithm forward, one pass, over a (B,) array of |z| < 1.
 
     M_k = [[z, a_k], [conj(a_k) z, 1]] maps the tail f_{k+1} to f_k and
@@ -41,6 +40,13 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     is renormalized by |e| and a point whose radius is below `tol` leaves
     the batch with F = b/e.  At `seq.zero_tail()` the tail is exactly 0
     and every remaining point stops with radius 0.
+
+    A unimodular `lam`, one per point or one for all, gives F^lam of the
+    Alexandrov member lam * alpha on the same pass: with D = diag(1, conj(lam)),
+    D M_k D^-1 is M_k at lam a_k, so Q^lam_d = N D P_d D^-1 for the base
+    product P_d.  The D^-1 scales the (b, e) column by a unimodular factor,
+    which leaves b/e, |e| and |det Q| alone, so only the start of that
+    column changes: (conj(lam), conj(lam)) instead of (1, 1).
 
     Returns (F, radius, depth) per point; a radius not below `tol` marks a
     point that `max_depth` stopped.  With tol = 0 every point runs to
@@ -54,7 +60,8 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     with np.errstate(divide="ignore"):
         log_r = np.log(np.abs(zs))
     # columns (a, c) and (b, e) of Q, one column of each per active point
-    left, right = np.stack([zs, -zs]), np.ones((2, B), dtype=complex)
+    lc = np.broadcast_to(np.conj(np.asarray(lam, dtype=complex)), (B,))
+    left, right = np.stack([zs, -zs]), np.stack([lc, lc])
     logdet = math.log(2.0) + log_r
     active, z = np.arange(B), zs
     j0 = 0
@@ -104,7 +111,7 @@ def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
 
 
 def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
-                  max_depth: int = 1 << 17) -> np.ndarray:
+                  max_depth: int = 1 << 17, lam=None) -> np.ndarray:
     """Certified Schur evaluation over an array of |z| < 1 points.
 
     Each point runs forward until its nested-disk radius, a proven bound
@@ -114,13 +121,23 @@ def schur_F_batch(seq: VerblunskySequence, zs, tol: float = 1e-12,
     the worst remaining tail bound.  The radius bounds the Schur tail only:
     rounding in the forward product adds about 2^-52 |F|^2 on top of it
     (1e-11 at |F| = 540), which no warning reports.
+
+    With `lam` given, an array of unimodular lam that broadcasts against
+    `zs`, each point returns F^lam(z) of the Alexandrov member
+    `rotated(seq, lam)`, all from one pass over the base coefficients.
     """
     zs = np.asarray(zs, dtype=complex)
+    if lam is None:
+        lam = 1.0
+    else:
+        _check_rotation(seq, lam)
+        zs, lam = np.broadcast_arrays(zs, np.asarray(lam, dtype=complex))
+        lam = lam.ravel()
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
     if max_depth < 1:
         raise DepthError("max_depth must be >= 1")
-    F, radius, depth = _nested_disks(seq, zs.ravel(), tol, max_depth)
+    F, radius, depth = _nested_disks(seq, zs.ravel(), tol, max_depth, lam)
     unproven = ~(radius < tol)  # a NaN bound counts as unproven
     if np.any(unproven):
         warnings.warn(f"schur_F_batch: no convergence within max_depth {max_depth}: "
@@ -218,11 +235,16 @@ class RotatedSequence(VerblunskySequence):
         return self.base.zero_tail()
 
 
-def rotated(seq: VerblunskySequence, lam: complex) -> RotatedSequence:
-    if abs(abs(lam) - 1.0) > 1e-12:
+def _check_rotation(seq: VerblunskySequence, lam) -> None:
+    """Reject a lam (scalar or array) off the unit circle, or a two-sided seq."""
+    if np.any(np.abs(np.abs(lam) - 1.0) > 1e-12):
         raise ValueError("rotation parameter must be unimodular")
     if seq.support != "half":
         raise SupportError("Alexandrov rotation expects a one-sided sequence")
+
+
+def rotated(seq: VerblunskySequence, lam: complex) -> RotatedSequence:
+    _check_rotation(seq, lam)
     return RotatedSequence(seq, complex(lam))
 
 
@@ -321,18 +343,18 @@ def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float) -> np.ndarray:
     """jl_ratio over the (lam, z) product grid, shape (len(lams), len(zs)).
 
     One `transfer.norm_profile_batch` call per horizon carries the phi and
-    psi pairs of the whole grid, which is much faster than pointwise
-    evaluation for on-circle sweeps.
+    psi pairs of the whole grid, and one `schur_F_batch` pass gives F^lam
+    at every grid point, which is much faster than pointwise evaluation
+    for on-circle sweeps.
     """
     lams = np.asarray(lams, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
     # grid point (i, j) sits at flat index i * len(zs) + j
-    xrs = _search_x(seq, np.repeat(lams, len(zs)), np.tile(zs, len(lams)), r)
-    out = np.empty((len(lams), len(zs)))
-    for i, lam in enumerate(lams):
-        F_lam = schur_F_batch(rotated(seq, lam), r * zs)
-        out[i] = [xr.jl_ratio(F) for xr, F in zip(xrs[i * len(zs):], F_lam)]
-    return out
+    lam_grid, z_grid = np.repeat(lams, len(zs)), np.tile(zs, len(lams))
+    F_lam = schur_F_batch(seq, r * z_grid, lam=lam_grid)
+    xrs = _search_x(seq, lam_grid, z_grid, r)
+    return np.reshape([xr.jl_ratio(F) for xr, F in zip(xrs, F_lam.tolist())],
+                      (len(lams), len(zs)))
 
 
 def mobius_map(F: complex, lam: complex) -> complex:
@@ -350,30 +372,38 @@ def mobius_sup(F: complex) -> float:
     return (p + q) / (p - q)
 
 
-def mobius_sup_grid(F: complex) -> float:
+def mobius_sup_grid(F):
     """Maximum of the boundary Möbius family on a 4096-point grid, refined
     by ternary search around the best grid point (the profile is smooth
-    and unimodal near its maximum, so this converges to the supremum)."""
+    and unimodal near its maximum, so this converges to the supremum).
+
+    F may be an array: the ternary search runs on all of it at once.  A
+    scalar F returns a float.
+    """
+    F = np.asarray(F, dtype=complex)
+    flat = F.ravel()
     n = 4096
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     lams = np.exp(1j * thetas)
-    vals = np.abs(mobius_map(F, lams))
-    k = int(np.argmax(vals))
-    best = float(vals[k])
+    best, k = np.empty(flat.size), np.empty(flat.size, dtype=np.intp)
+    for i, f in enumerate(flat):  # one F at a time: the grid stays one row
+        vals = np.abs(mobius_map(f, lams))
+        k[i] = np.argmax(vals)
+        best[i] = vals[k[i]]
     h = 2.0 * math.pi / n
     lo, hi = thetas[k] - h, thetas[k] + h
 
-    def val(t: float) -> float:
-        return abs(mobius_map(F, cmath.exp(1j * t)))
+    def val(t: np.ndarray) -> np.ndarray:
+        return np.abs(mobius_map(flat, np.exp(1j * t)))
 
     for _ in range(120):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if val(m1) < val(m2):
-            lo = m1
-        else:
-            hi = m2
-    return max(best, val(0.5 * (lo + hi)))
+        left = val(m1) < val(m2)
+        lo = np.where(left, m1, lo)
+        hi = np.where(left, hi, m2)
+    sup = np.maximum(best, val(0.5 * (lo + hi)))
+    return float(sup[0]) if F.ndim == 0 else sup.reshape(F.shape)
 
 
 def write_boundary_csv(rows, path) -> None:

@@ -155,22 +155,36 @@ def _one_sided_model(cfg: RunConfig):
     if cfg.model == "sturmian":
         return coeffs.make_sturmian(cfg.alphabet[0], cfg.alphabet[1], cfg.omega)
     if cfg.model == "explicit":
-        values = []
         try:
-            with open(cfg.coeff_file, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if line and not line.startswith("#"):
-                        try:
-                            values.append(_parse_complex(line.split(",")[0]))
-                        except ValueError:
-                            raise CMVKitError(
-                                f"{cfg.coeff_file}, line {lineno}: "
-                                f"not a complex number: {line!r}") from None
+            values = _read_coefficients(cfg.coeff_file)
         except (OSError, UnicodeDecodeError) as exc:
             raise CMVKitError(f"cannot read coefficient file: {exc}") from None
         return coeffs.make_explicit(values)
     raise CMVKitError(f"unknown model {cfg.model!r}")
+
+
+def _read_coefficients(path: str) -> list:
+    """One value per line from the first comma-separated column; blank
+    lines and lines starting with # are skipped, and i may stand for j."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # a bare literal, the common line, is its own complex(); with an
+            # i in it (as in inf) _parse_complex may read it otherwise
+            if "i" not in line:
+                try:
+                    values.append(complex(line))
+                    continue
+                except ValueError:
+                    pass
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    values.append(_parse_complex(line.split(",")[0]))
+                except ValueError:
+                    raise CMVKitError(f"{path}, line {lineno}: "
+                                      f"not a complex number: {line!r}") from None
+    return values
 
 
 def _trace_alphabet(cfg: RunConfig) -> tuple:

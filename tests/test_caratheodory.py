@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from cmvkit import caratheodory as cara
 from cmvkit import coeffs, operator, transfer
-from cmvkit.errors import DiskError, HorizonError
+from cmvkit.errors import (DiskError, HorizonError, SupportError,
+                           UnconvergedWarning)
 
 GOLDEN = coeffs.GOLDEN_MEAN
 
@@ -63,6 +64,38 @@ def test_schur_batch_converged_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cara.schur_F_batch(seq, zs)
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+def test_schur_batch_lam_matches_rotated_sequence(r):
+    # one pass over the base coefficients, started from (conj(lam), conj(lam)),
+    # against the Alexandrov member's own coefficients lam * alpha.  The
+    # largest relative difference measured is 1.7e-13 at r = 0.999 (|F| up
+    # to 135), the eps |F| rounding scale; a pass that keeps the (1, 1)
+    # start returns the base F, off by at least 7e-2 here
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    rng = np.random.default_rng(18)
+    lams = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 8))
+    zs = r * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 64))
+    batch = cara.schur_F_batch(seq, zs[None, :], lam=lams[:, None])
+    assert batch.shape == (8, 64)
+    ref = np.stack([cara.schur_F_batch(cara.rotated(seq, lam), zs) for lam in lams])
+    assert np.all(np.abs(batch - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_schur_batch_lam_warns_when_unconverged():
+    lams = np.exp(2j * math.pi * np.arange(4) / 4)
+    with pytest.warns(UnconvergedWarning, match="4 of 4 points stopped at depth 4096"):
+        cara.schur_F_batch(coeffs.make_constant(0.5), -0.9999, max_depth=4096, lam=lams)
+
+
+def test_schur_batch_lam_guards():
+    with pytest.raises(ValueError):
+        cara.schur_F_batch(coeffs.make_constant(0.5), [0.5], lam=[1.0, 1.01])
+    two_sided = coeffs.extend_two_sided(coeffs.make_constant(0.5),
+                                        coeffs.make_constant(0.0))
+    with pytest.raises(SupportError):
+        cara.schur_F_batch(two_sided, [0.5], lam=1j)
 
 
 def schur_reference(seq, z: complex, depth: int) -> complex:
@@ -325,6 +358,19 @@ def test_mobius_closed_form_vs_grid(re, im):
     closed = cara.mobius_sup(F)
     grid = cara.mobius_sup_grid(F)
     assert abs(closed - grid) < 1e-10 * closed
+
+
+def test_mobius_sup_grid_array_matches_scalar_calls():
+    rng = np.random.default_rng(8)
+    F = rng.uniform(0.01, 4.0, (3, 7)) + 1j * rng.uniform(-4.0, 4.0, (3, 7))
+    grid = cara.mobius_sup_grid(F)
+    assert grid.shape == F.shape
+    scalar = [cara.mobius_sup_grid(complex(f)) for f in F.ravel()]
+    assert all(isinstance(v, float) for v in scalar)
+    np.testing.assert_array_equal(grid.ravel(), scalar)
+    # and the array form still agrees with the closed form it checks
+    closed = np.array([cara.mobius_sup(complex(f)) for f in F.ravel()])
+    assert np.all(np.abs(grid.ravel() - closed) < 1e-10 * closed)
 
 
 def test_rotated_family_recovers_F_at_one():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cmvkit import cli, coeffs, operator, transfer
+from cmvkit.errors import CMVKitError, ModulusError
 
 
 def run(args):
@@ -61,6 +62,27 @@ def test_coeffs_bands_from_diagonals(tmp_path, monkeypatch):
                 "--n-range", "0,40", "--out", str(tmp_path)]) == 0
     d = latest_run_dir(tmp_path, "coeffs")
     assert (d / "bands.csv").read_text().splitlines() == expected
+
+
+def test_coefficient_file_rules(tmp_path):
+    def model(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return cli._one_sided_model(cli.RunConfig("coeffs", model="explicit",
+                                                  coeff_file=str(path)))
+
+    values = [0.1, 0.2 - 0.05j, complex(-0.3, 0.0), 1e-300j]
+    plain = model("plain.txt", "".join(f"{v!r}\n" for v in values))
+    # comments, blank lines, a second CSV column, spaces and i for j
+    spelled = model("spelled.txt", "# alpha\n0.1,7\n\n 0.2 - 0.05i \n(-0.3+0j)\n1e-300i\n")
+    assert plain.values == spelled.values == tuple(complex(v) for v in values)
+    # the i of inf reads as j, so "inf" is not a number: line-numbered error
+    with pytest.raises(CMVKitError, match=r"inf.txt, line 2: not a complex number: 'inf'"):
+        model("inf.txt", "0.1\ninf\n")
+    with pytest.raises(ModulusError, match=r"^\|alpha\| = 1.5 >= 1$"):
+        model("big.txt", "0.1\n1.5\n2.0\n")
+    with pytest.raises(ModulusError, match=r"^\|alpha\| = inf >= 1$"):
+        model("capital.txt", "0.1\nInf\n")
 
 
 def test_bad_modulus_rejected(tmp_path):
@@ -187,6 +209,9 @@ def test_verify_subset(tmp_path):
     record = json.loads((d / "verification.json").read_text())
     assert record["all_hard_passed"] is True
     assert [c["number"] for c in record["criteria"]] == [1, 8]
+    # each criterion's wall time, in seconds
+    assert all(isinstance(c["wall_s"], float) and 0.0 < c["wall_s"] < 60.0
+               for c in record["criteria"])
 
 
 def test_holder_free_model(tmp_path):
