@@ -27,7 +27,7 @@ from .tracemap import (ContinuedFractionData, GammaConstants, TraceOrbit,
                        gamma_constants, golden_cf, invariant_sup, orbit_sweep,
                        spectrum_approx, standard_word, trace_orbit)
 from .spectral import (GZContext, HolderFit, MeasureProfile, F_extended,
-                       arc_mass, build_gz_context, corner_trace, gz_entry,
+                       build_gz_context, corner_trace, gz_entry,
                        holder_exponent, lambda_r_profile,
                        resolve_m_minus_convention)
 

@@ -270,28 +270,42 @@ class XofR:
         return abs(F_lam) * self.norm_phi / self.norm_psi
 
 
-def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> XofR:
-    """Root of the x(r) equation, and the norms there, given precomputed
-    squared-norm profiles."""
+def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> list:
+    """Root of the x(r) equation, and the norms there, for each row of the
+    precomputed squared-norm profiles (shape (points, n + 1)).
+
+    All rows are bisected together as arrays; each row stops at its own
+    rule, so every root and norm is the one a bisection of that row alone
+    gives."""
     target = 2.0 / (1.0 - r) ** 2
-    x = 0.0
-    if s_phi[0] * s_psi[0] < target:
-        # compare in log space; far off the spectrum the raw product overflows
-        if math.log(s_phi[-1]) + math.log(s_psi[-1]) < math.log(target):
-            raise HorizonError("profiles end before the x(r) root")
-        lo, hi = 0.0, float(len(s_phi) - 1)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (transfer._interp_squared(s_phi, mid)
-                    * transfer._interp_squared(s_psi, mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12 * max(1.0, hi):
-                break
-        x = 0.5 * (lo + hi)
-    return XofR(x, math.sqrt(transfer._interp_squared(s_phi, x)),
-                math.sqrt(transfer._interp_squared(s_psi, x)))
+    bisect = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
+    active = np.flatnonzero(bisect)
+    # compare in log space; far off the spectrum the raw product overflows
+    if any(math.log(p) + math.log(q) < math.log(target)
+           for p, q in zip(s_phi[active, -1].tolist(), s_psi[active, -1].tolist())):
+        raise HorizonError("profiles end before the x(r) root")
+    lo = np.zeros(len(s_phi))
+    hi = np.where(bisect, float(s_phi.shape[1] - 1), 0.0)
+    for _ in range(200):
+        if not len(active):
+            break
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        # linear interpolation of the squared norms, as `transfer._interp_squared`
+        n = np.floor(mid).astype(np.intp)
+        frac = mid - n
+        # a product past the float range, or an escaped row's inf, is not below
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = (((1.0 - frac) * s_phi[active, n] + frac * s_phi[active, n + 1])
+                     * ((1.0 - frac) * s_psi[active, n] + frac * s_psi[active, n + 1])
+                     < target)
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+        lo[active], hi[active] = a, b
+        active = active[~(b - a < 1e-12 * np.maximum(1.0, b))]
+    xs = 0.5 * (lo + hi)
+    return [XofR(x, math.sqrt(transfer._interp_squared(p, x)),
+                 math.sqrt(transfer._interp_squared(q, x)))
+            for x, p, q in zip(xs.tolist(), s_phi, s_psi)]
 
 
 def _search_x(seq: VerblunskySequence, lams, zs, r: float) -> list:
@@ -308,8 +322,7 @@ def _search_x(seq: VerblunskySequence, lams, zs, r: float) -> list:
     while True:
         prof = transfer.norm_profile_batch(seq, np.tile(zs, 2), inits, n)
         try:
-            return [_x_from_profiles(p, q, r)
-                    for p, q in zip(prof[:len(lc)], prof[len(lc):])]
+            return _x_from_profiles(prof[:len(lc)], prof[len(lc):], r)
         except HorizonError:
             if n >= _MAX_HORIZON:
                 raise HorizonError(f"x(r) beyond horizon {n}") from None

@@ -118,7 +118,10 @@ _PARSERS = {
 _MODEL = ("model", "value", "alphabet", "omega", "coeff_file", "left_model", "left_value")
 
 # the RunConfig fields each command reads, besides `out`: its flags, the
-# keys its config file may hold and the keys its config.json records
+# keys its config file may hold and the keys its config.json records.
+# holder no longer reads theta_count (its arc masses come from quadrature
+# on each arc); the field stays accepted for one more release, because
+# perfbench's small fib-holder job still passes --theta-count to holder.
 _FIELDS = {
     "coeffs": _MODEL + ("n_range",),
     "spectrum": ("model", "value", "alphabet", "omega", "theta_count", "trace_levels"),
@@ -263,13 +266,9 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     """Arc-mass Hölder fit with cross-check."""
     seq2 = _two_sided_model(cfg, default_left="word")
     seq1 = operator.split_at_origin(seq2)[0]
-    eps = np.asarray(sorted(cfg.eps_list))
-    thetas = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
-    profiles = [spectral.lambda_r_profile(seq2, 1.0 - e, thetas,
-                                          max_depth=cfg.depth) for e in eps]
     theta0 = float(cfg.theta if cfg.theta is not None else
                    verify.certified_spectrum_points(_trace_alphabet(cfg), 1)[0])
-    fit = spectral.holder_exponent(profiles, theta0, eps)
+    fit = spectral.holder_exponent(seq2, theta0, sorted(cfg.eps_list), max_depth=cfg.depth)
     z = complex(np.exp(1j * theta0))
     growth = transfer.pair_growth_exponents(seq1, z)
     norm_samples = growth.samples()
@@ -284,6 +283,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
         "theta": theta0,
         "beta_hat": fit.beta_hat,
         "envelope_beta": fit.envelope_beta,
+        "arc_quadrature_error": fit.quadrature_error,
         "gamma_low": growth.g_lo,
         "gamma_high": growth.g_hi,
         "gamma_cross_check": growth.beta,

@@ -160,9 +160,7 @@ def criterion_4() -> CriterionResult:
     grid = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     prof = spectral.lambda_r_profile(seq, 0.95, grid)
     errs["density"] = float(np.max(np.abs(prof.density - 1.0 / (2.0 * math.pi))))
-    eps = np.geomspace(1e-3, 1e-1, 6)
-    profs = [spectral.lambda_r_profile(seq, 1.0 - e, grid) for e in eps]
-    fit = spectral.holder_exponent(profs, 1.0, eps)
+    fit = spectral.holder_exponent(seq, 1.0, np.geomspace(1e-3, 1e-1, 6))
     errs["beta_minus_1"] = abs(fit.beta_hat - 1.0)
     worst_x = 0.0
     for r in (0.9, 0.99):
@@ -295,25 +293,42 @@ def certified_spectrum_points(alphabet, count: int) -> np.ndarray:
     subpolynomial out to `_CERTIFIED_L_MAX`: among the angles of the
     `_CERTIFIED_GRID`-point grid on the level-`_CERTIFIED_LEVEL` mask,
     those with the smallest envelope growth slope, kept pairwise more than
-    `_CERTIFIED_SEPARATION` apart.  Raises InsufficientDataError when the
-    mask holds fewer than `count` such points."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, _CERTIFIED_GRID, endpoint=False)
+    `_CERTIFIED_SEPARATION` apart.  Equal slopes rank in grid order.
+    Raises InsufficientDataError when the mask holds fewer than `count`
+    such points.
+
+    With both letters real, the coefficients are real, so the solutions
+    at conj(z) from the real initial pairs (1, +-1) are the conjugates of
+    those at z: grid angles k and N - k share their norms, and only the
+    representative min(k, N - k) of each candidate is propagated."""
+    n = _CERTIFIED_GRID
+    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(_CERTIFIED_LEVEL + 6),
                                    thetas, _CERTIFIED_LEVEL))[0]
+    if all(complex(a).imag == 0.0 for a in alphabet):
+        rep = np.minimum(cand, (n - cand) % n)
+    else:
+        rep = cand
+    # the sorted distinct representatives (np.unique would load numpy.ma);
+    # each candidate reads its slope from its representative's row
+    is_rep = np.zeros(n, dtype=bool)
+    is_rep[rep] = True
+    rows = np.flatnonzero(is_rep)
     seq = coeffs.make_sturmian(*alphabet, coeffs.GOLDEN_MEAN)
-    zs = np.exp(1j * thetas[cand])
+    zs = np.exp(1j * thetas[rows])
     Ls = [2 ** k for k in range(6, int(math.log2(_CERTIFIED_L_MAX)) + 1)]
     lx = np.log(np.array(Ls, dtype=float))
-    worst_slope = np.full(len(cand), -np.inf)
+    worst_row = np.full(len(rows), -np.inf)
     for sign in (1.0, -1.0):
         init = np.stack([np.ones(len(zs)), sign * np.ones(len(zs))], axis=-1)
         ly = 0.5 * np.log(transfer.norm_profile_batch(seq, zs, init, Ls[-1])[:, Ls])
         for i in range(len(Ls)):
             for j in range(i + 1, len(Ls)):
                 s = (ly[:, j] - ly[:, i]) / (lx[j] - lx[i])
-                worst_slope = np.maximum(worst_slope, s)
+                worst_row = np.maximum(worst_row, s)
+    worst_slope = worst_row[np.searchsorted(rows, rep)]
     picked = []
-    for idx in np.argsort(worst_slope):
+    for idx in np.argsort(worst_slope, kind="stable"):
         th = float(thetas[cand[idx]])
         if all(min(abs(th - p), 2.0 * math.pi - abs(th - p)) > _CERTIFIED_SEPARATION
                for p in picked):
@@ -333,18 +348,18 @@ def criterion_11() -> CriterionResult:
     seq1 = _fib_one_sided()
     sel_thetas = certified_spectrum_points(FIB_ALPHABET, 4)
     eps = np.geomspace(1e-3, 1e-1, 7)
-    grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    profiles = [spectral.lambda_r_profile(seq2, 1.0 - e, grid) for e in eps]
     results = {}
-    worst = 0.0
+    worst = quad_err = 0.0
     for theta in sel_thetas:
         growth = transfer.pair_growth_exponents(seq1, complex(np.exp(1j * theta)))
-        hfit = spectral.holder_exponent(profiles, float(theta), eps)
+        hfit = spectral.holder_exponent(seq2, float(theta), eps)
         gap = abs(hfit.beta_hat - growth.beta)
         worst = max(worst, gap)
+        quad_err = max(quad_err, hfit.quadrature_error)
         results[f"theta={theta:.4f}"] = {
             "beta_hat": hfit.beta_hat, "beta_gamma": growth.beta,
             "beta_envelope": growth.envelope_beta, "gap": gap}
+    results["arc_quadrature_error"] = quad_err
     return CriterionResult(
         11, "Hölder exponent cross-check (soft)", worst < 0.15, "soft",
         f"max |beta_hat - 2g1/(g1+g2)| = {worst:.3f} (soft tol 0.15)",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit import caratheodory as cara
-from cmvkit import coeffs, operator, transfer
+from cmvkit import coeffs, operator, transfer, verify
 from cmvkit.errors import (DiskError, HorizonError, SupportError,
                            UnconvergedWarning)
 
@@ -312,7 +312,53 @@ def test_x_of_r_strict_horizon():
     prof = transfer.norm_profile_batch(coeffs.make_constant(0.0), cmath.exp(0.1j),
                                        [[1.0, 1.0], [1.0, -1.0]], 16)
     with pytest.raises(HorizonError):
-        cara._x_from_profiles(prof[0], prof[1], 0.99)
+        cara._x_from_profiles(prof[:1], prof[1:], 0.99)
+
+
+def _scalar_x_of_r(s_phi, s_psi, r):
+    """x(r) of one point by a bisection of its own, two interpolations a step."""
+    target = 2.0 / (1.0 - r) ** 2
+    x = 0.0
+    if s_phi[0] * s_psi[0] < target:
+        lo, hi = 0.0, float(len(s_phi) - 1)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (transfer._interp_squared(s_phi, mid)
+                    * transfer._interp_squared(s_psi, mid)) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-12 * max(1.0, hi):
+                break
+        x = 0.5 * (lo + hi)
+    return (x, math.sqrt(transfer._interp_squared(s_phi, x)),
+            math.sqrt(transfer._interp_squared(s_psi, x)))
+
+
+@pytest.fixture(scope="module")
+def criterion_10_profiles():
+    """phi and psi profiles on criterion 10's grid: 8 lam times 8 angles
+    of the spectrum mask, long enough for the r = 0.999 roots."""
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    zs = np.exp(1j * verify._spectrum_points(verify.FIB_ALPHABET, 8))
+    lams = np.exp(2j * math.pi * np.arange(8) / 8.0)
+    lc = np.conj(np.repeat(lams, len(zs)))
+    phi = np.stack([np.ones_like(lc), lc], axis=-1)
+    prof = transfer.norm_profile_batch(seq, np.tile(zs, 2 * len(lams)),
+                                       np.concatenate([phi, phi * [1.0, -1.0]]),
+                                       1 << 15)
+    return prof[:len(lc)], prof[len(lc):]
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+def test_x_of_r_array_bisection_matches_scalar_loop(r, criterion_10_profiles):
+    s_phi, s_psi = (p.copy() for p in criterion_10_profiles)
+    # a row that starts above the target has x = 0; it rides along unbisected
+    s_phi[3] *= 2.0 / (1.0 - r)
+    s_psi[3] *= 2.0 / (1.0 - r)
+    got = [(xr.x, xr.norm_phi, xr.norm_psi) for xr in cara._x_from_profiles(s_phi, s_psi, r)]
+    assert got == [_scalar_x_of_r(p, q, r) for p, q in zip(s_phi, s_psi)]
+    assert got[3][0] == 0.0 and all(x > 0.0 for i, (x, _, _) in enumerate(got) if i != 3)
 
 
 def test_jl_ratio_free_is_one():
@@ -326,7 +372,7 @@ def test_jl_ratio_horizon_stability():
     searched = cara.solve_x_of_r(seq, 1j, z, 0.99)
     # phi and psi of lam = i start from (1, -i) and (1, i)
     prof = transfer.norm_profile_batch(seq, z, [[1.0, -1j], [1.0, 1j]], 1 << 14)
-    longer = cara._x_from_profiles(prof[0], prof[1], 0.99)
+    longer = cara._x_from_profiles(prof[:1], prof[1:], 0.99)[0]
     assert abs(searched.x - longer.x) <= 1e-9 * longer.x
     F_lam = cara.schur_eval_F_adaptive(cara.rotated(seq, 1j), 0.99 * z)
     assert abs(cara.jl_ratio(seq, 1j, z, 0.99) - longer.jl_ratio(F_lam)) < 1e-9

@@ -222,6 +222,10 @@ def test_holder_free_model(tmp_path):
     record = json.loads((d / "holder.json").read_text())
     assert abs(record["gamma_cross_check"] - 1.0) < 1e-12
     assert abs(record["beta_hat"] - 1.0) < 0.02
+    # a flat map of finite floats; both quadrature rules integrate the
+    # constant free density exactly
+    assert all(isinstance(v, float) and math.isfinite(v) for v in record.values())
+    assert record["arc_quadrature_error"] < 1e-12
     # free solutions have squared norm exactly L + 1; the envelope fit of
     # sqrt(L + 1) is close to, but not exactly, a power law
     Ls = [2 ** k for k in range(6, 14)]

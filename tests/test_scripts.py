@@ -21,8 +21,7 @@ def load_script(name):
 def test_holder_scan_coupling():
     holder_scan = load_script("holder_scan")
     eps = np.geomspace(1e-2, 1e-1, 4)
-    grid = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    theta, beta_hat, beta_gamma = holder_scan.scan_coupling(0.5, eps, grid)
+    theta, beta_hat, beta_gamma = holder_scan.scan_coupling(0.5, eps)
     assert 0.0 <= theta < 2.0 * math.pi
     assert math.isfinite(beta_hat)
     assert math.isfinite(beta_gamma) and 0.0 < beta_gamma <= 1.0
