@@ -270,22 +270,42 @@ class XofR:
         return abs(F_lam) * self.norm_phi / self.norm_psi
 
 
-def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> list:
+def _targets(r, count: int) -> np.ndarray:
+    # 2 / (1 - r)^2 per row, in Python floats as a one-point search forms it
+    return np.array([2.0 / (1.0 - v) ** 2
+                     for v in np.broadcast_to(np.asarray(r, dtype=float), (count,)).tolist()])
+
+
+def _short_rows(s_phi: np.ndarray, s_psi: np.ndarray, target: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+    """Rows whose profiles, read up to column ends[i], end before the root."""
+    short = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
+    idx = np.flatnonzero(short)
+    # compare in log space; far off the spectrum the raw product overflows
+    short[idx] = [math.log(p) + math.log(q) < math.log(t) for p, q, t in
+                  zip(s_phi[idx, ends[idx]].tolist(), s_psi[idx, ends[idx]].tolist(),
+                      target[idx].tolist())]
+    return short
+
+
+def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r, ends=None) -> list:
     """Root of the x(r) equation, and the norms there, for each row of the
-    precomputed squared-norm profiles (shape (points, n + 1)).
+    precomputed squared-norm profiles (shape (points, n + 1)).  r is one
+    radius for all rows or one per row; row i's profile is read up to
+    column ends[i] (default: the last column).
 
     All rows are bisected together as arrays; each row stops at its own
-    rule, so every root and norm is the one a bisection of that row alone
-    gives."""
-    target = 2.0 / (1.0 - r) ** 2
+    rule, so every root and norm is the one a bisection of that row alone,
+    on its profile cut at its end, gives."""
+    target = _targets(r, len(s_phi))
+    ends = (np.full(len(s_phi), s_phi.shape[1] - 1) if ends is None
+            else np.asarray(ends, dtype=np.intp))
+    if _short_rows(s_phi, s_psi, target, ends).any():
+        raise HorizonError("profiles end before the x(r) root")
     bisect = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
     active = np.flatnonzero(bisect)
-    # compare in log space; far off the spectrum the raw product overflows
-    if any(math.log(p) + math.log(q) < math.log(target)
-           for p, q in zip(s_phi[active, -1].tolist(), s_psi[active, -1].tolist())):
-        raise HorizonError("profiles end before the x(r) root")
     lo = np.zeros(len(s_phi))
-    hi = np.where(bisect, float(s_phi.shape[1] - 1), 0.0)
+    hi = np.where(bisect, ends.astype(float), 0.0)
     for _ in range(200):
         if not len(active):
             break
@@ -298,46 +318,71 @@ def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r: float) -> list:
         with np.errstate(over="ignore", invalid="ignore"):
             below = (((1.0 - frac) * s_phi[active, n] + frac * s_phi[active, n + 1])
                      * ((1.0 - frac) * s_psi[active, n] + frac * s_psi[active, n + 1])
-                     < target)
+                     < target[active])
         a, b = np.where(below, mid, a), np.where(below, b, mid)
         lo[active], hi[active] = a, b
         active = active[~(b - a < 1e-12 * np.maximum(1.0, b))]
     xs = 0.5 * (lo + hi)
-    return [XofR(x, math.sqrt(transfer._interp_squared(p, x)),
-                 math.sqrt(transfer._interp_squared(q, x)))
-            for x, p, q in zip(xs.tolist(), s_phi, s_psi)]
+    return [XofR(x, math.sqrt(transfer._interp_squared(p[:e + 1], x)),
+                 math.sqrt(transfer._interp_squared(q[:e + 1], x)))
+            for x, p, q, e in zip(xs.tolist(), s_phi, s_psi, ends.tolist())]
 
 
-def _search_x(seq: VerblunskySequence, lams, zs, r: float) -> list:
-    """x(r) at each point (lams[i], zs[i]); one batched propagation carries
-    the phi rows of all points, then their psi rows, to length n.  n starts
-    at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `_MAX_HORIZON` until
-    every root lies inside."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+def _search_x(seq: VerblunskySequence, lams, zs, r) -> list:
+    """x(r) at each point (lams[i], zs[i]), with r one radius for all or
+    one per point.  Points that share an r share its horizon n, which
+    starts at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `_MAX_HORIZON`
+    until every root of those points lies inside.  Each round carries the
+    phi rows of the unfinished points, then their psi rows, in one
+    batched propagation to the longest of their horizons; a row reads its
+    profile only up to its own horizon."""
     lc = np.conj(np.asarray(lams, dtype=complex))
+    zs = np.asarray(zs, dtype=complex)
+    r = np.broadcast_to(np.asarray(r, dtype=float), lc.shape)
+    if not np.all((0.0 < r) & (r < 1.0)):
+        raise ValueError("r must lie in (0, 1)")
+    horizon = np.array([max(64, int(8 * SQRT2 / (1.0 - v))) for v in r.tolist()])
+    target = _targets(r, len(r))
     phi = np.stack([np.ones_like(lc), lc], axis=-1)
-    inits = np.concatenate([phi, phi * [1.0, -1.0]])
-    n = max(64, int(8 * SQRT2 / (1.0 - r)))
-    while True:
-        prof = transfer.norm_profile_batch(seq, np.tile(zs, 2), inits, n)
-        try:
-            return _x_from_profiles(prof[:len(lc)], prof[len(lc):], r)
-        except HorizonError:
-            if n >= _MAX_HORIZON:
-                raise HorizonError(f"x(r) beyond horizon {n}") from None
-            n *= 2
+    found = [None] * len(lc)
+    todo = np.arange(len(lc))
+    while len(todo):
+        prof = transfer.norm_profile_batch(
+            seq, np.tile(zs[todo], 2), np.concatenate([phi[todo], phi[todo] * [1.0, -1.0]]),
+            int(horizon[todo].max()))
+        s_phi, s_psi = prof[:len(todo)], prof[len(todo):]
+        short = _short_rows(s_phi, s_psi, target[todo], horizon[todo])
+        # every point sharing an r with a short row doubles that r's horizon
+        grow = (r[todo, None] == r[todo][short][None, :]).any(axis=1)
+        # a slice keeps the profiles views; a mask would copy them
+        done = np.flatnonzero(~grow) if grow.any() else slice(None)
+        for i, xr in zip(todo[done].tolist(),
+                         _x_from_profiles(s_phi[done], s_psi[done], r[todo][done],
+                                          horizon[todo][done])):
+            found[i] = xr
+        todo = todo[grow]
+        if len(todo) and horizon[todo].max() >= _MAX_HORIZON:
+            raise HorizonError(f"x(r) beyond horizon {int(horizon[todo].max())}")
+        horizon[todo] *= 2
+    return found
 
 
-def solve_x_of_r(seq: VerblunskySequence, lam: complex, z: complex, r: float) -> XofR:
+def solve_x_of_r(seq: VerblunskySequence, lam, z, r):
     """Unique x >= 0 with (1-r) ||phi||_x ||psi||_x = sqrt(2), with both norms.
 
     The interpolated squared-norm product is continuous and strictly
     increasing, so bracketing plus bisection is exact up to tolerance.
     The horizon doubles up to `_MAX_HORIZON`, past which HorizonError is
     raised; phi and psi share one propagation.
+
+    lam, z and r may be arrays that broadcast together: the points then
+    share one search (`_search_x`) and a list of XofR returns, the same
+    as one search per point.  Scalars return one XofR.
     """
-    return _search_x(seq, [lam], [complex(z)], r)[0]
+    lam, z, r = np.broadcast_arrays(np.asarray(lam, dtype=complex),
+                                    np.asarray(z, dtype=complex), np.asarray(r, dtype=float))
+    found = _search_x(seq, lam.ravel(), z.ravel(), r.ravel())
+    return found[0] if lam.ndim == 0 else found
 
 
 def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float) -> float:

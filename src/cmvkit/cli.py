@@ -273,12 +273,13 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     growth = transfer.pair_growth_exponents(seq1, z)
     norm_samples = growth.samples()
     norm_fit = transfer.fit_power_law(norm_samples)
-    rows = []
-    for r in cfg.r_list:
-        # at lam = 1 the Alexandrov member is seq1 itself, so F0 is F^lam
-        F0 = cara.schur_eval_F_adaptive(seq1, r * z, max_depth=cfg.depth)
-        xr = cara.solve_x_of_r(seq1, 1.0, z, r)
-        rows.append((r, theta0, F0, xr.x, xr.jl_ratio(F0), cara.mobius_sup(F0)))
+    # one Schur pass and one x(r) search over the r list; at lam = 1 the
+    # Alexandrov member is seq1 itself, so F0 is F^lam
+    rs = np.array(cfg.r_list, dtype=float)
+    F0s = cara.schur_F_batch(seq1, rs * z, 1e-12, cfg.depth).tolist()
+    xrs = cara.solve_x_of_r(seq1, 1.0, z, rs)
+    rows = [(r, theta0, F0, xr.x, xr.jl_ratio(F0), cara.mobius_sup(F0))
+            for r, F0, xr in zip(cfg.r_list, F0s, xrs)]
     record = {
         "theta": theta0,
         "beta_hat": fit.beta_hat,

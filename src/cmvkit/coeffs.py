@@ -125,6 +125,13 @@ class VerblunskySequence:
     def rho(self, n: int) -> float:
         return rho_of(self.alpha(n))
 
+    def sturmian_letters(self):
+        """(a, b) when the sites n >= 0 carry the golden-mean Sturmian word
+        over the letters a (v = 1) and b (v = 0), else None; the norm
+        samples of `transfer.norm_squares` then compose substitution words
+        instead of stepping site by site."""
+        return None
+
     @property
     def is_two_sided(self) -> bool:
         return self.support == "full"
@@ -154,6 +161,12 @@ class SturmianSequence(VerblunskySequence):
     def _values(self, lo: int, hi: int) -> np.ndarray:
         v = _sturmian_word(lo, hi, self.omega)
         return np.where(v == 1, complex(self.letter_a), complex(self.letter_b))
+
+    def sturmian_letters(self):
+        # the tolerance of the exact golden floor in _floor_multiple
+        if abs(self.omega - GOLDEN_MEAN) < _GOLDEN_TOL:
+            return complex(self.letter_a), complex(self.letter_b)
+        return None
 
 
 @dataclass(frozen=True)
@@ -192,6 +205,9 @@ class TwoSidedSequence(VerblunskySequence):
     def zero_tail(self) -> float:
         return self.positive.zero_tail()
 
+    def sturmian_letters(self):
+        return self.positive.sturmian_letters()
+
     def zero_head(self) -> float:
         # negative(j) sits at n = -1 - j
         return -self.negative.zero_tail()
@@ -209,6 +225,9 @@ class RightHalf(VerblunskySequence):
 
     def zero_tail(self) -> float:
         return self.base.zero_tail()
+
+    def sturmian_letters(self):
+        return self.base.sturmian_letters()
 
 
 @dataclass(frozen=True)

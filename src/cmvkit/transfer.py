@@ -26,6 +26,16 @@ from .errors import (InsufficientDataError, NormalizationError,
 
 _RENORM_EVERY = 64
 _BLOCK = 128      # norm-profile steps between escape tests
+# `norm_squares` checks its Gram samples against a second table at the
+# Alexandrov phase _CHECK_LAM, a generic one: at lam = -1 or i the two
+# tables round alike.  On the level-16 masks of six alphabets, L = 64 ...
+# 8192, the median ratio of the tables' discrepancy to the base samples'
+# error (against the loop) is 0.7-1.0.  The discrepancy reaches 1.6e-9 on
+# the mask of (0.5, -0.5), which steps no row at _GRAM_RTOL, 1.3e-8 on
+# that of (0.4 + 0.2j, -0.5) (2 of 1278 rows stepped) and 1.2e-3 on that
+# of (0.9, -0.9), at z = -1.
+_CHECK_LAM = cmath.exp(0.7j)
+_GRAM_RTOL = 1e-8
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -131,6 +141,134 @@ def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.
     return out
 
 
+def norm_squares(seq: VerblunskySequence, zs, initials, Ls) -> np.ndarray:
+    """Cumulative squared norms S_x[L] = sum_{j<=L} |P_j x|^2 / 2 at the
+    lengths Ls only, shape (len(zs), len(initials), len(Ls)): every
+    initial pair x at every z.
+
+    On the golden-mean Sturmian word (`seq.sturmian_letters()`) each
+    sample is the quadratic form x* G_L x / 2 of the Gram matrix
+    G_L = sum_{j<=L} P_j* P_j, composed from substitution words in
+    O(log L) steps (`_golden_grams`), so no initial pair is propagated.
+    A sample that is not finite or exceeds 1e300 / 2, the loop's escape
+    rule in squared form, reads inf.
+
+    Composing words can lose far more than the step loop: the product of
+    two words' matrices may cancel, and x* G x cancels when x lies near
+    G's small direction (at z = 1 and (1, 1) on a real alphabet, or at
+    z = -1 on the alphabet (0.9, -0.9), the samples are off by 1e-3 or
+    worse).  So every sample is also read from the table of the
+    Alexandrov member lam * alpha at the fixed phase `_CHECK_LAM`, whose
+    products D T D^-1, D = diag(1, lam), equal the base ones exactly but
+    round differently.  A (z, x) row whose two readings differ by more
+    than `_GRAM_RTOL` relative, or fall below the L = 0 value |x|^2 / 2,
+    is propagated by `norm_profile_batch` instead, as is every row of
+    any other sequence; those rows are the loop's columns Ls bit for bit.
+    """
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    init = np.asarray(initials, dtype=complex).reshape(-1, 2)
+    Ls = [int(L) for L in Ls]
+    letters = seq.sturmian_letters()
+    if letters is None:
+        S = np.empty((len(zs), len(init), len(Ls)))
+        redo = np.ones(S.shape[:2], dtype=bool)
+    else:
+        # the base table and the check table, in one batch
+        lam = np.array([[1.0], [_CHECK_LAM]])
+        G = _golden_grams((lam * letters[0], lam * letters[1]), zs, Ls)
+        S = _quadratic_forms(G[0], init)
+        check = _quadratic_forms(G[1], init * [1.0, _CHECK_LAM])
+        # S_x[L] >= S_x[0] = |x|^2 / 2; a reading below it is cancellation
+        floor = (0.5 - _GRAM_RTOL) * np.sum(np.abs(init) ** 2, axis=1)[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf: both escaped
+            agree = (np.abs(S - check) <= _GRAM_RTOL * S) & (S >= floor)
+        redo = ~(agree | (np.isinf(S) & np.isinf(check))).all(axis=2)
+    if redo.any():
+        iz, ix = np.nonzero(redo)
+        S[iz, ix] = norm_profile_batch(seq, zs[iz], init[ix], max(Ls))[:, Ls]
+    return S
+
+
+def _quadratic_forms(G: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """x* G_L x / 2 for G of shape (Z, len(Ls), 2, 2) and each row x of
+    init, shape (Z, len(init), len(Ls)); past the escape rule, inf."""
+    G = G[:, None]
+    x0, x1 = init[:, 0, None], init[:, 1, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = 0.5 * (x0.conj() * (G[..., 0, 0] * x0 + G[..., 0, 1] * x1)
+                   + x1.conj() * (G[..., 1, 0] * x0 + G[..., 1, 1] * x1)).real
+        return np.where(np.isfinite(S) & (S <= 0.5e300), S, np.inf)
+
+
+def _ct(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over stacks of 2 x 2 matrices, entry by entry: np.matmul
+    pays a call per matrix, 5-9 times slower on these stacks."""
+    C = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            C[..., i, j] = A[..., i, 0] * B[..., 0, j] + A[..., i, 1] * B[..., 1, j]
+    return C
+
+
+def _golden_words(letters, zs: np.ndarray, n: int) -> tuple:
+    """Lengths q_k, Szegő products T_k and prefix Grams G_k of the
+    standard words w_0 = b, w_1 = a, w_{k+1} = w_k w_{k-1} over
+    `letters` = (a, b), for every k with q_k <= max(n, 1).  The letters
+    broadcast against zs; T_k and G_k have that shape + (2, 2).
+
+    G_w = sum T_p* T_p over the nonempty prefixes p of w; concatenation
+    gives T_uv = T_v T_u and G_uv = G_u + T_u* G_v T_u.  Entries that
+    leave the float range read inf or NaN.
+    """
+    Ta, Tb = szego_matrices(letters[0], zs), szego_matrices(letters[1], zs)
+    q, T, G = [1, 1], [Tb, Ta], [_mul(_ct(Tb), Tb), _mul(_ct(Ta), Ta)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while q[-1] + q[-2] <= n:
+            q.append(q[-1] + q[-2])
+            G.append(G[-1] + _mul(_ct(T[-1]), _mul(G[-2], T[-1])))
+            T.append(_mul(T[-2], T[-1]))
+    return q, T, G
+
+
+def _golden_grams(letters, zs: np.ndarray, Ls) -> np.ndarray:
+    """G_L = sum_{j<=L} P_j* P_j for each L in Ls on the golden word over
+    `letters` = (a, b), shape (broadcast of letters and zs) + (len(Ls), 2, 2):
+    the empty prefix's I, then the words of `_golden_pieces(L)` composed in
+    order.  All Ls advance together; a shorter decomposition is padded at
+    its front with the empty word (T = I, G = 0), which changes nothing
+    there (at the back, an overflowed T times G = 0 would read NaN)."""
+    q, T, G = _golden_words(letters, zs, max(Ls) - 1)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), T[0].shape)
+    Tt, Gt = np.stack(T + [eye], axis=-3), np.stack(G + [0.0 * eye], axis=-3)
+    pieces = [_golden_pieces(L, q) for L in Ls]
+    depth = max(len(p) for p in pieces)
+    idx = np.array([[len(q)] * (depth - len(p)) + p for p in pieces]).reshape(len(Ls), depth)
+    acc_T = acc_G = np.broadcast_to(eye[..., None, :, :], eye.shape[:-2] + (len(Ls), 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(depth):
+            acc_G = acc_G + _mul(_ct(acc_T), _mul(Gt[..., idx[:, i], :, :], acc_T))
+            acc_T = _mul(Tt[..., idx[:, i], :, :], acc_T)
+    return acc_G
+
+
+def _golden_pieces(L: int, q) -> list:
+    """Indices k of the words w_k whose concatenation spells sites
+    0 ... L - 1 of the golden word: w_0 = b, then the greedy Zeckendorf
+    decomposition of L - 1 over the lengths q_1, q_2, ... (largest first)."""
+    if L == 0:
+        return []
+    pieces, rest = [0], L - 1
+    for k in range(len(q) - 1, 0, -1):
+        if q[k] <= rest:
+            pieces.append(k)
+            rest -= q[k]
+    return pieces
+
+
 def _interp_squared(profile: np.ndarray, L: float) -> float:
     # linear interpolation acts on the squared norms
     if L <= 0:
@@ -226,7 +364,7 @@ class PairGrowth:
     env_lo: float      # fit_power_law envelope exponents
     env_hi: float
     Ls: tuple          # sampled lengths
-    profile: np.ndarray  # squared-norm profile of the initial pair (1, 1)
+    profile: np.ndarray  # squared norms of the initial pair (1, 1) at Ls
 
     @property
     def beta(self) -> float:
@@ -238,7 +376,7 @@ class PairGrowth:
 
     def samples(self) -> list:
         """(L, norm) pairs of the (1, 1) solution at the sampled lengths."""
-        return [(L, math.sqrt(self.profile[L])) for L in self.Ls]
+        return [(L, math.sqrt(s)) for L, s in zip(self.Ls, self.profile.tolist())]
 
 
 def pair_growth_exponents(seq: VerblunskySequence, z: complex) -> PairGrowth:
@@ -246,27 +384,26 @@ def pair_growth_exponents(seq: VerblunskySequence, z: complex) -> PairGrowth:
     lam in {1, i}, sampled at L = 64, 128, ..., 8192.
 
     The slope range (g_lo, g_hi) feeds the transfer-growth prediction
-    2 g_lo / (g_lo + g_hi) of the Hölder exponent; all four pairs share one
-    batched propagation.  A sampled norm that is not finite raises
+    2 g_lo / (g_lo + g_hi) of the Hölder exponent; all four pairs read
+    one `norm_squares` call.  A sampled norm that is not finite raises
     InsufficientDataError before any fit (z off the spectrum).
     """
     Ls = [2 ** k for k in range(6, 14)]
     lx = np.log(np.array(Ls, dtype=float))
     inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
-    profiles = norm_profile_batch(seq, [complex(z)], inits, Ls[-1])
-    escaped = ~np.isfinite(profiles[:, Ls]).all(axis=0)
+    samples = norm_squares(seq, [complex(z)], inits, Ls)[0]
+    escaped = ~np.isfinite(samples).all(axis=0)
     if escaped.any():
         raise InsufficientDataError(f"solution norms at z = {complex(z)} leave the "
                                     f"floating-point range by L = {Ls[escaped.argmax()]}")
     slopes = []
     env_lo, env_hi = math.inf, -math.inf
-    for prof in profiles:
-        slopes.append(float(np.polyfit(lx, 0.5 * np.log(prof[Ls]), 1)[0]))
-        fit = fit_power_law([(L, math.sqrt(prof[L])) for L in Ls])
+    for row in samples:
+        slopes.append(float(np.polyfit(lx, 0.5 * np.log(row), 1)[0]))
+        fit = fit_power_law(list(zip(Ls, np.sqrt(row).tolist())))
         env_lo = min(env_lo, fit.gamma_low)
         env_hi = max(env_hi, fit.gamma_high)
-    return PairGrowth(min(slopes), max(slopes), env_lo, env_hi, tuple(Ls),
-                      profiles[0])
+    return PairGrowth(min(slopes), max(slopes), env_lo, env_hi, tuple(Ls), samples[0])
 
 
 def write_norm_csv(samples, path) -> None:

@@ -300,7 +300,9 @@ def certified_spectrum_points(alphabet, count: int) -> np.ndarray:
     With both letters real, the coefficients are real, so the solutions
     at conj(z) from the real initial pairs (1, +-1) are the conjugates of
     those at z: grid angles k and N - k share their norms, and only the
-    representative min(k, N - k) of each candidate is propagated."""
+    representative min(k, N - k) of each candidate is computed.  On this
+    golden word `transfer.norm_squares` reads the norm samples from Gram
+    tables of substitution words, not from site-by-site propagation."""
     n = _CERTIFIED_GRID
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     cand = np.where(_spectrum_mask(alphabet, tracemap.golden_cf(_CERTIFIED_LEVEL + 6),
@@ -319,9 +321,9 @@ def certified_spectrum_points(alphabet, count: int) -> np.ndarray:
     Ls = [2 ** k for k in range(6, int(math.log2(_CERTIFIED_L_MAX)) + 1)]
     lx = np.log(np.array(Ls, dtype=float))
     worst_row = np.full(len(rows), -np.inf)
-    for sign in (1.0, -1.0):
-        init = np.stack([np.ones(len(zs)), sign * np.ones(len(zs))], axis=-1)
-        ly = 0.5 * np.log(transfer.norm_profile_batch(seq, zs, init, Ls[-1])[:, Ls])
+    # both signs (1, +-1) come from one norm_squares call
+    for ly in 0.5 * np.log(transfer.norm_squares(seq, zs, [(1.0, 1.0), (1.0, -1.0)],
+                                                 Ls).transpose(1, 0, 2)):
         for i in range(len(Ls)):
             for j in range(i + 1, len(Ls)):
                 s = (ly[:, j] - ly[:, i]) / (lx[j] - lx[i])

@@ -378,6 +378,39 @@ def test_jl_ratio_horizon_stability():
     assert abs(cara.jl_ratio(seq, 1j, z, 0.99) - longer.jl_ratio(F_lam)) < 1e-9
 
 
+@pytest.mark.parametrize("first_horizon", ["default", "64 sites"])
+def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
+    # one search over points with their own r equals one search per r,
+    # bit for bit: points sharing an r share that r's horizon
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    lams = np.array([1.0, 1j, cmath.exp(0.9j), 1.0, -1j])
+    zs = np.exp(1j * np.array([0.25, 1.3, 0.25, 0.7, 0.4]))
+    rs = np.array([0.9, 0.999, 0.99, 0.99, 0.999])
+    if first_horizon == "64 sites":
+        # the r = 0.99 and 0.999 roots then need one or more doublings
+        monkeypatch.setattr(cara, "SQRT2", 1e-3)
+    per_r = {}
+    for r in sorted(set(rs.tolist())):
+        group = np.flatnonzero(rs == r)
+        per_r.update(zip(group.tolist(), cara._search_x(seq, lams[group], zs[group], r)))
+    calls = []
+    loop = transfer.norm_profile_batch
+
+    def spy(seq, zs, initials, n_max):
+        calls.append((np.size(zs), n_max))
+        return loop(seq, zs, initials, n_max)
+
+    monkeypatch.setattr(transfer, "norm_profile_batch", spy)
+    joint = cara.solve_x_of_r(seq, lams, zs, rs)
+    assert joint == [per_r[i] for i in range(len(rs))]
+    if first_horizon == "default":
+        assert calls == [(10, 11313)]
+    else:
+        # the r = 0.99 roots fit in 64 sites; each later round propagates
+        # only the two r = 0.999 points, one of whose roots lies past 512
+        assert calls == [(10, 64), (4, 128), (4, 256), (4, 512), (4, 1024)]
+
+
 def test_jl_ratio_sweep_matches_pointwise():
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     lams = [1.0, 1j, cmath.exp(0.9j)]

@@ -236,19 +236,22 @@ def test_holder_free_model(tmp_path):
 
 
 def test_holder_boundary_rows_honour_depth(tmp_path, monkeypatch):
-    # each boundary row's Schur evaluation is capped at --depth
+    # the boundary rows' Schur evaluations, one pass over the r list, are
+    # capped at --depth
     seen = []
-    schur = cli.cara.schur_eval_F_adaptive
+    schur = cli.cara.schur_F_batch
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("max_depth"))
-        return schur(*args, **kwargs)
+    def spy(seq, zs, tol=1e-12, max_depth=1 << 17, lam=None):
+        seen.append((np.asarray(zs).tolist(), max_depth))
+        return schur(seq, zs, tol, max_depth, lam)
 
-    monkeypatch.setattr(cli.cara, "schur_eval_F_adaptive", spy)
+    monkeypatch.setattr(cli.cara, "schur_F_batch", spy)
     assert run(["holder", "--model", "constant", "--value", "0", "--theta", "1.0",
                 "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1",
                 "--r", "0.9,0.99", "--depth", "5000", "--out", str(tmp_path)]) == 0
-    assert seen == [5000, 5000]
+    z = complex(np.exp(1j))
+    assert [zs for zs, _ in seen if len(zs) == 2] == [[0.9 * z, 0.99 * z]]
+    assert {depth for _, depth in seen} == {5000}  # the arc masses' passes too
 
 
 def test_holder_builds_its_model_once(tmp_path, monkeypatch):

@@ -1,15 +1,23 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvkit import coeffs, tracemap, transfer
+from cmvkit import coeffs, tracemap, transfer, verify
 from cmvkit.errors import InsufficientDataError, NormalizationError
 
 GOLDEN = coeffs.GOLDEN_MEAN
+# Relative accuracy of the Gram samples of `norm_squares` on the golden
+# word, L = 64 ... 8192, from the rounding of composed word products.  The
+# worst measured error is 7.0e-10 over the 276 mirror representatives of
+# the (0.5, -0.5) level-16 mask and 5.1e-9 over the 639 mask points of
+# (0.4 + 0.2j, -0.5), the latter confirmed against a 40-digit mpmath
+# propagation, which the step loop matches to 3e-12.  Twice the worst:
+GRAM_RTOL = 1e-8
 
 
 def test_one_step_free():
@@ -226,15 +234,21 @@ def test_norm_profile_batch_matches_per_step_recurrence():
 def test_pair_growth_exponents_free_and_batched():
     free = transfer.pair_growth_exponents(coeffs.make_constant(0.0), cmath.exp(0.7j))
     assert free.g_lo == free.g_hi and free.beta == 1.0
-    # the (1, 1) row of the shared batch equals its lone propagation bit for bit
+    Ls = [2 ** k for k in range(6, 14)]
+    # the constant model takes the loop: its (1, 1) samples are the lone
+    # propagation's columns bit for bit
+    loop = transfer.norm_profile_batch(coeffs.make_constant(0.0), [cmath.exp(0.7j)],
+                                       [[1.0, 1.0]], 8192)[0]
+    assert np.array_equal(free.profile, loop[Ls])
+    # the golden word's come from its Gram table, within its measured accuracy
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     z = cmath.exp(0.25j)
     growth = transfer.pair_growth_exponents(seq, z)
-    assert growth.Ls == tuple(2 ** k for k in range(6, 14))
+    assert growth.Ls == tuple(Ls)
     alone = transfer.norm_profile_batch(seq, [z], [[1.0, 1.0]], 8192)[0]
-    assert np.array_equal(growth.profile, alone)
+    assert np.allclose(growth.profile, alone[Ls], rtol=GRAM_RTOL, atol=0.0)
     assert growth.g_lo < growth.g_hi
-    assert growth.samples() == [(L, math.sqrt(alone[L])) for L in growth.Ls]
+    assert growth.samples() == [(L, math.sqrt(s)) for L, s in zip(Ls, growth.profile)]
 
 
 def test_pair_growth_exponents_off_spectrum_raises_before_any_fit(monkeypatch):
@@ -248,6 +262,186 @@ def test_pair_growth_exponents_off_spectrum_raises_before_any_fit(monkeypatch):
     with pytest.raises(InsufficientDataError, match=r"L = 2048") as exc:
         transfer.pair_growth_exponents(coeffs.make_sturmian(0.5, -0.5, GOLDEN), z)
     assert str(z) in str(exc.value)
+
+
+def test_golden_pieces_spell_the_sturmian_word():
+    # site 0 is b; sites 1 ... L - 1 are the greedy Zeckendorf concatenation
+    # of the standard words, read against the exact-floor Sturmian formula
+    cf = tracemap.golden_cf(24)
+    q = list(cf.q)
+    words = [tracemap.standard_word(cf.quotients, k) for k in range(len(q))]
+    letters = coeffs._sturmian_word(0, 10 ** 4, GOLDEN)
+    for L in list(range(3000)) + [8191, 8192, 10 ** 4]:
+        spelled = [words[k] for k in transfer._golden_pieces(L, q)]
+        assert np.array_equal(np.concatenate([[]] + spelled), letters[:L]), L
+
+
+def test_golden_word_products_match_the_cocycle():
+    # T_{w_k} is the Szegő product over sites 1 ... q_k; G_{w_k} sums
+    # T_p* T_p over its prefixes, the loop's increments from site 1
+    alphabet = (0.4 + 0.2j, -0.5)
+    seq = coeffs.make_sturmian(*alphabet, GOLDEN)
+    zs = np.array([cmath.exp(0.7j), 0.9 * cmath.exp(2.1j)])
+    q, T, G = transfer._golden_words(alphabet, zs, 500)
+    assert q[-1] <= 500 < q[-1] + q[-2]
+    for k in range(1, len(q)):
+        tail = coeffs.make_explicit(seq.alpha_array(1, 1 + q[k]).tolist())
+        for g, z in enumerate(zs):
+            ref = transfer.cocycle_product(tail, z, q[k])
+            assert np.allclose(T[k][g], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            prof = transfer.norm_profile_batch(tail, [z, z], [[1.0, 0.0], [0.0, 1.0]], q[k])
+            # diagonal of I + G_w is the unit pairs' profile at q_k, times 2
+            diag = 1.0 + np.real(np.diagonal(G[k][g]))
+            assert np.allclose(diag, 2.0 * prof[:, -1], rtol=1e-12, atol=0.0)
+
+
+def _mask_points(alphabet):
+    """The level-16 mask of `certified_spectrum_points`, one angle per
+    mirror pair for a real alphabet."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    cand = np.flatnonzero(verify._spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, 16))
+    if all(complex(a).imag == 0.0 for a in alphabet):
+        cand = np.array(sorted(set(np.minimum(cand, (4096 - cand) % 4096).tolist())))
+    return np.exp(1j * thetas[cand])
+
+
+def _gram_route(alphabet, zs, inits, Ls):
+    """The base table's samples, before `norm_squares` checks them."""
+    return transfer._quadratic_forms(transfer._golden_grams(alphabet, np.asarray(zs), Ls),
+                                     np.asarray(inits, dtype=complex))
+
+
+@pytest.mark.parametrize("alphabet", [(0.5, -0.5), (0.4 + 0.2j, -0.5)])
+def test_norm_squares_golden_route_matches_the_loop(alphabet, monkeypatch):
+    seq = coeffs.make_sturmian(*alphabet, GOLDEN)
+    zs = _mask_points(alphabet)
+    assert len(zs) == (276 if alphabet == (0.5, -0.5) else 639)
+    Ls = [2 ** k for k in range(6, 14)]
+    inits = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    loop = transfer.norm_profile_batch(seq, np.repeat(zs, 2), np.tile(inits, (len(zs), 1)),
+                                       Ls[-1])[:, Ls].reshape(len(zs), 2, len(Ls))
+    assert np.all(np.isfinite(loop))
+    assert np.allclose(_gram_route(alphabet, zs, inits, Ls), loop, rtol=GRAM_RTOL, atol=0.0)
+    calls = _spy_loop(monkeypatch)
+    got = transfer.norm_squares(seq, zs, inits, Ls)
+    assert np.allclose(got, loop, rtol=GRAM_RTOL, atol=0.0)
+    # holder's mask steps no row; on the complex alphabet the two tables
+    # differ by 1.3e-8 at one point, whose two rows read the loop
+    assert calls == ([] if alphabet == (0.5, -0.5) else [(2, Ls[-1])])
+
+
+def _mp_norm_squares(seq, z, initial, Ls):
+    """S_x[L] by a 40-digit propagation of the pair, site by site."""
+    with mp.workdps(40):
+        zz, (u, v) = mp.mpc(z), (mp.mpc(initial[0]), mp.mpc(initial[1]))
+        S, out = (abs(u) ** 2 + abs(v) ** 2) / 2, []
+        for j, a in enumerate(seq.alpha_array(0, max(Ls)).tolist(), start=1):
+            a = mp.mpc(a)
+            rho = mp.sqrt(1 - abs(a) ** 2)
+            u, v = (zz * u - mp.conj(a) * v) / rho, (-a * zz * u + v) / rho
+            S += (abs(u) ** 2 + abs(v) ** 2) / 2
+            if j in Ls:
+                out.append(float(S))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("alphabet, k", [((0.5, -0.5), 162), ((0.4 + 0.2j, -0.5), 2179)])
+def test_norm_squares_golden_route_against_mpmath(alphabet, k):
+    # holder's pick, and the mask point of the complex alphabet where the
+    # Gram route strays furthest from the loop
+    seq = coeffs.make_sturmian(*alphabet, GOLDEN)
+    z = cmath.exp(2j * math.pi * k / 4096)
+    Ls = [2 ** j for j in range(6, 12)]
+    inits = [(1.0, 1.0), (1.0, -1.0)]
+    got = _gram_route(alphabet, [z], inits, Ls)[0]
+    for row, init in zip(got, inits):
+        ref = _mp_norm_squares(seq, z, init, Ls)
+        assert np.allclose(row, ref, rtol=GRAM_RTOL, atol=0.0)
+
+
+def _spy_loop(monkeypatch):
+    calls = []
+    loop = transfer.norm_profile_batch
+
+    def spy(seq, zs, initials, n_max):
+        calls.append((np.size(zs), n_max))
+        return loop(seq, zs, initials, n_max)
+
+    monkeypatch.setattr(transfer, "norm_profile_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seq", [coeffs.make_sturmian(0.5, -0.5, 0.4),
+                                 coeffs.make_explicit([0.1, 0.2 + 0.1j, -0.3] * 40)],
+                         ids=["sturmian-0.4", "explicit"])
+def test_norm_squares_other_sequences_take_the_loop(seq, monkeypatch):
+    assert seq.sturmian_letters() is None
+    zs = np.exp(1j * np.array([0.3, 2.0]))
+    inits = np.array([[1.0, 1.0], [1.0, -1j], [1.0, 0.5]], dtype=complex)
+    Ls = [0, 1, 7, 64, 200]
+    expect = transfer.norm_profile_batch(seq, np.repeat(zs, 3), np.tile(inits, (2, 1)), 200)
+    calls = _spy_loop(monkeypatch)
+    got = transfer.norm_squares(seq, zs, inits, Ls)
+    assert calls == [(6, 200)]
+    assert np.array_equal(got, expect[:, Ls].reshape(2, 3, len(Ls)))
+
+
+def test_norm_squares_golden_route_never_steps(monkeypatch):
+    two_sided = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
+    views = [coeffs.make_sturmian(0.5, -0.5, GOLDEN), two_sided,
+             coeffs.RightHalf(two_sided),
+             coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
+                                     coeffs.make_constant(0.0))]
+    assert [v.sturmian_letters() for v in views] == [(0.5, -0.5)] * 4
+    assert coeffs.LeftHalf(two_sided).sturmian_letters() is None
+    calls = _spy_loop(monkeypatch)
+    samples = [transfer.norm_squares(v, [cmath.exp(0.25j)], [(1.0, 1.0)], [0, 1, 2, 100])
+               for v in views]
+    assert calls == []
+    assert all(np.array_equal(s, samples[0]) for s in samples)
+    # L = 0 is the initial pair alone, L = 1 adds the b letter's step
+    A = transfer.szego_matrices(-0.5, cmath.exp(0.25j))
+    step = 0.5 * np.linalg.norm(A @ [1.0, 1.0]) ** 2
+    assert samples[0][0, 0, 0] == 1.0
+    assert abs(samples[0][0, 0, 1] - (1.0 + step)) < 1e-14
+
+
+@pytest.mark.parametrize("alphabet, theta, rows", [((0.5, -0.5), 0.0, 1),
+                                                   ((0.9, -0.9), math.pi, 4)])
+def test_norm_squares_steps_the_rows_whose_gram_tables_disagree(alphabet, theta, rows,
+                                                                monkeypatch):
+    # at z = 1 the real letters share the eigenvector (1, 1), along which
+    # the solution decays, so its x* G x cancels to nothing; at z = -1 the
+    # word products of (0.9, -0.9) cancel, and the base and check tables
+    # stray by up to 1.5e-3 and 1.4e-2.  The tables disagree on exactly
+    # those rows (one, and all four), which read the loop
+    seq = coeffs.make_sturmian(*alphabet, GOLDEN)
+    z = cmath.exp(1j * theta)
+    Ls = [2 ** k for k in range(6, 14)]
+    inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
+    loop = transfer.norm_profile_batch(seq, [z] * 4, inits, Ls[-1])[:, Ls]
+    base = _gram_route(alphabet, [z], inits, Ls)[0]
+    with np.errstate(invalid="ignore"):  # inf - inf where both escape
+        assert np.nanmax(np.abs(base - loop) / loop) > 1e-3
+    calls = _spy_loop(monkeypatch)
+    got = transfer.norm_squares(seq, [z], inits, Ls)[0]
+    assert calls == [(rows, Ls[-1])]
+    assert np.array_equal(got[0], loop[0])
+    both = np.isfinite(got) & np.isfinite(loop)
+    assert np.allclose(got[both], loop[both], rtol=GRAM_RTOL, atol=0.0)
+
+
+def test_norm_squares_escape_reads_inf_in_a_gap():
+    # theta = 2 lies in a gap: like the loop's rows, every sample reads inf
+    # from L = 2048 on, never NaN
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    Ls = [2 ** k for k in range(6, 14)]
+    inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
+    got = transfer.norm_squares(seq, [cmath.exp(2.0j)], inits, Ls)[0]
+    loop = transfer.norm_profile_batch(seq, cmath.exp(2.0j), inits, Ls[-1])[:, Ls]
+    assert np.array_equal(np.isinf(got), np.isinf(loop))
+    assert np.all(np.isfinite(got[:, :Ls.index(2048)]))
+    assert np.all(got[:, Ls.index(2048):] == np.inf)
 
 
 def test_norm_profile_batch_reads_an_explicit_list_zero_extended():
