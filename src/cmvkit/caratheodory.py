@@ -288,20 +288,35 @@ def _short_rows(s_phi: np.ndarray, s_psi: np.ndarray, target: np.ndarray,
     return short
 
 
+def _past_root(s_phi: np.ndarray, s_psi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Rows whose product at the last column exceeds the target by 1e-9
+    relative.  Squared-norm profiles never decrease, so every interpolated
+    product past that column, rounding included, is above the target too:
+    a bisection reads nothing beyond it."""
+    return np.array([math.log(p) + math.log(q) > math.log(t) + 1e-9 for p, q, t in
+                     zip(s_phi[:, -1].tolist(), s_psi[:, -1].tolist(), target.tolist())],
+                    dtype=bool)
+
+
 def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r, ends=None) -> list:
     """Root of the x(r) equation, and the norms there, for each row of the
     precomputed squared-norm profiles (shape (points, n + 1)).  r is one
-    radius for all rows or one per row; row i's profile is read up to
-    column ends[i] (default: the last column).
+    radius for all rows or one per row; row i is bisected on [0, ends[i]]
+    (default: the last column).  A row whose bracket reaches past the
+    last column must be `_past_root` there; its probes beyond that column
+    are above the target, as they would be on the longer profile.
 
     All rows are bisected together as arrays; each row stops at its own
     rule, so every root and norm is the one a bisection of that row alone,
     on its profile cut at its end, gives."""
     target = _targets(r, len(s_phi))
-    ends = (np.full(len(s_phi), s_phi.shape[1] - 1) if ends is None
+    width = s_phi.shape[1] - 1
+    ends = (np.full(len(s_phi), width) if ends is None
             else np.asarray(ends, dtype=np.intp))
-    if _short_rows(s_phi, s_psi, target, ends).any():
+    if _short_rows(s_phi, s_psi, target, np.minimum(ends, width)).any():
         raise HorizonError("profiles end before the x(r) root")
+    if np.any((ends > width) & ~_past_root(s_phi, s_psi, target)):
+        raise ValueError("a bracket reaches past a profile that has not passed its root")
     bisect = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
     active = np.flatnonzero(bisect)
     lo = np.zeros(len(s_phi))
@@ -314,11 +329,14 @@ def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r, ends=None) -> list
         # linear interpolation of the squared norms, as `transfer._interp_squared`
         n = np.floor(mid).astype(np.intp)
         frac = mid - n
+        inside = n < width
+        n = np.minimum(n, width - 1)
         # a product past the float range, or an escaped row's inf, is not below
         with np.errstate(over="ignore", invalid="ignore"):
-            below = (((1.0 - frac) * s_phi[active, n] + frac * s_phi[active, n + 1])
-                     * ((1.0 - frac) * s_psi[active, n] + frac * s_psi[active, n + 1])
-                     < target[active])
+            below = inside & (
+                ((1.0 - frac) * s_phi[active, n] + frac * s_phi[active, n + 1])
+                * ((1.0 - frac) * s_psi[active, n] + frac * s_psi[active, n + 1])
+                < target[active])
         a, b = np.where(below, mid, a), np.where(below, b, mid)
         lo[active], hi[active] = a, b
         active = active[~(b - a < 1e-12 * np.maximum(1.0, b))]
@@ -332,10 +350,16 @@ def _search_x(seq: VerblunskySequence, lams, zs, r) -> list:
     """x(r) at each point (lams[i], zs[i]), with r one radius for all or
     one per point.  Points that share an r share its horizon n, which
     starts at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `_MAX_HORIZON`
-    until every root of those points lies inside.  Each round carries the
-    phi rows of the unfinished points, then their psi rows, in one
-    batched propagation to the longest of their horizons; a row reads its
-    profile only up to its own horizon."""
+    until every root of those points lies inside; each point is bisected
+    on [0, n].
+
+    Each round carries the phi rows of the unfinished points, then their
+    psi rows, in one batched propagation.  It starts at 64 sites (after a
+    doubling, at the shortest new horizon) and doubles up to the longest
+    horizon only while some row is neither `_past_root` nor at its own
+    horizon: roots lie far inside the horizon, and no bisection step
+    reads a profile past its root, so the shorter profiles give every x
+    and norm bit for bit."""
     lc = np.conj(np.asarray(lams, dtype=complex))
     zs = np.asarray(zs, dtype=complex)
     r = np.broadcast_to(np.asarray(r, dtype=float), lc.shape)
@@ -345,13 +369,18 @@ def _search_x(seq: VerblunskySequence, lams, zs, r) -> list:
     target = _targets(r, len(r))
     phi = np.stack([np.ones_like(lc), lc], axis=-1)
     found = [None] * len(lc)
-    todo = np.arange(len(lc))
+    todo, n = np.arange(len(lc)), 64
     while len(todo):
-        prof = transfer.norm_profile_batch(
-            seq, np.tile(zs[todo], 2), np.concatenate([phi[todo], phi[todo] * [1.0, -1.0]]),
-            int(horizon[todo].max()))
-        s_phi, s_psi = prof[:len(todo)], prof[len(todo):]
-        short = _short_rows(s_phi, s_psi, target[todo], horizon[todo])
+        inits = np.concatenate([phi[todo], phi[todo] * [1.0, -1.0]])
+        longest = int(horizon[todo].max())
+        while True:
+            prof = transfer.norm_profile_batch(seq, np.tile(zs[todo], 2), inits, n)
+            s_phi, s_psi = prof[:len(todo)], prof[len(todo):]
+            if n == longest or np.all((horizon[todo] <= n)
+                                      | _past_root(s_phi, s_psi, target[todo])):
+                break
+            n = min(2 * n, longest)
+        short = _short_rows(s_phi, s_psi, target[todo], np.minimum(horizon[todo], n))
         # every point sharing an r with a short row doubles that r's horizon
         grow = (r[todo, None] == r[todo][short][None, :]).any(axis=1)
         # a slice keeps the profiles views; a mask would copy them
@@ -364,6 +393,8 @@ def _search_x(seq: VerblunskySequence, lams, zs, r) -> list:
         if len(todo) and horizon[todo].max() >= _MAX_HORIZON:
             raise HorizonError(f"x(r) beyond horizon {int(horizon[todo].max())}")
         horizon[todo] *= 2
+        if len(todo):  # their roots lie past the old horizons
+            n = int(horizon[todo].min())
     return found
 
 

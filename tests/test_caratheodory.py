@@ -378,6 +378,17 @@ def test_jl_ratio_horizon_stability():
     assert abs(cara.jl_ratio(seq, 1j, z, 0.99) - longer.jl_ratio(F_lam)) < 1e-9
 
 
+def _full_horizon_x(seq, lams, zs, r):
+    """x(r) of each point bisected on profiles propagated to the whole
+    first horizon max(64, 8 sqrt(2)/(1 - r)); the roots here lie inside it."""
+    n = max(64, int(8 * cara.SQRT2 / (1.0 - r)))
+    lc = np.conj(np.asarray(lams, dtype=complex))
+    phi = np.stack([np.ones_like(lc), lc], axis=-1)
+    prof = transfer.norm_profile_batch(seq, np.tile(zs, 2),
+                                       np.concatenate([phi, phi * [1.0, -1.0]]), n)
+    return cara._x_from_profiles(prof[:len(lc)], prof[len(lc):], r)
+
+
 @pytest.mark.parametrize("first_horizon", ["default", "64 sites"])
 def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
     # one search over points with their own r equals one search per r,
@@ -393,6 +404,9 @@ def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
     for r in sorted(set(rs.tolist())):
         group = np.flatnonzero(rs == r)
         per_r.update(zip(group.tolist(), cara._search_x(seq, lams[group], zs[group], r)))
+        if first_horizon == "default":
+            # profiles that stop past the roots bisect like whole-horizon ones
+            assert [per_r[i] for i in group] == _full_horizon_x(seq, lams[group], zs[group], r)
     calls = []
     loop = transfer.norm_profile_batch
 
@@ -404,11 +418,26 @@ def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
     joint = cara.solve_x_of_r(seq, lams, zs, rs)
     assert joint == [per_r[i] for i in range(len(rs))]
     if first_horizon == "default":
-        assert calls == [(10, 11313)]
+        # the longest horizon is 11313 sites; every root lies before 1024
+        assert calls == [(10, 64), (10, 128), (10, 256), (10, 512), (10, 1024)]
     else:
         # the r = 0.99 roots fit in 64 sites; each later round propagates
         # only the two r = 0.999 points, one of whose roots lies past 512
         assert calls == [(10, 64), (4, 128), (4, 256), (4, 512), (4, 1024)]
+
+
+def test_x_from_profiles_stops_past_the_root(criterion_10_profiles):
+    # a profile cut past its root bisects on the same bracket like the
+    # whole one; a profile cut before its root is short of the bracket
+    s_phi, s_psi = criterion_10_profiles
+    whole = cara._x_from_profiles(s_phi, s_psi, 0.999)
+    ends = np.full(len(s_phi), s_phi.shape[1] - 1)
+    # the last root lies between the last two columns of the cut profile
+    cut = int(max(xr.x for xr in whole)) + 1
+    assert cut < 1024 < ends[0]
+    assert cara._x_from_profiles(s_phi[:, :cut + 1], s_psi[:, :cut + 1], 0.999, ends) == whole
+    with pytest.raises(HorizonError):
+        cara._x_from_profiles(s_phi[:, :8], s_psi[:, :8], 0.999, ends)
 
 
 def test_jl_ratio_sweep_matches_pointwise():
