@@ -404,7 +404,7 @@ def solve_x_of_r(seq: VerblunskySequence, lam, z, r):
     The interpolated squared-norm product is continuous and strictly
     increasing, so bracketing plus bisection is exact up to tolerance.
     The horizon doubles up to `_MAX_HORIZON`, past which HorizonError is
-    raised; phi and psi share one propagation.
+    raised; phi and psi share each propagation (`_search_x`).
 
     lam, z and r may be arrays that broadcast together: the points then
     share one search (`_search_x`) and a list of XofR returns, the same
