@@ -22,13 +22,16 @@ import numpy as np
 
 from .coeffs import rho_of
 from .errors import DomainError
-from .transfer import branch_sqrt, szego_matrices
+from .transfer import _mul, branch_sqrt, szego_matrices
 
 _BIG = 1e100
 # traces beyond this size no longer support a trustworthy invariant
 # (the Fricke polynomial loses ~|trace|^3 * eps to cancellation), so the
 # orbit is flagged and truncated there
 _TRACE_TRUST = 1e3
+# thetas per write in `write_orbit_csv`: one string per block keeps the
+# atlas writer's memory flat, where one whole-file string would not
+_ATLAS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,9 @@ def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSwe
         raise ValueError("continued-fraction data shorter than n_max")
     G = len(zs)
     Ma, Mb = _letter_matrices(alphabet, zs)
-    M_prev, M_cur = Mb.copy(), Ma.copy()  # M_{q_0} = b-letter, M_{q_1} = a-letter
+    M_prev, M_cur = Mb, Ma  # M_{q_0} = b-letter, M_{q_1} = a-letter
+    # M_{q_{n-1}} M_{q_n}: the product behind z_n, and the start of M_{q_{n+1}}
+    mix = _mul(M_prev, M_cur)
 
     x = np.full((n_max + 1, G), np.nan, dtype=complex)
     z_mix = np.full((n_max + 1, G), np.nan, dtype=complex)
@@ -175,7 +180,7 @@ def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSwe
     first_overflow = np.full(G, n_max + 1, dtype=int)
     dead = np.zeros(G, dtype=bool)
 
-    seed_norms = np.vstack([_norms(Mb), _norms(Ma), _norms(Mb @ Ma)])
+    seed_norms = np.vstack([_norms(Mb), _norms(Ma), _norms(mix)])
 
     def trace(M):
         return M[:, 0, 0] + M[:, 1, 1]
@@ -186,7 +191,7 @@ def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSwe
     while True:
         with np.errstate(invalid="ignore", over="ignore"):
             x[n] = trace(M_cur)
-            z_mix[n] = trace(M_prev @ M_cur)
+            z_mix[n] = trace(mix)
             inv[n] = fricke_invariant(x[n - 1], x[n], z_mix[n])
             norms[n] = _norms(M_cur)
             bad = (~np.isfinite(norms[n]) | (norms[n] > _BIG)
@@ -201,11 +206,12 @@ def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSwe
             break
         # freeze exploded points so inf entries cannot poison the batch
         M_cur[dead] = np.eye(2)
-        M_prev[dead] = np.eye(2)
-        power = M_cur
+        mix[dead] = np.eye(2)
+        # M_{q_{n+1}} = M_{q_{n-1}} M_{q_n}^{a_{n+1}}, one letter M_{q_n} at a time
         for _ in range(cf.quotients[n] - 1):
-            power = power @ M_cur
-        M_prev, M_cur = M_cur, M_prev @ power
+            mix = _mul(mix, M_cur)
+        M_prev, M_cur = M_cur, mix
+        mix = _mul(M_prev, M_cur)
         n += 1
     return OrbitSweep(zs, n_max, x, z_mix, inv, norms, seed_norms, first_overflow)
 
@@ -329,17 +335,30 @@ def constants_to_json(c: GammaConstants, path=None):
 
 def write_orbit_csv(sweep: OrbitSweep, cf: ContinuedFractionData, thetas, mask,
                     path) -> None:
+    """One row per (theta, n), n = 1..n_max, each cell the repr of its
+    float.  Rows are formatted a block of _ATLAS_BLOCK thetas at a time,
+    one write per block, from each block's columns read once."""
+    thetas = np.asarray(thetas, dtype=float)
+    flags = np.asarray(mask, dtype=bool).tolist()
+    levels = [f"{n},{cf.q[n]}," for n in range(1, sweep.n_max + 1)]
+    # np.hypot equals abs() of each complex scalar bit for bit; np.abs of
+    # the complex array differs in the last place
+    x, z = sweep.x[1:].T, sweep.z_mix[1:].T
+    inv = sweep.invariant[1:].T
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "n", "q_n", "abs_x", "abs_z", "re_I", "im_I",
                          "in_spectrum"])
-        for g, theta in enumerate(thetas):
-            for n in range(1, sweep.n_max + 1):
-                writer.writerow([
-                    repr(float(theta)), n, cf.q[n],
-                    repr(float(abs(sweep.x[n, g]))),
-                    repr(float(abs(sweep.z_mix[n, g]))),
-                    repr(float(sweep.invariant[n, g].real)),
-                    repr(float(sweep.invariant[n, g].imag)),
-                    int(bool(mask[g])),
-                ])
+        eol = writer.dialect.lineterminator
+        for lo in range(0, len(thetas), _ATLAS_BLOCK):
+            block = slice(lo, lo + _ATLAS_BLOCK)
+            columns = zip(thetas[block].tolist(), flags[block],
+                          np.hypot(x[block].real, x[block].imag).tolist(),
+                          np.hypot(z[block].real, z[block].imag).tolist(),
+                          inv[block].real.tolist(), inv[block].imag.tolist())
+            lines = []
+            for theta, flag, ax, az, re_I, im_I in columns:
+                head, tail = f"{theta!r},", f",{int(flag)}{eol}"
+                lines.extend(f"{head}{level}{a!r},{b!r},{c!r},{d!r}{tail}"
+                             for level, a, b, c, d in zip(levels, ax, az, re_I, im_I))
+            fh.write("".join(lines))
