@@ -48,6 +48,11 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     which leaves b/e, |e| and |det Q| alone, so only the start of that
     column changes: (conj(lam), conj(lam)) instead of (1, 1).
 
+    z is held once per row of the (2, B) columns, so each per-site
+    product t * z multiplies operands of the same shape: numpy runs that
+    about twice as fast as broadcasting a (B,) z over two rows, and each
+    element gets the same IEEE product either way.
+
     Returns (F, radius, depth) per point; a radius not below `tol` marks a
     point that `max_depth` stopped.  With tol = 0 every point runs to
     min(max_depth, zero tail), the fixed-depth truncation.
@@ -63,7 +68,7 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     lc = np.broadcast_to(np.conj(np.asarray(lam, dtype=complex)), (B,))
     left, right = np.stack([zs, -zs]), np.stack([lc, lc])
     logdet = math.log(2.0) + log_r
-    active, z = np.arange(B), zs
+    active, z = np.arange(B), np.stack([zs, zs])
     j0 = 0
     while j0 < stop and len(active):
         j1 = min(j0 + transfer._BLOCK, stop)
@@ -92,7 +97,7 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
         radius[idx], depth[idx] = rad[done], j0
         keep = ~done
         active, left, right = active[keep], left[:, keep], right[:, keep]
-        z, log_r, logdet = z[keep], log_r[keep], logdet[keep]
+        z, log_r, logdet = z[:, keep], log_r[keep], logdet[keep]
     F[active] = right[0] / right[1]  # stop = 0: Q_0(0) = 1
     return F, radius, depth
 

@@ -431,13 +431,24 @@ def holder_exponent(seq: VerblunskySequence, theta: float, eps,
                      float(np.max(np.abs(masses - check) / check)))
 
 
+# density.csv rows formatted per write
+_DENSITY_BLOCK = 256
+
+
 def write_density_csv(profiles, path) -> None:
+    """One row (theta, r, density) per grid point, each cell the repr of
+    its float.  Rows are formatted _DENSITY_BLOCK at a time, one write
+    per block, from each block's columns read once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "r", "density"])
+        eol = writer.dialect.lineterminator
         for p in profiles:
-            for theta, d in zip(p.thetas, p.density):
-                writer.writerow([repr(float(theta)), repr(p.r), repr(float(d))])
+            mid = f",{p.r!r},"
+            for lo in range(0, len(p.thetas), _DENSITY_BLOCK):
+                block = slice(lo, lo + _DENSITY_BLOCK)
+                fh.write("".join(f"{theta!r}{mid}{d!r}{eol}" for theta, d in
+                                 zip(p.thetas[block].tolist(), p.density[block].tolist())))
 
 
 def write_arcmass_csv(fit: HolderFit, path) -> None:

@@ -99,7 +99,7 @@ def _letter_matrices(alphabet, zs: np.ndarray) -> tuple:
     orbit seeds are M_{q_0} = M_b and M_{q_1} = M_a, matching the
     standard words w_0 = b, w_1 = a.
     """
-    s = np.array([branch_sqrt(z) for z in zs])[:, None, None]
+    s = branch_sqrt(zs)[:, None, None]
     Ma, Mb = (szego_matrices(letter, zs) / s for letter in alphabet)
     return Ma, Mb
 

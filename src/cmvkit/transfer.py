@@ -38,12 +38,26 @@ _CHECK_LAM = cmath.exp(0.7j)
 _GRAM_RTOL = 1e-8
 
 
-def branch_sqrt(z: complex) -> complex:
-    """sqrt with the branch  |z|^(1/2) exp(i arg(z)/2),  arg in [0, 2pi)."""
-    if z == 0:
+def branch_sqrt(z):
+    """sqrt with the branch  |z|^(1/2) exp(i arg(z)/2),  arg in [0, 2pi),
+    of a complex (a complex returns) or of an array of them.
+
+    Every value is the one the scalar formula gives:
+    math.sqrt(abs(z)) * cmath.exp(0.5j * theta), bit for bit.  np.hypot,
+    np.sqrt, np.cos and np.sin round as abs, math.sqrt, math.cos and
+    math.sin do; the phase is taken by cmath.phase per point, since
+    np.arctan2 may differ from it in the last place.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if np.any(zs == 0):
         raise SpectralPointError("square-root branch undefined at z = 0")
-    theta = cmath.phase(z) % (2.0 * math.pi)
-    return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
+    theta = np.fromiter(map(cmath.phase, zs.ravel().tolist()), float,
+                        zs.size).reshape(zs.shape)
+    half = 0.5 * (theta % (2.0 * math.pi))
+    s = np.sqrt(np.hypot(zs.real, zs.imag))
+    out = np.empty(zs.shape, dtype=complex)
+    out.real, out.imag = s * np.cos(half), s * np.sin(half)
+    return complex(out) if out.ndim == 0 else out
 
 
 def szego_matrices(alpha, z) -> np.ndarray:

@@ -149,6 +149,98 @@ def test_zero_tail_stops_with_bound_zero():
             assert np.all(F == 1.0) and np.all(cara.schur_F_batch(seq, zs) == 1.0)
 
 
+def _broadcast_nested_disks(seq, zs, tol, max_depth, lam=1.0):
+    """The forward nested-disk pass with a (B,) z broadcast over the two
+    rows of each column: the reference for the per-row z of
+    `_nested_disks`."""
+    B = zs.size
+    F, radius = np.empty(B, dtype=complex), np.zeros(B)
+    depth = np.zeros(B, dtype=np.int64)
+    tail = seq.zero_tail()
+    stop = min(max_depth, tail)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(np.abs(zs))
+    lc = np.broadcast_to(np.conj(np.asarray(lam, dtype=complex)), (B,))
+    left, right = np.stack([zs, -zs]), np.stack([lc, lc])
+    logdet = math.log(2.0) + log_r
+    active, z = np.arange(B), zs
+    j0 = 0
+    while j0 < stop and len(active):
+        j1 = min(j0 + transfer._BLOCK, stop)
+        alphas = seq.alpha_array(j0, j1)
+        t, u = np.empty_like(left), np.empty_like(left)
+        for a, ac in zip(alphas.tolist(), alphas.conj().tolist()):
+            np.multiply(right, ac, out=t)
+            t += left
+            np.multiply(left, a, out=u)
+            right += u
+            np.multiply(t, z, out=left)
+        s = np.abs(right[1])
+        left /= s
+        right /= s
+        logdet += ((j1 - j0) * log_r - 2.0 * np.log(s)
+                   + float(np.sum(np.log1p(-np.abs(alphas) ** 2))))
+        j0 = j1
+        gap = 1.0 - np.abs(left[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rad = np.where(gap > 0.0, np.exp(logdet) / gap, np.inf)
+        if j0 == tail:
+            rad[:] = 0.0
+        done = (rad < tol) | (j0 == stop)
+        idx = active[done]
+        F[idx] = right[0, done] / right[1, done]
+        radius[idx], depth[idx] = rad[done], j0
+        keep = ~done
+        active, left, right = active[keep], left[:, keep], right[:, keep]
+        z, log_r, logdet = z[keep], log_r[keep], logdet[keep]
+    F[active] = right[0] / right[1]
+    return F, radius, depth
+
+
+def _small_list(rng, count):
+    # |alpha| < 0.1: the depth near the circle grows like 1/(1 - |z|)
+    return coeffs.make_explicit(rng.uniform(0.0, 0.1, count)
+                                * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, count)))
+
+
+@pytest.mark.parametrize("n", [1, 24, 120, 4096])
+@pytest.mark.parametrize("case", ["adaptive", "lam", "fixed_depth", "zero_tail",
+                                  "max_depth"])
+def test_nested_disks_matches_broadcast_pass(n, case):
+    # z held per row gives every point the same IEEE products as a (B,) z
+    # broadcast over both rows, so F, radius and depth are equal exactly
+    rng = np.random.default_rng(n)
+    radii = np.array([0.999]) if n == 1 else 1.0 - 10.0 ** -rng.uniform(0.5, 3.0, n)
+    zs = radii * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+    seq = _small_list(rng, 1 << 14)
+    tol, max_depth, lam = 1e-12, 1 << 17, 1.0
+    if case == "lam":
+        lam = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+    elif case == "fixed_depth":
+        seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+        tol, max_depth = 0.0, 200
+    elif case == "zero_tail":  # 1000 values: the tail starts inside a block
+        seq = _small_list(rng, 1000)
+    elif case == "max_depth":
+        max_depth = 300
+    F, radius, depth = cara._nested_disks(seq, zs, tol, max_depth, lam)
+    ref = _broadcast_nested_disks(seq, zs, tol, max_depth, lam)
+    assert np.array_equal(F, ref[0])
+    assert np.array_equal(radius, ref[1])
+    assert np.array_equal(depth, ref[2])
+    # each case reaches the stop it is named for
+    if case == "fixed_depth":
+        assert np.all(depth == 200)
+    elif case == "zero_tail":
+        assert np.any((depth == 1000) & (radius == 0.0))
+    elif case == "max_depth":
+        assert np.any((depth == 300) & ~(radius < tol))
+    else:
+        assert np.all(radius < tol)
+    if n > 1 and case != "fixed_depth":  # points leave in different blocks
+        assert len(np.unique(depth[depth < min(max_depth, 1000)])) > 1
+
+
 def test_fixed_depth_matches_backward_reference():
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     z = 0.95 * cmath.exp(0.7j)

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import math
 import os
 import subprocess
@@ -263,6 +264,28 @@ def test_fibonacci_profile_mass():
     prof = spectral.lambda_r_profile(FIB2, 0.99, thetas)
     assert abs(prof.total_mass - 1.0) < 1e-3
     assert prof.density.min() > -1e-12
+
+
+def _per_row_density(profiles, path):
+    """density.csv one row at a time through csv.writer: the reference
+    for the block writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "r", "density"])
+        for p in profiles:
+            for theta, d in zip(p.thetas, p.density):
+                writer.writerow([repr(float(theta)), repr(p.r), repr(float(d))])
+
+
+def test_density_csv_matches_per_row_writer(tmp_path):
+    thetas = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False)
+    profiles = [spectral.lambda_r_profile(random_two_sided(n=4096, lo=0.0, hi=0.1), r, thetas)
+                for r in (0.9, 0.99, 0.999)]
+    _per_row_density(profiles, tmp_path / "rows.csv")
+    spectral.write_density_csv(profiles, tmp_path / "density.csv")
+    data = (tmp_path / "density.csv").read_bytes()
+    assert data == (tmp_path / "rows.csv").read_bytes()
+    assert data.count(b"\r\n") == 3001
 
 
 def _local_trapezoid(seq, theta, eps, r, n=2001):

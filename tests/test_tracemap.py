@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit import coeffs, tracemap, transfer
-from cmvkit.errors import DomainError
+from cmvkit.errors import DomainError, SpectralPointError
 
 GOLDEN = coeffs.GOLDEN_MEAN
 FIB = (0.5, -0.5)
@@ -232,6 +232,61 @@ def test_orbit_sweep_matches_matmul_recursion(alphabet):
     assert np.array_equal(sweep.first_overflow, ref.first_overflow)
     assert abs(sweep.invariant_sup - ref.invariant_sup) <= 1e-14 * ref.invariant_sup
     K = tracemap.default_trace_bound(ref.invariant_sup)
+    for n in range(1, 17):
+        assert np.array_equal(sweep.mask(K, n), ref.mask(K, n)), f"level {n}"
+
+
+def _scalar_branch_sqrt(z: complex) -> complex:
+    """The branch |z|^(1/2) exp(i arg(z)/2), arg in [0, 2pi), one point at
+    a time: the reference for the array `transfer.branch_sqrt`."""
+    theta = cmath.phase(z) % (2.0 * math.pi)
+    return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
+
+
+def _same_bits(a, b) -> bool:
+    # equal values and equal signs of zero, part by part
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@pytest.mark.parametrize("name", ["2048", "4096", "off_circle"])
+def test_branch_sqrt_array_matches_scalar_formula(name):
+    if name == "off_circle":
+        rng = np.random.default_rng(9)
+        zs = (10.0 ** rng.uniform(-3.0, 3.0, 20000)
+              * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 20000)))
+        # the axes, both signs of zero, and the branch cut
+        zs = np.concatenate([zs, [1.0, -1.0, 1j, -1j, complex(-1.0, -0.0),
+                                  complex(1.0, -0.0), complex(-0.0, 1.0), 1e-300j]])
+    else:
+        zs = np.exp(1j * np.linspace(0.0, 2 * math.pi, int(name), endpoint=False))
+    ref = np.array([_scalar_branch_sqrt(z) for z in zs.tolist()])
+    assert _same_bits(transfer.branch_sqrt(zs), ref)
+    assert _same_bits(np.array([transfer.branch_sqrt(z) for z in zs[:64].tolist()]),
+                      ref[:64])
+    with pytest.raises(SpectralPointError):
+        transfer.branch_sqrt(np.concatenate([zs[:3], [0.0]]))
+
+
+@pytest.mark.parametrize("alphabet", [(0.5, -0.5), (0.3, -0.3), (0.7, -0.7),
+                                      (0.9, -0.9), (0.4 + 0.2j, -0.5)])
+def test_letter_matrices_match_scalar_branch_loop(alphabet, monkeypatch):
+    # the array branch gives the letter matrices, and so every mask, of
+    # the scalar loop it replaced
+    cf = tracemap.golden_cf(20)
+    zs = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4096, endpoint=False))
+    sweep = tracemap.orbit_sweep(alphabet, cf, zs, 16)
+    letters = tracemap._letter_matrices(alphabet, zs)
+
+    def scalar_loop(alphabet, zs):
+        s = np.array([_scalar_branch_sqrt(z) for z in zs])[:, None, None]
+        return tuple(transfer.szego_matrices(letter, zs) / s for letter in alphabet)
+
+    monkeypatch.setattr(tracemap, "_letter_matrices", scalar_loop)
+    ref = tracemap.orbit_sweep(alphabet, cf, zs, 16)
+    assert all(np.array_equal(m, r) for m, r in zip(letters, scalar_loop(alphabet, zs)))
+    K = tracemap.default_trace_bound(ref.invariant_sup)
+    assert sweep.invariant_sup == ref.invariant_sup
     for n in range(1, 17):
         assert np.array_equal(sweep.mask(K, n), ref.mask(K, n)), f"level {n}"
 
