@@ -34,80 +34,62 @@ def _nested_disks(seq: VerblunskySequence, zs: np.ndarray, tol: float,
     M_k = [[z, a_k], [conj(a_k) z, 1]] maps the tail f_{k+1} to f_k and
     N = [[z, 1], [-z, 1]] maps f to F, so Q_d = N M_0 ... M_{d-1} =
     [[a, b], [c, e]] maps every tail in the closed disk into the disk about
-    Q_d(0) = b/e of radius |det Q_d| / (|e| (|e| - |c|)).  log|det Q_d| =
-    log 2 + (d + 1) log|z| + sum log(1 - |a_k|^2) is summed exactly, never
-    formed as ae - bc.  Once per block of `transfer._BLOCK` sites the state
-    is renormalized by |e| and a point whose radius is below `tol` leaves
-    the batch with F = b/e.  At `seq.zero_tail()` the tail is exactly 0
-    and every remaining point stops with radius 0.
-
-    A unimodular `lam`, one per point or one for all, gives F^lam of the
-    Alexandrov member lam * alpha on the same pass: with D = diag(1, conj(lam)),
-    D M_k D^-1 is M_k at lam a_k, so Q^lam_d = N D P_d D^-1 for the base
-    product P_d.  The D^-1 scales the (b, e) column by a unimodular factor,
-    which leaves b/e, |e| and |det Q| alone, so only the start of that
-    column changes: (conj(lam), conj(lam)) instead of (1, 1).
-
-    z is held once per row of the (2, B) columns, so each per-site
-    product t * z multiplies operands of the same shape: numpy runs that
-    about twice as fast as broadcasting a (B,) z over two rows, and each
-    element gets the same IEEE product either way.
+    Q_d(0) = b/e of radius |det Q_d| / (|e| (|e| - |c|)).  Row i of Q_d is
+    (z eta, -eta*) for the i-th of the lam rows of `transfer._szego_steps`,
+    so b/e = eta*_0 / eta*_1 is F^lam (F at lam = 1), |e| = |eta*_1| and
+    |c| = |z| |eta_1|; log|det Q_d| = log 2 + (d + 1) log|z| +
+    sum log(1 - |a_k|^2) is summed exactly.  Once per block of
+    `transfer._BLOCK` sites the pairs are renormalized by |e| and a point
+    whose radius is below `tol` leaves the batch with F = b/e.  At
+    `seq.zero_tail()` the tail is exactly 0 and every remaining point stops
+    with radius 0.  `lam` is unimodular, one per point or one for all.
 
     Returns (F, radius, depth) per point; a radius not below `tol` marks a
     point that `max_depth` stopped.  With tol = 0 every point runs to
     min(max_depth, zero tail), the fixed-depth truncation.
     """
     B = zs.size
-    F, radius = np.empty(B, dtype=complex), np.zeros(B)
-    depth = np.zeros(B, dtype=np.int64)
+    F, radius, depth = np.empty(B, dtype=complex), np.zeros(B), np.zeros(B, dtype=np.int64)
     tail = seq.zero_tail()
     stop = min(max_depth, tail)
     with np.errstate(divide="ignore"):
         log_r = np.log(np.abs(zs))
-    # columns (a, c) and (b, e) of Q, one column of each per active point
-    lc = np.broadcast_to(np.conj(np.asarray(lam, dtype=complex)), (B,))
-    left, right = np.stack([zs, -zs]), np.stack([lc, lc])
+    # state[:, i] is the pair (eta_i, eta*_i) of row i, one column per active point
+    state = np.empty((2, 2, B), dtype=complex)
+    state[0, 0], state[0, 1] = 1.0, -1.0
+    state[1] = -np.conj(np.asarray(lam, dtype=complex))
     logdet = math.log(2.0) + log_r
     active, z = np.arange(B), np.stack([zs, zs])
     j0 = 0
     while j0 < stop and len(active):
         j1 = min(j0 + transfer._BLOCK, stop)
         alphas = seq.alpha_array(j0, j1)
-        t, u = np.empty_like(left), np.empty_like(left)
-        for a, ac in zip(alphas.tolist(), alphas.conj().tolist()):
-            np.multiply(right, ac, out=t)
-            t += left
-            np.multiply(left, a, out=u)
-            right += u
-            np.multiply(t, z, out=left)
-        s = np.abs(right[1])
-        left /= s
-        right /= s
+        transfer._szego_steps(state, z, alphas)
+        s = np.abs(state[1, 1])
+        state /= s
         logdet += ((j1 - j0) * log_r - 2.0 * np.log(s)
                    + float(np.sum(np.log1p(-np.abs(alphas) ** 2))))
         j0 = j1
-        gap = 1.0 - np.abs(left[1])
+        gap = 1.0 - np.abs(z[1] * state[0, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             rad = np.where(gap > 0.0, np.exp(logdet) / gap, np.inf)
         if j0 == tail:
             rad[:] = 0.0
         done = (rad < tol) | (j0 == stop)
         idx = active[done]
-        F[idx] = right[0, done] / right[1, done]
+        F[idx] = state[1, 0, done] / state[1, 1, done]
         radius[idx], depth[idx] = rad[done], j0
+        # compress keeps the arrays C-ordered, as same-shape products need
         keep = ~done
-        active, left, right = active[keep], left[:, keep], right[:, keep]
-        z, log_r, logdet = z[:, keep], log_r[keep], logdet[keep]
-    F[active] = right[0] / right[1]  # stop = 0: Q_0(0) = 1
+        active, state, z = active[keep], state.compress(keep, -1), z.compress(keep, -1)
+        log_r, logdet = log_r[keep], logdet[keep]
+    F[active] = state[1, 0] / state[1, 1]  # stop = 0: Q_0(0) = 1
     return F, radius, depth
 
 
 def schur_eval_F(seq: VerblunskySequence, z: complex, depth: int) -> complex:
-    """F(z) from the depth-truncated Schur algorithm (tail function 0).
-
-    Converges geometrically in `depth` for fixed |z| < 1; this is Q_d(0)
-    of `_nested_disks` at d = depth.
-    """
+    """F(z) from the depth-truncated Schur algorithm (tail function 0):
+    Q_d(0) of `_nested_disks` at d = depth, geometric in `depth` for |z| < 1."""
     if abs(z) >= 1.0:
         raise DiskError(f"|z| = {abs(z)} >= 1")
     if depth < 1:

@@ -16,7 +16,7 @@ import cmath
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
 
 _RENORM_EVERY = 64
-_BLOCK = 128      # norm-profile steps between escape tests
+_BLOCK = 128      # sites per kernel call: escape tests, Schur stops
 # `norm_squares` checks its Gram samples against a second table at the
 # Alexandrov phase _CHECK_LAM, a generic one: at lam = -1 or i the two
 # tables round alike.  On the level-16 masks of six alphabets, L = 64 ...
@@ -113,35 +113,60 @@ def norm_profile(seq: VerblunskySequence, z: complex, initial, n_max: int) -> np
     return norm_profile_batch(seq, [z], [initial], n_max)[0]
 
 
+def _szego_steps(state: np.ndarray, z: np.ndarray, alphas: np.ndarray,
+                 path=None) -> None:
+    """The one per-site loop of the Szegő recurrence: steps state =
+    (eta, eta*) in place through rho_j A(alpha_j, z) for alpha_j in `alphas`,
+    eta <- z eta - conj(alpha_j) eta*,  eta* <- eta* - alpha_j z eta.  With
+    `path`, step k's state is also stored in path[k].
+
+    z has eta's shape, so every product is same-shape: numpy runs that about
+    twice as fast as a (B,) z broadcast over more rows.  The Schur pass at
+    lam (`caratheodory._nested_disks`) carries two rows per point, from
+    (1, -conj(lam)) and (-1, -conj(lam)): psi and -phi of the Alexandrov
+    member lam alpha, so F^lam = eta*_0 / eta*_1 = -psi*_d / phi*_d.
+    """
+    eta, etas = state
+    t, u = np.empty_like(eta), np.empty_like(eta)
+    for k, (a, ac) in enumerate(zip(alphas.tolist(), alphas.conj().tolist())):
+        np.multiply(etas, ac, out=t)
+        eta *= z
+        np.multiply(eta, a, out=u)
+        eta -= t
+        etas -= u
+        if path is not None:
+            path[k] = state
+
+
 def norm_profile_batch(seq: VerblunskySequence, zs, initials, n_max: int) -> np.ndarray:
     """Cumulative squared norms, shape (batch, n_max + 1), one row per
-    pair (eta_j, eta_j^*) propagated from an initial pair.
-
-    zs and initials broadcast elementwise over the batch; the coefficient
-    sequence is shared.
-    Each step applies A(alpha_j, z) = A(alpha_j, 1) diag(z, 1) to the
-    (2, batch) state by elementwise products, so a row's values depend
-    neither on the batch it rides in nor on n_max.  A row whose pair
-    leaves 1e150 saturates to inf from that step on, not into NaNs.
+    pair (eta_j, eta_j^*) propagated from an initial pair; zs and initials
+    broadcast elementwise over the batch.  Each block of _BLOCK sites is one
+    `_szego_steps` call, whose stored steps are scaled by the running
+    product of 1/rho, so the escape rule and the sums act on the true
+    pairs, and a row depends neither on its batch nor on n_max.  A row
+    whose pair leaves 1e150 saturates to inf from that step on, not into NaNs.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     zs = np.asarray(zs, dtype=complex)
     init = np.asarray(initials, dtype=complex)
     B = np.broadcast(zs, init[..., 0]).size
-    zs = np.broadcast_to(zs, (B,))
+    z = np.broadcast_to(zs, (B,)).copy()
     state = np.broadcast_to(init, (B, 2)).T.copy()
-    A = szego_matrices(seq.alpha_array(0, n_max), 1.0)
-    col_u, col_v = A[:, :, 0, None], A[:, :, 1, None]
+    alphas = seq.alpha_array(0, n_max)
+    inv_rho = 1.0 / rho_of(alphas, nonzero=True)
     out = np.empty((B, n_max + 1))
     out[:, 0] = 0.5 * (np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)
-    block = np.empty((min(_BLOCK, n_max), 2, B), dtype=complex)
+    path = np.empty((min(_BLOCK, n_max), 2, B), dtype=complex)
     # an escaped row runs on to the end of its block; its overflow is discarded
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, n_max, _BLOCK):
             m = min(_BLOCK, n_max - j0)
-            for k in range(m):
-                state = block[k] = (col_u[j0 + k] * (zs * state[0])
-                                    + col_v[j0 + k] * state[1])
-            mod = np.abs(block[:m])
+            _szego_steps(state, z, alphas[j0:j0 + m], path)
+            scale = np.cumprod(inv_rho[j0:j0 + m])
+            state *= scale[-1]
+            mod = np.abs(path[:m]) * scale[:, None, None]
             weights = 0.5 * (mod[:, 0] ** 2 + mod[:, 1] ** 2)
             big = (mod > 1e150).any(axis=1)
             if big.any():
@@ -359,8 +384,7 @@ def fit_power_law(samples) -> FitResult:
             if dx < 0.5 * span:
                 continue
             slopes.append((logs[j][1] - logs[i][1]) / dx)
-    g_low = min(slopes)
-    g_high = max(slopes)
+    g_low, g_high = min(slopes), max(slopes)
     try:
         c_low = min(v / L ** g_low for L, v in pts)
         c_high = max(v / L ** g_high for L, v in pts)
@@ -424,19 +448,12 @@ def write_norm_csv(samples, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["L", "norm", "log_L", "log_norm"])
-        for L, v in samples:
-            writer.writerow([repr(float(L)), repr(float(v)),
-                             repr(math.log(L)), repr(math.log(v))])
+        writer.writerows([repr(float(L)), repr(float(v)), repr(math.log(L)), repr(math.log(v))]
+                         for L, v in samples)
 
 
 def fit_to_json(fit: FitResult, path=None):
-    record = {
-        "gamma_low": fit.gamma_low,
-        "gamma_high": fit.gamma_high,
-        "c_low": fit.c_low,
-        "c_high": fit.c_high,
-        "beta": fit.beta,
-    }
+    record = {**asdict(fit), "beta": fit.beta}
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)

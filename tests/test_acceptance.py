@@ -31,13 +31,15 @@ def test_criterion_8_draws_the_same_points():
     assert verify._mobius_points().tolist() == drawn
 
 
-def _full_route_points(alphabet, counts):
+def _full_route_points(alphabet, counts, mirror=False):
     """`certified_spectrum_points` for each of `counts`, with every mask
-    candidate propagated."""
+    candidate propagated.  With `mirror`, each candidate k is propagated
+    at its lower twin min(k, 4096 - k), so twins tie exactly and rank in
+    grid order."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     cand = np.where(verify._spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, 16))[0]
     seq = coeffs.make_sturmian(*alphabet, coeffs.GOLDEN_MEAN)
-    zs = np.exp(1j * thetas[cand])
+    zs = np.exp(1j * thetas[np.minimum(cand, (4096 - cand) % 4096) if mirror else cand])
     Ls = [2 ** k for k in range(6, 14)]
     lx = np.log(np.array(Ls, dtype=float))
     worst = np.full(len(cand), -np.inf)
@@ -50,7 +52,7 @@ def _full_route_points(alphabet, counts):
     points = []
     for count in counts:
         picked = []
-        for idx in np.argsort(worst):
+        for idx in np.argsort(worst, kind="stable"):
             th = float(thetas[cand[idx]])
             if all(min(abs(th - p), 2.0 * math.pi - abs(th - p)) > 0.15 for p in picked):
                 picked.append(th)
@@ -84,15 +86,14 @@ def test_certified_points_mirror_pairs(alphabet, monkeypatch):
     # a real alphabet computes one angle of each mirror pair theta,
     # 2 pi - theta; the twins tie exactly and rank in grid order, so the
     # lower twin is picked.  The full route over every candidate breaks
-    # the tie by its rounding: for (0.7, -0.7) at count 1 and (0.9, -0.9)
-    # at count 4 it takes the upper twin.  Otherwise the Gram samples
-    # pick what the loop over every candidate picks.
+    # the tie by its rounding (twins differ by 1e-15 to 3e-12 in slope)
+    # and may take the upper twin, but picks the same mirror classes.
+    # Propagated at the lower twins, the loop picks what the Gram samples do
     rows = _spy_rows(monkeypatch)
     got = [verify.certified_spectrum_points(alphabet, count).tolist() for count in (1, 4)]
     full = _full_route_points(alphabet, (1, 4))
     assert [_mirror_classes(p) for p in got] == [_mirror_classes(p) for p in full]
-    if alphabet not in ((0.7, -0.7), (0.9, -0.9)):
-        assert got == full
+    assert got == _full_route_points(alphabet, (1, 4), mirror=True)
     thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     cand = np.where(verify._spectrum_mask(alphabet, tracemap.golden_cf(22), thetas, 16))[0]
     reps = len(set(np.minimum(cand, (4096 - cand) % 4096).tolist()))

@@ -150,9 +150,9 @@ def test_zero_tail_stops_with_bound_zero():
 
 
 def _broadcast_nested_disks(seq, zs, tol, max_depth, lam=1.0):
-    """The forward nested-disk pass with a (B,) z broadcast over the two
-    rows of each column: the reference for the per-row z of
-    `_nested_disks`."""
+    """The forward nested-disk pass on the columns (a, c) and (b, e) of
+    Q_d, with a (B,) z broadcast over the two rows of each column: a
+    second form of `_nested_disks`, which steps the Szegő pairs instead."""
     B = zs.size
     F, radius = np.empty(B, dtype=complex), np.zeros(B)
     depth = np.zeros(B, dtype=np.int64)
@@ -207,8 +207,10 @@ def _small_list(rng, count):
 @pytest.mark.parametrize("case", ["adaptive", "lam", "fixed_depth", "zero_tail",
                                   "max_depth"])
 def test_nested_disks_matches_broadcast_pass(n, case):
-    # z held per row gives every point the same IEEE products as a (B,) z
-    # broadcast over both rows, so F, radius and depth are equal exactly
+    # the pass on the Szegő pairs and the column form round differently:
+    # over these cases F differs by at most 3.5e-14 and the radius by
+    # 2.1e-13 relative (the radius divides by the gap 1 - |c|/|e|); every
+    # depth, and so every stop, is the same
     rng = np.random.default_rng(n)
     radii = np.array([0.999]) if n == 1 else 1.0 - 10.0 ** -rng.uniform(0.5, 3.0, n)
     zs = radii * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
@@ -225,8 +227,9 @@ def test_nested_disks_matches_broadcast_pass(n, case):
         max_depth = 300
     F, radius, depth = cara._nested_disks(seq, zs, tol, max_depth, lam)
     ref = _broadcast_nested_disks(seq, zs, tol, max_depth, lam)
-    assert np.array_equal(F, ref[0])
-    assert np.array_equal(radius, ref[1])
+    assert np.allclose(F, ref[0], rtol=1e-13, atol=0.0)
+    assert np.array_equal(radius == 0.0, ref[1] == 0.0)
+    assert np.allclose(radius, ref[1], rtol=1e-12, atol=0.0)
     assert np.array_equal(depth, ref[2])
     # each case reaches the stop it is named for
     if case == "fixed_depth":
@@ -239,6 +242,25 @@ def test_nested_disks_matches_broadcast_pass(n, case):
         assert np.all(radius < tol)
     if n > 1 and case != "fixed_depth":  # points leave in different blocks
         assert len(np.unique(depth[depth < min(max_depth, 1000)])) > 1
+
+
+@pytest.mark.parametrize("d", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("lam", [1.0, cmath.exp(0.7j), -1j])
+def test_nested_disks_matches_the_cocycle_oracle(d, lam):
+    # Geronimus: F^lam_d = -psi*_d / phi*_d, the second entries of
+    # T_d (1, -conj(lam)) and T_d (1, conj(lam)) for the Szegő product
+    # T_d of `cocycle_product` (criterion 6's np.matmul oracle), on either
+    # side of a block end.  The worst measured relative difference is
+    # 1.1e-14 (1.2e-14 for the column-form pass)
+    seq = coeffs.make_sturmian(0.4 + 0.2j, -0.5, GOLDEN)
+    zs = np.array([0.5 * cmath.exp(0.3j), 0.95 * cmath.exp(2.1j), 0.2j])
+    F, radius, depth = cara._nested_disks(seq, zs, 0.0, d, lam)
+    assert np.all(depth == d)
+    lc = complex(lam).conjugate()
+    for z, Fz in zip(zs, F):
+        T = transfer.cocycle_product(seq, z, d)
+        ref = -(T @ [1.0, -lc])[1] / (T @ [1.0, lc])[1]
+        assert abs(Fz - ref) <= 5e-14 * abs(ref)
 
 
 def test_fixed_depth_matches_backward_reference():

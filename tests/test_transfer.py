@@ -452,6 +452,14 @@ def test_norm_profile_batch_reads_an_explicit_list_zero_extended():
     assert np.array_equal(short, transfer.norm_profile_batch(padded, [z], inits, 300))
 
 
+def test_norm_profile_batch_rejects_a_negative_length():
+    # as cocycle_product does for a negative L; n_max = 0 is the initial pair
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    with pytest.raises(ValueError, match="n_max"):
+        transfer.norm_profile_batch(seq, [0.5], [(1.0, 1.0)], -1)
+    assert transfer.norm_profile_batch(seq, [0.5, 2.0], [(1.0, 1.0)], 0).tolist() == [[1.0]] * 2
+
+
 def test_propagation_loops_and_letters_use_the_szego_matrix():
     # each profile increment is half the squared norm of the pair that the
     # matrix product carries from the initial pair
