@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -173,6 +174,15 @@ class SturmianSequence(VerblunskySequence):
 class ExplicitSequence(VerblunskySequence):
     values: tuple
     support = "half"
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.values,))  # the dataclass's own hash, taken once
+
+    def __hash__(self) -> int:
+        # memo keys hash the sequence on every lookup; a list of 2^16
+        # values takes about a millisecond each time
+        return self._hash
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo, dtype=complex)  # 0 past the end of the list

@@ -338,12 +338,17 @@ def F_extended(ctx: GZContext) -> complex:
 def F_extended_batch(seq: VerblunskySequence, zs,
                      max_depth: int = 1 << 17) -> np.ndarray:
     """Vectorized F over an array of |z| < 1 points via the closed corner form."""
+    return _F_extended(seq, zs, max_depth, cara.schur_F_batch)
+
+
+def _F_extended(seq: VerblunskySequence, zs, max_depth: int, schur) -> np.ndarray:
+    """The corner form of F, with each half's F from `schur`."""
     if not seq.is_two_sided:
         raise SupportError("resolvent assembly needs a two-sided sequence")
     zs = np.asarray(zs, dtype=complex)
     right, left = operator.split_at_origin(seq)
-    Fp = cara.schur_F_batch(right, zs, _SCHUR_TOL, max_depth)
-    Fm = cara.schur_F_batch(left, zs, _SCHUR_TOL, max_depth)
+    Fp = schur(right, zs, _SCHUR_TOL, max_depth)
+    Fm = schur(left, zs, _SCHUR_TOL, max_depth)
     a_split, a0 = seq.alpha_array(-1, 1).tolist()
     Mm = cara.m_minus(Fm, a_split)
     sigma = corner_trace_sum(Fp, Mm, a0, rho_of(a0), zs)
@@ -399,11 +404,15 @@ def holder_exponent(seq: VerblunskySequence, theta: float, eps,
     The mass of the arc [theta - eps, theta + eps] at r = 1 - eps is the
     `_ARC_NODES`-point Gauss-Legendre sum of the density on the arc itself:
     at that radius the density varies on the arc's own scale, so a fixed
-    number of nodes serves every eps.  One `F_extended_batch` call takes
-    those nodes and the `_ARC_CHECK_NODES` of the finer rule for every
-    eps; `quadrature_error` is the largest relative difference of the two
-    rules.  Also reports the envelope (minimum pairwise slope), the
-    quantity relevant for uniform Hölder statements.
+    number of nodes serves every eps.  One corner assembly, as in
+    `F_extended_batch`, takes those nodes and the `_ARC_CHECK_NODES` of
+    the finer rule for every eps; `quadrature_error` is the largest
+    relative difference of the two rules.  Each half's F comes from
+    `caratheodory._schur_F_words`: on the golden word it is read from the
+    substitution word table, checked against a second table, and a point
+    whose check fails runs the Schur loop.  Also reports the envelope
+    (minimum pairwise slope), the quantity relevant for uniform Hölder
+    statements.
     """
     from numpy.polynomial import legendre  # not loaded by `import numpy`
 
@@ -415,7 +424,7 @@ def holder_exponent(seq: VerblunskySequence, theta: float, eps,
     (x, w), (xc, wc) = (legendre.leggauss(n) for n in (_ARC_NODES, _ARC_CHECK_NODES))
     nodes = np.concatenate([x, xc])
     zs = (1.0 - eps)[:, None] * np.exp(1j * (theta + eps[:, None] * nodes))
-    density = F_extended_batch(seq, zs, max_depth=max_depth).real / (2.0 * math.pi)
+    density = _F_extended(seq, zs, max_depth, cara._schur_F_words).real / (2.0 * math.pi)
     masses = eps * (density[:, :len(x)] @ w)
     check = eps * (density[:, len(x):] @ wc)
     if np.any(masses <= 0):

@@ -203,6 +203,18 @@ def norm_squares(seq: VerblunskySequence, zs, initials, Ls) -> np.ndarray:
     than `_GRAM_RTOL` relative, or fall below the L = 0 value |x|^2 / 2,
     is propagated by `norm_profile_batch` instead, as is every row of
     any other sequence; those rows are the loop's columns Ls bit for bit.
+
+    The discrepancy estimates the error; it does not bound it.  Over the
+    level-16 masks of five alphabets (4096 theta, the four pairs of
+    `pair_growth_exponents`), a row's largest distance to the loop is at
+    most 2.6e2 times its largest discrepancy: that is the measured safety
+    factor, so an accepted row is estimated within 2.6e-6 relative.  The
+    counterexample on record: at z = -1 (exp(i pi) in floats) on
+    (0.7, -0.7) the pair (1, i) reads 3.5e-8 off the loop at L = 8192
+    (4.9e-8 when it was recorded) while the tables agree within 7.2e-10,
+    and the row is accepted.  Against a 40-digit propagation that sample
+    is 4.5e-12 off and the loop 3.5e-8: there the loop is the less
+    accurate route.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     init = np.asarray(initials, dtype=complex).reshape(-1, 2)

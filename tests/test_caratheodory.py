@@ -632,3 +632,102 @@ def test_growth_contrast_on_vs_off_spectrum():
     n_off = transfer.solution_norm(seq, off, (1.0, 1.0), L)
     assert n_on < 10.0 * L  # comfortably subexponential
     assert n_off > 1e6 * n_on  # exponential escape dominates
+
+
+# the arc nodes of `cmvkit holder` at its defaults: 5 eps x (8 + 16) nodes
+_HOLDER_EPS = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
+
+
+def _holder_nodes(theta: float) -> np.ndarray:
+    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (8, 16)])
+    return ((1.0 - _HOLDER_EPS)[:, None]
+            * np.exp(1j * (theta + _HOLDER_EPS[:, None] * x))).ravel()
+
+
+@pytest.mark.parametrize("alphabet", [(0.5, -0.5), (0.4 + 0.2j, -0.5)])
+def test_golden_left_half_is_the_conjugated_shifted_right_half(alphabet):
+    word = coeffs.make_sturmian(*alphabet, GOLDEN, support="full")
+    right, left = operator.split_at_origin(word)
+    n = 200_000
+    assert np.array_equal(left.alpha_array(0, n), np.conj(right.alpha_array(1, n + 1)))
+    a, b = complex(alphabet[0]), complex(alphabet[1])
+    assert cara._golden_route(right) == ((a, b), 1)
+    assert cara._golden_route(left) == ((a.conjugate(), b.conjugate()), 0)
+
+
+@pytest.mark.parametrize("negative", ["constant", "word"])
+def test_glued_left_half_takes_the_loop(negative, monkeypatch):
+    # TwoSidedSequence.sturmian_letters() reports its positive half only, so
+    # the left half of a glued sequence is never read as the golden word
+    word = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    seq = coeffs.extend_two_sided(
+        word, coeffs.make_constant(0.3) if negative == "constant" else word)
+    left = operator.split_at_origin(seq)[1]
+    assert cara._golden_route(left) is None
+    zs = _holder_nodes(0.2485)
+    ref = cara.schur_F_batch(left, zs, 1e-13, 1 << 15)
+    monkeypatch.setattr(transfer, "_golden_words", None)  # no table is read
+    assert np.array_equal(cara._schur_F_words(left, zs, 1e-13, 1 << 15), ref)
+
+
+@pytest.mark.parametrize("alphabet", [(0.5, -0.5), (0.4 + 0.2j, -0.5), (0.9, -0.9)])
+def test_word_table_reads_both_halves_without_the_loop(alphabet, monkeypatch):
+    # at holder's nodes every point of both halves is read from the table,
+    # within 4.4e-13 of the certified loop (two tail radii below 1e-13,
+    # at different depths, plus rounding; measured on these alphabets)
+    word = coeffs.make_sturmian(*alphabet, GOLDEN, support="full")
+    zs = _holder_nodes(float(verify.certified_spectrum_points(alphabet, 1)[0]))
+    for half in operator.split_at_origin(word):
+        ref = cara.schur_F_batch(half, zs, 1e-13, 1 << 15)
+        with monkeypatch.context() as m:
+            m.setattr(cara, "_nested_disks", None)
+            F = cara._schur_F_words(half, zs, 1e-13, 1 << 15)
+        assert np.max(np.abs(F - ref)) < 1e-12
+
+
+def test_word_rows_that_fail_the_check_are_the_loop_bit_for_bit(monkeypatch):
+    # a tolerance below some rows' discrepancy sends exactly those rows to
+    # schur_F_batch, whose values do not depend on the batch
+    right = operator.split_at_origin(
+        coeffs.make_sturmian(0.4 + 0.2j, -0.5, GOLDEN, support="full"))[0]
+    zs = _holder_nodes(0.2746)
+    table = cara._schur_F_words(right, zs, 1e-13, 1 << 15)
+    ref = cara.schur_F_batch(right, zs, 1e-13, 1 << 15)
+    sent = []
+    schur = cara.schur_F_batch
+
+    def spy(seq, points, *args):
+        sent.append(np.asarray(points).copy())
+        return schur(seq, points, *args)
+
+    monkeypatch.setattr(cara, "schur_F_batch", spy)
+    monkeypatch.setattr(cara, "_WORD_RTOL", 1e-15)
+    F = cara._schur_F_words(right, zs, 1e-13, 1 << 15)
+    redo = np.isin(zs, sent[0])
+    assert len(sent) == 1 and 0 < redo.sum() < len(zs)
+    assert np.array_equal(F[redo], ref[redo])
+    assert np.array_equal(F[~redo], table[~redo])
+
+
+def test_word_table_unconverged_points_warn_from_the_loop():
+    # at r = 0.999 no depth up to 256 certifies a point, so every point
+    # runs the loop, which warns as it does for any point
+    right = operator.split_at_origin(
+        coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full"))[0]
+    zs = 0.999 * np.exp(1j * np.array([0.2485, 0.25]))
+    with pytest.warns(UnconvergedWarning, match="max_depth 256"):
+        cara._schur_F_words(right, zs, 1e-13, 256)
+
+
+def test_word_table_overflow_in_a_gap_is_quiet():
+    # at theta = 2, in a gap of (0.5, -0.5), the word products leave the
+    # float range from q = 4181 on; the radius certifies far earlier, and
+    # the overflow stays inside np.errstate (a RuntimeWarning fails here)
+    word = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
+    zs = 0.999 * np.exp(1j * np.array([1.9999, 2.0, 2.0001]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, T, _ = transfer._golden_words((0.5, -0.5), zs, 1 << 17)
+    assert not np.isfinite(T[-1]).all()
+    for half in operator.split_at_origin(word):
+        F = cara._schur_F_words(half, zs, 1e-13, 1 << 17)
+        assert np.max(np.abs(F - cara.schur_F_batch(half, zs, 1e-13, 1 << 17))) < 1e-14

@@ -254,6 +254,17 @@ def test_holder_boundary_rows_honour_depth(tmp_path, monkeypatch):
     assert {depth for _, depth in seen} == {5000}  # the arc masses' passes too
 
 
+def test_holder_too_shallow_for_its_arcs_fails(tmp_path, capsys):
+    # no word-table depth up to 256 certifies the arc nodes at eps = 1e-3,
+    # so they run the Schur loop, which stops unconverged: no arc_mass.csv
+    assert run(["holder", "--depth", "256", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_depth 256" in err
+    d = latest_run_dir(tmp_path, "holder")
+    assert sorted(p.name for p in d.iterdir()) == ["config.json", "error.txt"]
+    assert "max_depth 256" in (d / "error.txt").read_text(encoding="utf-8")
+
+
 def test_holder_builds_its_model_once(tmp_path, monkeypatch):
     path = tmp_path / "alpha.txt"
     path.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")

@@ -244,3 +244,26 @@ def test_coeffs_csv(tmp_path):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and abs(float(first[3]) - 0.8) < 1e-15
+
+
+class _CountingTuple(tuple):
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_explicit_sequence_hashes_its_values_once():
+    # memo keys (the M_minus convention cache, lru_cache) hash the sequence
+    # on every lookup; the list is hashed once per object
+    values = _CountingTuple(np.linspace(0.0, 0.5, 1 << 16).astype(complex).tolist())
+    seq = coeffs.ExplicitSequence(values)
+    two_sided = coeffs.extend_two_sided(seq, coeffs.make_constant(0.0))
+    assert len({seq, seq, two_sided.positive}) == 1
+    for _ in range(3):
+        hash(two_sided)
+    assert _CountingTuple.hashes == 1
+    twin = coeffs.make_explicit(values)
+    assert twin == seq and hash(twin) == hash(seq)
+    assert hash(seq) == hash((tuple(values),))  # the dataclass's own hash

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cmvkit import caratheodory as cara
-from cmvkit import coeffs, operator, spectral
+from cmvkit import coeffs, operator, spectral, verify
 from cmvkit.errors import (InsufficientDataError, SpectralPointError,
                            SupportError, WindowError)
 
@@ -312,6 +312,44 @@ def test_arc_masses_match_fine_local_trapezoid(theta):
     ref = _local_trapezoid(FIB_WORD2, theta, HOLDER_EPS, 1.0 - np.array(HOLDER_EPS))
     assert np.max(np.abs(fit.masses / ref - 1.0)) < 2e-7
     assert fit.quadrature_error < 2e-7
+
+
+def _loop_fit(monkeypatch, *args):
+    """holder_exponent with both halves on the Schur loop, as before the
+    word table."""
+    with monkeypatch.context() as m:
+        m.setattr(cara, "_schur_F_words", cara.schur_F_batch)
+        return spectral.holder_exponent(*args)
+
+
+def test_holder_defaults_run_no_schur_loop(monkeypatch):
+    # at holder's defaults on the golden word both halves read the word table
+    theta = float(verify.certified_spectrum_points((0.5, -0.5), 1)[0])
+    monkeypatch.setattr(cara, "_nested_disks", None)
+    fit = spectral.holder_exponent(FIB_WORD2, theta, HOLDER_EPS, 1 << 15)
+    assert abs(fit.beta_hat - 0.9564901852941743) < 1e-9  # the loop's value
+
+
+@pytest.mark.parametrize("alphabet", [(0.5, -0.5), (0.4 + 0.2j, -0.5), (0.9, -0.9)])
+def test_holder_word_masses_match_the_loop(alphabet, monkeypatch):
+    # measured at two certified theta: the masses differ by at most 2.0e-14
+    # (relative) on (0.5, -0.5), 4.8e-14 on (0.4 + 0.2j, -0.5) and 2.0e-13
+    # on (0.9, -0.9), and beta_hat by at most 3.4e-14
+    word = coeffs.make_sturmian(*alphabet, GOLDEN, support="full")
+    for theta in verify.certified_spectrum_points(alphabet, 2):
+        fit = spectral.holder_exponent(word, float(theta), HOLDER_EPS, 1 << 15)
+        loop = _loop_fit(monkeypatch, word, float(theta), HOLDER_EPS, 1 << 15)
+        assert np.max(np.abs(fit.masses / loop.masses - 1.0)) < 1e-12
+        assert abs(fit.beta_hat - loop.beta_hat) < 1e-12
+
+
+def test_holder_rows_failing_the_check_are_the_loop(monkeypatch):
+    # every row sent back to the loop gives the loop's masses bit for bit
+    monkeypatch.setattr(cara, "_WORD_RTOL", -1.0)
+    fit = spectral.holder_exponent(FIB_WORD2, 0.2485, HOLDER_EPS, 1 << 15)
+    loop = _loop_fit(monkeypatch, FIB_WORD2, 0.2485, HOLDER_EPS, 1 << 15)
+    assert np.array_equal(fit.masses, loop.masses)
+    assert fit.beta_hat == loop.beta_hat and fit.quadrature_error == loop.quadrature_error
 
 
 def test_weak_convergence_probe():
