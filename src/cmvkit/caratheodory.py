@@ -201,7 +201,7 @@ def _schur_F_words(seq: VerblunskySequence, zs, tol: float, max_depth: int) -> n
     if route is not None and route[1] < max_depth:  # the least depth, lead + q_1, fits
         (a, b), lead = route
         lam = np.array([[1.0], [transfer._CHECK_LAM]])
-        q, T, _ = transfer._golden_words((lam * a, lam * b), flat, max_depth - lead)
+        q, T = transfer._golden_words((lam * a, lam * b), flat, max_depth - lead)
         d = lead + np.array(q[1:])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             T = np.stack(T[1:])  # (depth, table, point, 2, 2)

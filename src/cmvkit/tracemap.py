@@ -5,10 +5,11 @@ q_0 = q_1 = 1.  The associated standard words over the alphabet letters
 (a, b) are w_0 = b, w_1 = a, w_{n+1} = w_n^{a_{n+1}} w_{n-1}; for the
 golden mean their limit is the substitution fixed point a -> ab, b -> a,
 so the SL(2,C)-normalized transfer products over w_n satisfy the exact
-renormalization M_{q_{n+1}} = M_{q_{n-1}} M_{q_n}^{a_{n+1}}.  Traces
-x_n = tr M_{q_n} and z_n = tr(M_{q_{n-1}} M_{q_n}) evolve with the
-conserved Fricke invariant, which drives the spectrum approximation and
-the explicit growth constants.
+renormalization M_{q_{n+1}} = M_{q_{n-1}} M_{q_n}^{a_{n+1}}, composed by
+`transfer._word_products`, the recursion behind the golden word tables.
+Traces x_n = tr M_{q_n} and z_n = tr(M_{q_{n-1}} M_{q_n}) evolve with
+the conserved Fricke invariant, which drives the spectrum approximation
+and the explicit growth constants.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .coeffs import rho_of
 from .errors import DomainError
-from .transfer import _mul, branch_sqrt, szego_matrices
+from .transfer import _mul, _word_products, branch_sqrt, szego_matrices
 
 _BIG = 1e100
 # traces beyond this size no longer support a trustworthy invariant
@@ -93,12 +94,10 @@ def word_alphas(alphabet, word: np.ndarray) -> np.ndarray:
 
 
 def _letter_matrices(alphabet, zs: np.ndarray) -> tuple:
-    """SL(2,C)-normalized one-letter transfer matrices, batched over z.
-
-    Returns (M_a, M_b) for the first and second alphabet letters; the
-    orbit seeds are M_{q_0} = M_b and M_{q_1} = M_a, matching the
-    standard words w_0 = b, w_1 = a.
-    """
+    """SL(2,C)-normalized one-letter transfer matrices (M_a, M_b) of the
+    alphabet letters, batched over z: `transfer._word_products`' `first`
+    and `second`, the orbit seeds M_{q_1} = M_a and M_{q_0} = M_b of
+    the standard words w_1 = a, w_0 = b."""
     s = branch_sqrt(zs)[:, None, None]
     Ma, Mb = (szego_matrices(letter, zs) / s for letter in alphabet)
     return Ma, Mb
@@ -165,54 +164,41 @@ class OrbitSweep:
 
 def orbit_sweep(alphabet, cf: ContinuedFractionData, zs, n_max: int) -> OrbitSweep:
     zs = np.asarray(zs, dtype=complex)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max + 1 > len(cf.q):
         raise ValueError("continued-fraction data shorter than n_max")
     G = len(zs)
     Ma, Mb = _letter_matrices(alphabet, zs)
-    M_prev, M_cur = Mb, Ma  # M_{q_0} = b-letter, M_{q_1} = a-letter
-    # M_{q_{n-1}} M_{q_n}: the product behind z_n, and the start of M_{q_{n+1}}
-    mix = _mul(M_prev, M_cur)
+    # M_{q_0} = b-letter, M_{q_1} = a-letter, then M_{q_n} for a_2 ... a_{n_max}
+    words = _word_products(Ma, Mb, cf.quotients[1:n_max])
+    M_prev = next(words)
 
-    x = np.full((n_max + 1, G), np.nan, dtype=complex)
-    z_mix = np.full((n_max + 1, G), np.nan, dtype=complex)
-    inv = np.full((n_max + 1, G), np.nan, dtype=complex)
+    x, z_mix, inv = (np.full((n_max + 1, G), np.nan, dtype=complex) for _ in range(3))
     norms = np.full((n_max + 1, G), np.inf)
     first_overflow = np.full(G, n_max + 1, dtype=int)
     dead = np.zeros(G, dtype=bool)
 
-    seed_norms = np.vstack([_norms(Mb), _norms(Ma), _norms(mix)])
+    seed_norms = np.vstack([_norms(Mb), _norms(Ma), _norms(_mul(Mb, Ma))])
 
     def trace(M):
         return M[:, 0, 0] + M[:, 1, 1]
 
-    x[0] = trace(M_prev)
-    norms[0] = _norms(M_prev)
-    n = 1
-    while True:
+    x[0], norms[0] = trace(M_prev), _norms(M_prev)
+    for n, M_cur in enumerate(words, start=1):
         with np.errstate(invalid="ignore", over="ignore"):
             x[n] = trace(M_cur)
-            z_mix[n] = trace(mix)
+            z_mix[n] = trace(_mul(M_prev, M_cur))
             inv[n] = fricke_invariant(x[n - 1], x[n], z_mix[n])
             norms[n] = _norms(M_cur)
             bad = (~np.isfinite(norms[n]) | (norms[n] > _BIG)
                    | (np.abs(x[n]) > _TRACE_TRUST) | (np.abs(z_mix[n]) > _TRACE_TRUST))
         first_overflow[bad & ~dead] = n
         dead |= bad
-        x[n][dead] = np.inf
-        z_mix[n][dead] = np.inf
+        x[n][dead] = z_mix[n][dead] = np.inf
         inv[n][dead] = np.nan
         norms[n][dead] = np.inf
-        if n == n_max:
-            break
-        # freeze exploded points so inf entries cannot poison the batch
-        M_cur[dead] = np.eye(2)
-        mix[dead] = np.eye(2)
-        # M_{q_{n+1}} = M_{q_{n-1}} M_{q_n}^{a_{n+1}}, one letter M_{q_n} at a time
-        for _ in range(cf.quotients[n] - 1):
-            mix = _mul(mix, M_cur)
-        M_prev, M_cur = M_cur, mix
-        mix = _mul(M_prev, M_cur)
-        n += 1
+        M_prev = M_cur
     return OrbitSweep(zs, n_max, x, z_mix, inv, norms, seed_norms, first_overflow)
 
 

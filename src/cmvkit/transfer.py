@@ -265,41 +265,55 @@ def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return C
 
 
-def _golden_words(letters, zs: np.ndarray, n: int) -> tuple:
-    """Lengths q_k, Szegő products T_k and prefix Grams G_k of the
-    standard words w_0 = b, w_1 = a, w_{k+1} = w_k w_{k-1} over
-    `letters` = (a, b), for every k with q_k <= max(n, 1).  The letters
-    broadcast against zs; T_k and G_k have that shape + (2, 2).
+def _word_products(first, second, quotients):
+    """The one loop that composes word products: yields M_0 = `second`,
+    M_1 = `first`, then M_{k+1} = M_{k-1} M_k^{a_{k+1}} for each a_{k+1} in
+    `quotients`, one factor M_k at a time through `_mul`, holding the last
+    two.  Products act per point: an inf or NaN stays at its own point."""
+    M_prev, M_cur = second, first
+    yield from (M_prev, M_cur)
+    for a in quotients:
+        M = M_prev
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(a):
+                M = _mul(M, M_cur)
+        M_prev, M_cur = M_cur, M
+        yield M_cur
 
-    G_w = sum T_p* T_p over the nonempty prefixes p of w; concatenation
-    gives T_uv = T_v T_u and G_uv = G_u + T_u* G_v T_u.  Entries that
-    leave the float range read inf or NaN.
-    """
+
+def _golden_words(letters, zs: np.ndarray, n: int) -> tuple:
+    """Lengths q_k and Szegő products T_k of the golden standard words
+    w_0 = b, w_1 = a, w_{k+1} = w_k w_{k-1} over `letters` = (a, b), for
+    every k with q_k <= max(n, 1): `_word_products` with every quotient 1.
+    The letters broadcast against zs; T_k has that shape + (2, 2), and
+    concatenation gives T_uv = T_v T_u."""
+    q = [1, 1]
+    while q[-1] + q[-2] <= n:
+        q.append(q[-1] + q[-2])
     Ta, Tb = szego_matrices(letters[0], zs), szego_matrices(letters[1], zs)
-    q, T, G = [1, 1], [Tb, Ta], [_mul(_ct(Tb), Tb), _mul(_ct(Ta), Ta)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while q[-1] + q[-2] <= n:
-            q.append(q[-1] + q[-2])
-            G.append(G[-1] + _mul(_ct(T[-1]), _mul(G[-2], T[-1])))
-            T.append(_mul(T[-2], T[-1]))
-    return q, T, G
+    return q, list(_word_products(Ta, Tb, [1] * (len(q) - 2)))
 
 
 def _golden_grams(letters, zs: np.ndarray, Ls) -> np.ndarray:
     """G_L = sum_{j<=L} P_j* P_j for each L in Ls on the golden word over
     `letters` = (a, b), shape (broadcast of letters and zs) + (len(Ls), 2, 2):
     the empty prefix's I, then the words of `_golden_pieces(L)` composed in
-    order.  All Ls advance together; a shorter decomposition is padded at
-    its front with the empty word (T = I, G = 0), which changes nothing
-    there (at the back, an overflowed T times G = 0 would read NaN)."""
-    q, T, G = _golden_words(letters, zs, max(Ls) - 1)
+    order.  A word's prefix Gram G_w = sum T_p* T_p (nonempty prefixes p)
+    follows G_uv = G_u + T_u* G_v T_u.  All Ls advance together; a shorter
+    decomposition is padded at its front with the empty word (T = I,
+    G = 0), which changes nothing there (at the back, an overflowed T
+    times G = 0 would read NaN)."""
+    q, T = _golden_words(letters, zs, max(Ls) - 1)
+    G = [_mul(_ct(T[0]), T[0]), _mul(_ct(T[1]), T[1])]
     eye = np.broadcast_to(np.eye(2, dtype=complex), T[0].shape)
-    Tt, Gt = np.stack(T + [eye], axis=-3), np.stack(G + [0.0 * eye], axis=-3)
     pieces = [_golden_pieces(L, q) for L in Ls]
     depth = max(len(p) for p in pieces)
     idx = np.array([[len(q)] * (depth - len(p)) + p for p in pieces]).reshape(len(Ls), depth)
     acc_T = acc_G = np.broadcast_to(eye[..., None, :, :], eye.shape[:-2] + (len(Ls), 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
+        for Tk in T[1:-1]:
+            G.append(G[-1] + _mul(_ct(Tk), _mul(G[-2], Tk)))
+        Tt, Gt = np.stack(T + [eye], axis=-3), np.stack(G + [0.0 * eye], axis=-3)
         for i in range(depth):
             acc_G = acc_G + _mul(_ct(acc_T), _mul(Gt[..., idx[:, i], :, :], acc_T))
             acc_T = _mul(Tt[..., idx[:, i], :, :], acc_T)

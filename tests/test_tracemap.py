@@ -94,20 +94,35 @@ def test_overflow_flag_truncates():
     assert all(np.isfinite(abs(r.x)) for r in orb.records)
 
 
-def test_recursion_matches_direct_products():
-    cf = tracemap.golden_cf(16)
-    word = tracemap.standard_word(cf.quotients, 11)
+@pytest.mark.parametrize("quotients", [(1,) * 20, (1, 2) * 8, (2,) * 16, (1, 1, 3, 1, 2) * 4],
+                         ids=["golden", "1-2", "2-2", "1-1-3-1-2"])
+def test_recursion_matches_direct_products(quotients):
+    # the shared word recursion at every a_{n+1}, 1 or more, against the
+    # direct product over w_n, for q_n <= 3000.  Both sides skip
+    # quotients[0]: cf_data's q and standard_word start at a_2, so (2, 2, ...)
+    # spells the words of (1, 2, 2, ...); that trap stays as it is here
+    cf = tracemap.cf_data(quotients, len(quotients))
+    n_max = max(n for n in range(len(cf.q)) if cf.q[n] <= 3000)
+    word = tracemap.standard_word(cf.quotients, n_max)
     seq = coeffs.make_explicit(tracemap.word_alphas(FIB, word))
     z = cmath.exp(0.9j)
     Ma, Mb = tracemap._letter_matrices(FIB, np.array([z]))
-    M_prev, M_cur = Mb, Ma
-    for n in range(1, 12):
+    products = list(transfer._word_products(Ma, Mb, cf.quotients[1:n_max]))
+    assert len(products) == n_max + 1 and len(word) == cf.q[n_max]
+    for n in range(1, n_max + 1):
         qn = cf.q[n]
         direct = transfer.normalize_sl2(
             transfer.cocycle_product(seq, z, qn), z, qn)
-        err = np.max(np.abs(M_cur[0] - direct)) / np.max(np.abs(direct))
+        err = np.max(np.abs(products[n][0] - direct)) / np.max(np.abs(direct))
         assert err < 1e-10, f"level {n}"
-        M_prev, M_cur = M_cur, M_prev @ M_cur
+
+
+def test_orbit_sweep_needs_a_level():
+    cf = tracemap.golden_cf(12)
+    with pytest.raises(ValueError, match="at least 1"):
+        tracemap.orbit_sweep(FIB, cf, np.exp(1j * np.array([0.1, 0.2])), 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        tracemap.spectrum_approx(FIB, cf, [0.1, 0.2], 0, 3.0)
 
 
 def test_spectrum_masks_free_full_circle():

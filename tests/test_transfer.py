@@ -277,22 +277,25 @@ def test_golden_pieces_spell_the_sturmian_word():
 
 
 def test_golden_word_products_match_the_cocycle():
-    # T_{w_k} is the Szegő product over sites 1 ... q_k; G_{w_k} sums
-    # T_p* T_p over its prefixes, the loop's increments from site 1
+    # T_{w_k} is the Szegő product over sites 1 ... q_k; the Gram G_L of
+    # sites 0 ... L - 1 holds the unit pairs' profile at L, times 2, on its
+    # diagonal, at L = 1 + q_k (the pieces b, w_k) as at L between them
     alphabet = (0.4 + 0.2j, -0.5)
     seq = coeffs.make_sturmian(*alphabet, GOLDEN)
     zs = np.array([cmath.exp(0.7j), 0.9 * cmath.exp(2.1j)])
-    q, T, G = transfer._golden_words(alphabet, zs, 500)
+    q, T = transfer._golden_words(alphabet, zs, 500)
     assert q[-1] <= 500 < q[-1] + q[-2]
     for k in range(1, len(q)):
         tail = coeffs.make_explicit(seq.alpha_array(1, 1 + q[k]).tolist())
         for g, z in enumerate(zs):
             ref = transfer.cocycle_product(tail, z, q[k])
             assert np.allclose(T[k][g], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-            prof = transfer.norm_profile_batch(tail, [z, z], [[1.0, 0.0], [0.0, 1.0]], q[k])
-            # diagonal of I + G_w is the unit pairs' profile at q_k, times 2
-            diag = 1.0 + np.real(np.diagonal(G[k][g]))
-            assert np.allclose(diag, 2.0 * prof[:, -1], rtol=1e-12, atol=0.0)
+    Ls = [1 + qk for qk in q] + [7, 100, 500]
+    G = transfer._golden_grams(alphabet, zs, Ls)
+    prof = transfer.norm_profile_batch(seq, np.repeat(zs, 2), np.tile(np.eye(2), (2, 1)), 500)
+    diag = np.real(np.diagonal(G, axis1=-2, axis2=-1))  # (z, L, pair)
+    assert np.allclose(diag, 2.0 * prof[:, Ls].reshape(2, 2, -1).swapaxes(1, 2),
+                       rtol=1e-12, atol=0.0)
 
 
 def _mask_points(alphabet):
