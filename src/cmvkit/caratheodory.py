@@ -23,7 +23,6 @@ from .errors import (DepthError, DiskError, HorizonError, PoleError,
                      SupportError, UnconvergedWarning)
 from . import operator, transfer
 
-SQRT2 = math.sqrt(2.0)
 _MAX_HORIZON = 1 << 21  # the longest norm profile the x(r) search propagates
 # `_schur_F_words` accepts a table value whose check reading agrees within
 # _WORD_RTOL relative.  At holder's arc nodes (5 eps x 24 nodes at two
@@ -188,8 +187,7 @@ def _schur_F_words(seq: VerblunskySequence, zs, tol: float, max_depth: int) -> n
     circles at r = 0.999 (4096 theta, three alphabets): that is the
     measured safety factor, so an accepted value is estimated within
     2.4e-9 relative (measured: within 2.4e-12).  `transfer.norm_squares`
-    runs the same check; its docstring gives the counterexample recorded
-    there (z = -1 on (0.7, -0.7), 4.9e-8 off the loop yet accepted).
+    runs the same check; its docstring gives the counterexample on record.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
@@ -339,141 +337,80 @@ class XofR:
         return abs(F_lam) * self.norm_phi / self.norm_psi
 
 
-def _targets(r, count: int) -> np.ndarray:
-    # 2 / (1 - r)^2 per row, in Python floats as a one-point search forms it
-    return np.array([2.0 / (1.0 - v) ** 2
-                     for v in np.broadcast_to(np.asarray(r, dtype=float), (count,)).tolist()])
-
-
-def _short_rows(s_phi: np.ndarray, s_psi: np.ndarray, target: np.ndarray,
-                ends: np.ndarray) -> np.ndarray:
-    """Rows whose profiles, read up to column ends[i], end before the root."""
-    short = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
-    idx = np.flatnonzero(short)
-    # compare in log space; far off the spectrum the raw product overflows
-    short[idx] = [math.log(p) + math.log(q) < math.log(t) for p, q, t in
-                  zip(s_phi[idx, ends[idx]].tolist(), s_psi[idx, ends[idx]].tolist(),
-                      target[idx].tolist())]
-    return short
-
-
-def _past_root(s_phi: np.ndarray, s_psi: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows whose product at the last column exceeds the target by 1e-9
-    relative.  Squared-norm profiles never decrease, so every interpolated
-    product past that column, rounding included, is above the target too:
-    a bisection reads nothing beyond it."""
-    return np.array([math.log(p) + math.log(q) > math.log(t) + 1e-9 for p, q, t in
-                     zip(s_phi[:, -1].tolist(), s_psi[:, -1].tolist(), target.tolist())],
-                    dtype=bool)
-
-
-def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r, ends=None) -> list:
+def _x_from_profiles(s_phi: np.ndarray, s_psi: np.ndarray, r) -> list:
     """Root of the x(r) equation, and the norms there, for each row of the
-    precomputed squared-norm profiles (shape (points, n + 1)).  r is one
-    radius for all rows or one per row; row i is bisected on [0, ends[i]]
-    (default: the last column).  A row whose bracket reaches past the
-    last column must be `_past_root` there; its probes beyond that column
-    are above the target, as they would be on the longer profile.
+    precomputed squared-norm profiles (shape (points, n + 1)); r is one
+    radius for all rows or one per row.
 
-    All rows are bisected together as arrays; each row stops at its own
-    rule, so every root and norm is the one a bisection of that row alone,
-    on its profile cut at its end, gives."""
-    target = _targets(r, len(s_phi))
-    width = s_phi.shape[1] - 1
-    ends = (np.full(len(s_phi), width) if ends is None
-            else np.asarray(ends, dtype=np.intp))
-    if _short_rows(s_phi, s_psi, target, np.minimum(ends, width)).any():
+    With t = 2/(1 - r)^2, k is the first column where S_phi S_psi >= t (an
+    overflowed or escaped product reads inf, above t).  Between columns
+    n = k - 1 and k the squared norms are linear, p0 + f dp and q0 + f dq,
+    so the root solves dp dq f^2 + b f - c = 0 with c = t - p0 q0 > 0 and
+    b = p0 dq + q0 dp >= 0: f = 2c / (b + sqrt(b^2 + 4 dp dq c)), a form
+    that subtracts no like-signed terms.  x = n + f, and x = 0 where k = 0.
+    The root reads no column past k, and the norms are read through
+    `transfer._interp_squared`, as `alexandrov_norms` reads them."""
+    t = 2.0 / (1.0 - np.broadcast_to(np.asarray(r, dtype=float), (len(s_phi),))) ** 2
+    with np.errstate(over="ignore"):
+        crossed = s_phi * s_psi >= t[:, None]
+    if not crossed[:, -1].all():
         raise HorizonError("profiles end before the x(r) root")
-    if np.any((ends > width) & ~_past_root(s_phi, s_psi, target)):
-        raise ValueError("a bracket reaches past a profile that has not passed its root")
-    bisect = s_phi[:, 0] * s_psi[:, 0] < target  # the others have x = 0
-    active = np.flatnonzero(bisect)
-    lo = np.zeros(len(s_phi))
-    hi = np.where(bisect, ends.astype(float), 0.0)
-    for _ in range(200):
-        if not len(active):
-            break
-        a, b = lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        # linear interpolation of the squared norms, as `transfer._interp_squared`
-        n = np.floor(mid).astype(np.intp)
-        frac = mid - n
-        inside = n < width
-        n = np.minimum(n, width - 1)
-        # a product past the float range, or an escaped row's inf, is not below
-        with np.errstate(over="ignore", invalid="ignore"):
-            below = inside & (
-                ((1.0 - frac) * s_phi[active, n] + frac * s_phi[active, n + 1])
-                * ((1.0 - frac) * s_psi[active, n] + frac * s_psi[active, n + 1])
-                < target[active])
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-        lo[active], hi[active] = a, b
-        active = active[~(b - a < 1e-12 * np.maximum(1.0, b))]
-    xs = 0.5 * (lo + hi)
-    return [XofR(x, math.sqrt(transfer._interp_squared(p[:e + 1], x)),
-                 math.sqrt(transfer._interp_squared(q[:e + 1], x)))
-            for x, p, q, e in zip(xs.tolist(), s_phi, s_psi, ends.tolist())]
+    k = crossed.argmax(axis=1)
+    x = np.zeros(len(t))
+    m = np.flatnonzero(k)  # the rows that start below the target
+    n = k[m] - 1
+    p0, q0 = s_phi[m, n], s_psi[m, n]
+    dp, dq = s_phi[m, n + 1] - p0, s_psi[m, n + 1] - q0
+    c, b = t[m] - p0 * q0, p0 * dq + q0 * dp
+    # where the product at k is near t, rounding can put f past 1 (by 8e-12
+    # on random columns); the root lies in [n, k]
+    x[m] = n + np.minimum(2.0 * c / (b + np.sqrt(b * b + 4.0 * dp * dq * c)), 1.0)
+    return [XofR(v, math.sqrt(transfer._interp_squared(p, v)),
+                 math.sqrt(transfer._interp_squared(q, v)))
+            for v, p, q in zip(x.tolist(), s_phi, s_psi)]
 
 
 def _search_x(seq: VerblunskySequence, lams, zs, r) -> list:
     """x(r) at each point (lams[i], zs[i]), with r one radius for all or
-    one per point.  Points that share an r share its horizon n, which
-    starts at max(64, 8 sqrt(2)/(1 - r)) and doubles up to `_MAX_HORIZON`
-    until every root of those points lies inside; each point is bisected
-    on [0, n].
+    one per point.
 
     Each round carries the phi rows of the unfinished points, then their
-    psi rows, in one batched propagation.  It starts at 64 sites (after a
-    doubling, at the shortest new horizon) and doubles up to the longest
-    horizon only while some row is neither `_past_root` nor at its own
-    horizon: roots lie far inside the horizon, and no bisection step
-    reads a profile past its root, so the shorter profiles give every x
-    and norm bit for bit."""
+    psi rows, in one batched propagation of n = 64, 128, ... sites, up to
+    `_MAX_HORIZON`.  A point is finished once its product at column n
+    reaches 2/(1 - r)^2; its root reads no column past that, so its x and
+    norms do not depend on the round, nor on the other points."""
     lc = np.conj(np.asarray(lams, dtype=complex))
     zs = np.asarray(zs, dtype=complex)
     r = np.broadcast_to(np.asarray(r, dtype=float), lc.shape)
     if not np.all((0.0 < r) & (r < 1.0)):
         raise ValueError("r must lie in (0, 1)")
-    horizon = np.array([max(64, int(8 * SQRT2 / (1.0 - v))) for v in r.tolist()])
-    target = _targets(r, len(r))
+    target = 2.0 / (1.0 - r) ** 2
     phi = np.stack([np.ones_like(lc), lc], axis=-1)
     found = [None] * len(lc)
     todo, n = np.arange(len(lc)), 64
     while len(todo):
+        if n > _MAX_HORIZON:
+            raise HorizonError(f"x(r) beyond horizon {_MAX_HORIZON}")
         inits = np.concatenate([phi[todo], phi[todo] * [1.0, -1.0]])
-        longest = int(horizon[todo].max())
-        while True:
-            prof = transfer.norm_profile_batch(seq, np.tile(zs[todo], 2), inits, n)
-            s_phi, s_psi = prof[:len(todo)], prof[len(todo):]
-            if n == longest or np.all((horizon[todo] <= n)
-                                      | _past_root(s_phi, s_psi, target[todo])):
-                break
-            n = min(2 * n, longest)
-        short = _short_rows(s_phi, s_psi, target[todo], np.minimum(horizon[todo], n))
-        # every point sharing an r with a short row doubles that r's horizon
-        grow = (r[todo, None] == r[todo][short][None, :]).any(axis=1)
-        # a slice keeps the profiles views; a mask would copy them
-        done = np.flatnonzero(~grow) if grow.any() else slice(None)
+        prof = transfer.norm_profile_batch(seq, np.tile(zs[todo], 2), inits, n)
+        s_phi, s_psi = prof[:len(todo)], prof[len(todo):]
+        with np.errstate(over="ignore"):
+            done = s_phi[:, -1] * s_psi[:, -1] >= target[todo]
         for i, xr in zip(todo[done].tolist(),
-                         _x_from_profiles(s_phi[done], s_psi[done], r[todo][done],
-                                          horizon[todo][done])):
+                         _x_from_profiles(s_phi[done], s_psi[done], r[todo][done])):
             found[i] = xr
-        todo = todo[grow]
-        if len(todo) and horizon[todo].max() >= _MAX_HORIZON:
-            raise HorizonError(f"x(r) beyond horizon {int(horizon[todo].max())}")
-        horizon[todo] *= 2
-        if len(todo):  # their roots lie past the old horizons
-            n = int(horizon[todo].min())
+        todo, n = todo[~done], 2 * n
     return found
 
 
 def solve_x_of_r(seq: VerblunskySequence, lam, z, r):
     """Unique x >= 0 with (1-r) ||phi||_x ||psi||_x = sqrt(2), with both norms.
 
-    The interpolated squared-norm product is continuous and strictly
-    increasing, so bracketing plus bisection is exact up to tolerance.
-    The horizon doubles up to `_MAX_HORIZON`, past which HorizonError is
-    raised; phi and psi share each propagation (`_search_x`).
+    The squared norms are interpolated linearly, so the product is a
+    quadratic between two columns and x is its root in closed form
+    (`_x_from_profiles`).  The profiles double up to `_MAX_HORIZON`
+    sites, past which HorizonError is raised; phi and psi share each
+    propagation (`_search_x`).
 
     lam, z and r may be arrays that broadcast together: the points then
     share one search (`_search_x`) and a list of XofR returns, the same
@@ -500,8 +437,8 @@ def jl_ratio(seq: VerblunskySequence, lam: complex, z: complex, r: float) -> flo
 def jl_ratio_sweep(seq: VerblunskySequence, lams, zs, r: float) -> np.ndarray:
     """jl_ratio over the (lam, z) product grid, shape (len(lams), len(zs)).
 
-    One `transfer.norm_profile_batch` call per horizon carries the phi and
-    psi pairs of the whole grid, and one `schur_F_batch` pass gives F^lam
+    One x(r) search (`_search_x`) carries the phi and psi pairs of the
+    whole grid, and one `schur_F_batch` pass gives F^lam
     at every grid point, which is much faster than pointwise evaluation
     for on-circle sweeps.
     """

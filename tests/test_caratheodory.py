@@ -17,6 +17,8 @@ from cmvkit import coeffs, operator, transfer, verify
 from cmvkit.errors import (DiskError, HorizonError, SupportError,
                            UnconvergedWarning)
 
+import mp_szego
+
 GOLDEN = coeffs.GOLDEN_MEAN
 
 
@@ -415,7 +417,7 @@ def test_x_of_r_monotone_and_residual():
         x = xr.x
         xs.append(x)
         n_phi, n_psi = cara.alexandrov_norms(seq, 1.0, z, x)
-        assert abs((1 - r) * n_phi * n_psi - math.sqrt(2)) < 1e-10
+        assert abs((1 - r) * n_phi * n_psi - math.sqrt(2)) < 1e-14
         # the norms the search carries match an independent propagation
         assert (xr.norm_phi, xr.norm_psi) == (n_phi, n_psi)
     assert xs[0] < xs[1] < xs[2]
@@ -430,7 +432,8 @@ def test_x_of_r_strict_horizon():
 
 
 def _scalar_x_of_r(s_phi, s_psi, r):
-    """x(r) of one point by a bisection of its own, two interpolations a step."""
+    """x(r) of one point by a bisection of its own, two interpolations a
+    step, stopped at width 1e-12 max(1, x)."""
     target = 2.0 / (1.0 - r) ** 2
     x = 0.0
     if s_phi[0] * s_psi[0] < target:
@@ -445,8 +448,7 @@ def _scalar_x_of_r(s_phi, s_psi, r):
             if hi - lo < 1e-12 * max(1.0, hi):
                 break
         x = 0.5 * (lo + hi)
-    return (x, math.sqrt(transfer._interp_squared(s_phi, x)),
-            math.sqrt(transfer._interp_squared(s_psi, x)))
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -466,13 +468,50 @@ def criterion_10_profiles():
 
 @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
 def test_x_of_r_array_bisection_matches_scalar_loop(r, criterion_10_profiles):
+    # the closed-form roots of all rows lie within a scalar bisection's
+    # stopping width of its root (measured: 4.5e-13 relative), and solve
+    # the x(r) equation to rounding (measured: 7.9e-16 relative)
     s_phi, s_psi = (p.copy() for p in criterion_10_profiles)
-    # a row that starts above the target has x = 0; it rides along unbisected
+    # a row that starts above the target has x = 0
     s_phi[3] *= 2.0 / (1.0 - r)
     s_psi[3] *= 2.0 / (1.0 - r)
-    got = [(xr.x, xr.norm_phi, xr.norm_psi) for xr in cara._x_from_profiles(s_phi, s_psi, r)]
-    assert got == [_scalar_x_of_r(p, q, r) for p, q in zip(s_phi, s_psi)]
-    assert got[3][0] == 0.0 and all(x > 0.0 for i, (x, _, _) in enumerate(got) if i != 3)
+    got = cara._x_from_profiles(s_phi, s_psi, r)
+    for i, (xr, p, q) in enumerate(zip(got, s_phi, s_psi)):
+        x = _scalar_x_of_r(p, q, r)
+        assert abs(xr.x - x) <= 1e-12 * max(1.0, x)
+        if i != 3:
+            assert (abs((1.0 - r) * xr.norm_phi * xr.norm_psi - math.sqrt(2.0))
+                    <= 1e-14 * math.sqrt(2.0))
+    assert got[3].x == 0.0 and all(xr.x > 0.0 for i, xr in enumerate(got) if i != 3)
+
+
+def _mp_root(s_phi, s_psi, r):
+    """The root of the interpolated x(r) equation on 40-digit profiles."""
+    with mp.workdps(mp_szego.DPS):
+        t = 2 / (1 - mp.mpf(r)) ** 2
+        k = next(j for j, (p, q) in enumerate(zip(s_phi, s_psi)) if p * q >= t)
+        p0, q0 = s_phi[k - 1], s_psi[k - 1]
+        dp, dq = s_phi[k] - p0, s_psi[k] - q0
+        c, b = t - p0 * q0, p0 * dq + q0 * dp
+        return float(k - 1 + 2 * c / (b + mp.sqrt(b * b + 4 * dp * dq * c)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1j, cmath.exp(0.9j)], ids=["1", "i", "e^0.9i"])
+def test_x_of_r_against_40_digit_profiles(lam):
+    # at holder's theta, x(r) lies within 2e-13 relative of the root of
+    # the same interpolated equation on 40-digit profiles (measured:
+    # 5.3e-14; the bisection it replaced was 3.6e-13 off)
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    z = cmath.exp(0.24850488763747386j)
+    rs = [0.9, 0.99, 0.999]
+    xrs = cara.solve_x_of_r(seq, lam, z, rs)
+    n = int(max(xr.x for xr in xrs)) + 1
+    lc = complex(lam).conjugate()
+    s_phi = mp_szego.norm_profile(seq, z, (1.0, lc), n)
+    s_psi = mp_szego.norm_profile(seq, z, (1.0, -lc), n)
+    for r, xr in zip(rs, xrs):
+        ref = _mp_root(s_phi, s_psi, r)
+        assert abs(xr.x - ref) <= 2e-13 * ref
 
 
 def test_jl_ratio_free_is_one():
@@ -492,35 +531,8 @@ def test_jl_ratio_horizon_stability():
     assert abs(cara.jl_ratio(seq, 1j, z, 0.99) - longer.jl_ratio(F_lam)) < 1e-9
 
 
-def _full_horizon_x(seq, lams, zs, r):
-    """x(r) of each point bisected on profiles propagated to the whole
-    first horizon max(64, 8 sqrt(2)/(1 - r)); the roots here lie inside it."""
-    n = max(64, int(8 * cara.SQRT2 / (1.0 - r)))
-    lc = np.conj(np.asarray(lams, dtype=complex))
-    phi = np.stack([np.ones_like(lc), lc], axis=-1)
-    prof = transfer.norm_profile_batch(seq, np.tile(zs, 2),
-                                       np.concatenate([phi, phi * [1.0, -1.0]]), n)
-    return cara._x_from_profiles(prof[:len(lc)], prof[len(lc):], r)
-
-
-@pytest.mark.parametrize("first_horizon", ["default", "64 sites"])
-def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
-    # one search over points with their own r equals one search per r,
-    # bit for bit: points sharing an r share that r's horizon
-    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
-    lams = np.array([1.0, 1j, cmath.exp(0.9j), 1.0, -1j])
-    zs = np.exp(1j * np.array([0.25, 1.3, 0.25, 0.7, 0.4]))
-    rs = np.array([0.9, 0.999, 0.99, 0.99, 0.999])
-    if first_horizon == "64 sites":
-        # the r = 0.99 and 0.999 roots then need one or more doublings
-        monkeypatch.setattr(cara, "SQRT2", 1e-3)
-    per_r = {}
-    for r in sorted(set(rs.tolist())):
-        group = np.flatnonzero(rs == r)
-        per_r.update(zip(group.tolist(), cara._search_x(seq, lams[group], zs[group], r)))
-        if first_horizon == "default":
-            # profiles that stop past the roots bisect like whole-horizon ones
-            assert [per_r[i] for i in group] == _full_horizon_x(seq, lams[group], zs[group], r)
+def _spy_profiles(monkeypatch):
+    """Record (rows, n_max) of every `norm_profile_batch` call."""
     calls = []
     loop = transfer.norm_profile_batch
 
@@ -529,29 +541,66 @@ def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
         return loop(seq, zs, initials, n_max)
 
     monkeypatch.setattr(transfer, "norm_profile_batch", spy)
+    return calls
+
+
+def test_search_x_takes_r_per_point(monkeypatch):
+    # one search over points with their own r equals one search per r and
+    # the roots read from longer profiles, bit for bit
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    lams = np.array([1.0, 1j, cmath.exp(0.9j), 1.0, -1j])
+    zs = np.exp(1j * np.array([0.25, 1.3, 0.25, 0.7, 0.4]))
+    rs = np.array([0.9, 0.999, 0.99, 0.99, 0.999])
+    per_r = {}
+    for r in sorted(set(rs.tolist())):
+        group = np.flatnonzero(rs == r)
+        per_r.update(zip(group.tolist(), cara._search_x(seq, lams[group], zs[group], r)))
+    phi = np.stack([np.ones(len(lams)), np.conj(lams)], axis=-1)
+    prof = transfer.norm_profile_batch(seq, np.tile(zs, 2),
+                                       np.concatenate([phi, phi * [1.0, -1.0]]), 2048)
+    longer = cara._x_from_profiles(prof[:len(lams)], prof[len(lams):], rs)
+    assert [per_r[i] for i in range(len(rs))] == longer
+    calls = _spy_profiles(monkeypatch)
     joint = cara.solve_x_of_r(seq, lams, zs, rs)
-    assert joint == [per_r[i] for i in range(len(rs))]
-    if first_horizon == "default":
-        # the longest horizon is 11313 sites; every root lies before 1024
-        assert calls == [(10, 64), (10, 128), (10, 256), (10, 512), (10, 1024)]
-    else:
-        # the r = 0.99 roots fit in 64 sites; each later round propagates
-        # only the two r = 0.999 points, one of whose roots lies past 512
-        assert calls == [(10, 64), (4, 128), (4, 256), (4, 512), (4, 1024)]
+    assert joint == longer
+    # the r = 0.9 and 0.99 roots lie inside 64 sites; each later round
+    # propagates only the two r = 0.999 points, one of whose roots lies
+    # past 512
+    assert calls == [(10, 64), (2, 128), (2, 256), (2, 512), (2, 1024)]
+
+
+def test_search_x_stops_at_max_horizon(monkeypatch):
+    # the last round propagates exactly _MAX_HORIZON sites; the free root
+    # at r = 0.999, sqrt(2)/(1 - r) - 1 = 1413, lies past 256
+    monkeypatch.setattr(cara, "_MAX_HORIZON", 256)
+    calls = _spy_profiles(monkeypatch)
+    with pytest.raises(HorizonError):
+        cara.solve_x_of_r(coeffs.make_constant(0.0), 1.0, cmath.exp(0.7j), 0.999)
+    assert calls == [(2, 64), (2, 128), (2, 256)]
+
+
+def test_x_from_profiles_root_stays_in_its_segment():
+    # on these two columns the product at column 1 is the r = 0.99 target
+    # to rounding, and the closed form rounds f to 1 + 2^-52; x stays at
+    # the last column, where its norms can still be read
+    s_phi = np.array([[1.0, 6.484263535370605]])
+    s_psi = np.array([[55.40977507963289, 3084.3903692228437]])
+    xr = cara._x_from_profiles(s_phi, s_psi, 0.99)[0]
+    assert xr.x == 1.0 and xr.norm_phi == math.sqrt(s_phi[0, 1])
 
 
 def test_x_from_profiles_stops_past_the_root(criterion_10_profiles):
-    # a profile cut past its root bisects on the same bracket like the
-    # whole one; a profile cut before its root is short of the bracket
+    # a root reads no column past the first one whose product reaches the
+    # target: a profile cut one column past the last root gives every root
+    # and norm bit for bit, and a profile cut before its root raises
     s_phi, s_psi = criterion_10_profiles
     whole = cara._x_from_profiles(s_phi, s_psi, 0.999)
-    ends = np.full(len(s_phi), s_phi.shape[1] - 1)
     # the last root lies between the last two columns of the cut profile
     cut = int(max(xr.x for xr in whole)) + 1
-    assert cut < 1024 < ends[0]
-    assert cara._x_from_profiles(s_phi[:, :cut + 1], s_psi[:, :cut + 1], 0.999, ends) == whole
+    assert cut < 1024 < s_phi.shape[1] - 1
+    assert cara._x_from_profiles(s_phi[:, :cut + 1], s_psi[:, :cut + 1], 0.999) == whole
     with pytest.raises(HorizonError):
-        cara._x_from_profiles(s_phi[:, :8], s_psi[:, :8], 0.999, ends)
+        cara._x_from_profiles(s_phi[:, :8], s_psi[:, :8], 0.999)
 
 
 def test_jl_ratio_sweep_matches_pointwise():

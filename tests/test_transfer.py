@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,8 @@ from hypothesis import strategies as st
 
 from cmvkit import coeffs, tracemap, transfer, verify
 from cmvkit.errors import InsufficientDataError, NormalizationError
+
+import mp_szego
 
 GOLDEN = coeffs.GOLDEN_MEAN
 # Relative accuracy of the Gram samples of `norm_squares` on the golden
@@ -333,21 +334,6 @@ def test_norm_squares_golden_route_matches_the_loop(alphabet, monkeypatch):
     assert calls == ([] if alphabet == (0.5, -0.5) else [(2, Ls[-1])])
 
 
-def _mp_norm_squares(seq, z, initial, Ls):
-    """S_x[L] by a 40-digit propagation of the pair, site by site."""
-    with mp.workdps(40):
-        zz, (u, v) = mp.mpc(z), (mp.mpc(initial[0]), mp.mpc(initial[1]))
-        S, out = (abs(u) ** 2 + abs(v) ** 2) / 2, []
-        for j, a in enumerate(seq.alpha_array(0, max(Ls)).tolist(), start=1):
-            a = mp.mpc(a)
-            rho = mp.sqrt(1 - abs(a) ** 2)
-            u, v = (zz * u - mp.conj(a) * v) / rho, (-a * zz * u + v) / rho
-            S += (abs(u) ** 2 + abs(v) ** 2) / 2
-            if j in Ls:
-                out.append(float(S))
-    return np.array(out)
-
-
 @pytest.mark.parametrize("alphabet, k", [((0.5, -0.5), 162), ((0.4 + 0.2j, -0.5), 2179)])
 def test_norm_squares_golden_route_against_mpmath(alphabet, k):
     # holder's pick, and the mask point of the complex alphabet where the
@@ -358,7 +344,8 @@ def test_norm_squares_golden_route_against_mpmath(alphabet, k):
     inits = [(1.0, 1.0), (1.0, -1.0)]
     got = _gram_route(alphabet, [z], inits, Ls)[0]
     for row, init in zip(got, inits):
-        ref = _mp_norm_squares(seq, z, init, Ls)
+        profile = mp_szego.norm_profile(seq, z, init, Ls[-1])
+        ref = np.array([float(profile[L]) for L in Ls])
         assert np.allclose(row, ref, rtol=GRAM_RTOL, atol=0.0)
 
 
