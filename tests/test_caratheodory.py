@@ -544,13 +544,18 @@ def _spy_profiles(monkeypatch):
     return calls
 
 
-def test_search_x_takes_r_per_point(monkeypatch):
+@pytest.mark.parametrize("first_horizon", ["default", "64 sites"])
+def test_search_x_takes_r_per_point(first_horizon, monkeypatch):
     # one search over points with their own r equals one search per r and
-    # the roots read from longer profiles, bit for bit
+    # the roots read from longer profiles, bit for bit; "64 sites" keeps
+    # only the points whose roots lie inside the first 64-site round
     seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     lams = np.array([1.0, 1j, cmath.exp(0.9j), 1.0, -1j])
     zs = np.exp(1j * np.array([0.25, 1.3, 0.25, 0.7, 0.4]))
     rs = np.array([0.9, 0.999, 0.99, 0.99, 0.999])
+    if first_horizon == "64 sites":
+        keep = rs < 0.999
+        lams, zs, rs = lams[keep], zs[keep], rs[keep]
     per_r = {}
     for r in sorted(set(rs.tolist())):
         group = np.flatnonzero(rs == r)
@@ -563,10 +568,14 @@ def test_search_x_takes_r_per_point(monkeypatch):
     calls = _spy_profiles(monkeypatch)
     joint = cara.solve_x_of_r(seq, lams, zs, rs)
     assert joint == longer
-    # the r = 0.9 and 0.99 roots lie inside 64 sites; each later round
-    # propagates only the two r = 0.999 points, one of whose roots lies
-    # past 512
-    assert calls == [(10, 64), (2, 128), (2, 256), (2, 512), (2, 1024)]
+    if first_horizon == "default":
+        # the r = 0.9 and 0.99 roots lie inside 64 sites; each later round
+        # propagates only the two r = 0.999 points, one of whose roots lies
+        # past 512
+        assert calls == [(10, 64), (2, 128), (2, 256), (2, 512), (2, 1024)]
+    else:
+        # every root lies inside 64 sites, so one round finishes the search
+        assert calls == [(6, 64)]
 
 
 def test_search_x_stops_at_max_horizon(monkeypatch):
