@@ -7,7 +7,6 @@ constants.  Output: one CSV with a mask column per depth.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,6 +17,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmvkit import tracemap  # noqa: E402
+from cmvkit.table import write_csv  # noqa: E402
 
 
 def main() -> int:
@@ -37,12 +37,8 @@ def main() -> int:
     sweep = tracemap.orbit_sweep(alphabet, cf, np.exp(1j * thetas), max(depths))
     K = tracemap.default_trace_bound(sweep.invariant_sup)
     masks = {d: sweep.mask(K, d) for d in depths}
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta"] + [f"mask_n{d}" for d in depths])
-        for i, theta in enumerate(thetas):
-            writer.writerow([repr(float(theta))]
-                            + [int(masks[d][i]) for d in depths])
+    write_csv(args.out, ["theta"] + [f"mask_n{d}" for d in depths],
+              [thetas] + [masks[d].astype(int) for d in depths])
     for d in depths:
         print(f"depth {d:2d}: mask fraction {masks[d].mean():.4f}")
 

@@ -10,7 +10,6 @@ supremum.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .coeffs import LeftHalf, SturmianSequence, VerblunskySequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
                      SupportError, UnconvergedWarning)
 from . import operator, transfer
+from .table import write_csv
 
 _MAX_HORIZON = 1 << 21  # the longest norm profile the x(r) search propagates
 # `_schur_F_words` accepts a table value whose check reading agrees within
@@ -503,11 +503,6 @@ def mobius_sup_grid(F):
 
 def write_boundary_csv(rows, path) -> None:
     """rows: iterables (r, theta, F, x_of_r, jl_ratio, mobius_sup)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "re_F", "im_F", "x_of_r",
-                         "jl_ratio", "mobius_sup"])
-        for r, theta, F, x, ratio, sup in rows:
-            writer.writerow([repr(float(r)), repr(float(theta)),
-                             repr(float(F.real)), repr(float(F.imag)), repr(float(x)),
-                             repr(float(ratio)), repr(float(sup))])
+    r, theta, F, x, ratio, sup = np.array(list(rows), dtype=complex).reshape(-1, 6).T
+    write_csv(path, ["r", "theta", "re_F", "im_F", "x_of_r", "jl_ratio", "mobius_sup"],
+              [r.real, theta.real, F.real, F.imag, x.real, ratio.real, sup.real])

@@ -8,7 +8,6 @@ deterministic, so they are safe to share between threads and to memoize on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateRhoError, FrequencyRangeError, ModulusError,
                      SupportError)
+from .table import write_csv
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -288,8 +288,5 @@ def extend_two_sided(positive: VerblunskySequence,
 def write_coeffs_csv(seq: VerblunskySequence, lo: int, hi: int, path) -> None:
     """Dump columns n, re_alpha, im_alpha, rho for n in [lo, hi)."""
     a = seq.alpha_array(lo, hi)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re_alpha", "im_alpha", "rho"])
-        for n, x, r in zip(range(lo, hi), a.tolist(), rho_of(a).tolist()):
-            writer.writerow([n, repr(x.real), repr(x.imag), repr(r)])
+    write_csv(path, ["n", "re_alpha", "im_alpha", "rho"],
+              [np.arange(lo, hi), a.real, a.imag, rho_of(a)])

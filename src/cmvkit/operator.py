@@ -18,7 +18,6 @@ decouples the block).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +26,7 @@ import numpy as np
 from .coeffs import LeftHalf, RightHalf, VerblunskySequence, rho_of
 from .errors import (DegenerateRhoError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
+from .table import write_csv
 
 
 def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
@@ -354,12 +354,12 @@ def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
 
 
 def write_state_csv(state: State, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im", "abs2"])
-        for i, v in enumerate(state.values):
-            writer.writerow([state.offset + i, repr(float(v.real)),
-                             repr(float(v.imag)), repr(float(abs(v) ** 2))])
+    v = state.values
+    # np.hypot is abs() of each complex bit for bit; its array square, unlike
+    # a float's ** 2 (pow), differs from abs(v) ** 2 in the last place
+    abs2 = [a ** 2 for a in np.hypot(v.real, v.imag).tolist()]
+    write_csv(path, ["n", "re", "im", "abs2"],
+              [np.arange(state.offset, state.offset + len(v)), v.real, v.imag, abs2])
 
 
 def write_bands_csv(block: CMVBlock, path) -> None:
@@ -372,8 +372,4 @@ def write_bands_csv(block: CMVBlock, path) -> None:
     cols = rows + np.asarray(offs)[k]
     inside = (cols >= 0) & (cols < n)
     rows, cols, vals = rows[inside], cols[inside], vals[rows[inside], k[inside]]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            writer.writerow([i, j, repr(v.real), repr(v.imag)])
+    write_csv(path, ["row", "col", "re", "im"], [rows, cols, vals.real, vals.imag])

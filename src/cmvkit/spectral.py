@@ -22,7 +22,6 @@ for acceptance criterion 2 and is not consulted during assembly.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ from .errors import (ConventionError, DegenerateError, InsufficientDataError,
                      SpectralPointError, SupportError, WindowError)
 from . import caratheodory as cara
 from . import operator
+from .table import write_csv
 
 _MIN_CIRCLE_GAP = 1e-3
 _TINY = float(np.finfo(float).tiny)  # least normal float
@@ -440,30 +440,19 @@ def holder_exponent(seq: VerblunskySequence, theta: float, eps,
                      float(np.max(np.abs(masses - check) / check)))
 
 
-# density.csv rows formatted per write
-_DENSITY_BLOCK = 256
-
-
 def write_density_csv(profiles, path) -> None:
-    """One row (theta, r, density) per grid point, each cell the repr of
-    its float.  Rows are formatted _DENSITY_BLOCK at a time, one write
-    per block, from each block's columns read once."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "r", "density"])
-        eol = writer.dialect.lineterminator
-        for p in profiles:
-            mid = f",{p.r!r},"
-            for lo in range(0, len(p.thetas), _DENSITY_BLOCK):
-                block = slice(lo, lo + _DENSITY_BLOCK)
-                fh.write("".join(f"{theta!r}{mid}{d!r}{eol}" for theta, d in
-                                 zip(p.thetas[block].tolist(), p.density[block].tolist())))
+    """One row (theta, r, density) per grid point, profile by profile, on
+    grids of one length."""
+    thetas = [p.thetas for p in profiles]
+    if all(np.array_equal(t, thetas[0]) for t in thetas):
+        thetas = thetas[:1]  # one shared grid: each theta is formatted once
+    write_csv(path, ["theta", "r", "density"],
+              [thetas, np.array([p.r for p in profiles], dtype=float)[:, None],
+               np.array([p.density for p in profiles], dtype=float)])
 
 
 def write_arcmass_csv(fit: HolderFit, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "arc_mass", "log_eps", "log_mass"])
-        for e, m in zip(fit.eps, fit.masses):
-            writer.writerow([repr(float(e)), repr(float(m)),
-                             repr(math.log(e)), repr(math.log(m))])
+    eps, masses = fit.eps.tolist(), fit.masses.tolist()
+    # math.log, since np.log may differ in the last bit
+    write_csv(path, ["eps", "arc_mass", "log_eps", "log_mass"],
+              [eps, masses, [math.log(e) for e in eps], [math.log(m) for m in masses]])

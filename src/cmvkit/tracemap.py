@@ -14,7 +14,6 @@ and the explicit growth constants.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ import numpy as np
 
 from .coeffs import rho_of
 from .errors import DomainError
+from .table import write_csv
 from .transfer import _mul, _word_products, branch_sqrt, szego_matrices
 
 _BIG = 1e100
@@ -30,9 +30,6 @@ _BIG = 1e100
 # (the Fricke polynomial loses ~|trace|^3 * eps to cancellation), so the
 # orbit is flagged and truncated there
 _TRACE_TRUST = 1e3
-# thetas per write in `write_orbit_csv`: one string per block keeps the
-# atlas writer's memory flat, where one whole-file string would not
-_ATLAS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -321,30 +318,12 @@ def constants_to_json(c: GammaConstants, path=None):
 
 def write_orbit_csv(sweep: OrbitSweep, cf: ContinuedFractionData, thetas, mask,
                     path) -> None:
-    """One row per (theta, n), n = 1..n_max, each cell the repr of its
-    float.  Rows are formatted a block of _ATLAS_BLOCK thetas at a time,
-    one write per block, from each block's columns read once."""
-    thetas = np.asarray(thetas, dtype=float)
-    flags = np.asarray(mask, dtype=bool).tolist()
-    levels = [f"{n},{cf.q[n]}," for n in range(1, sweep.n_max + 1)]
+    """One row per (theta, n), n = 1..n_max: theta and its flag are
+    columns over theta, n and q_n columns over the levels."""
     # np.hypot equals abs() of each complex scalar bit for bit; np.abs of
     # the complex array differs in the last place
-    x, z = sweep.x[1:].T, sweep.z_mix[1:].T
-    inv = sweep.invariant[1:].T
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "n", "q_n", "abs_x", "abs_z", "re_I", "im_I",
-                         "in_spectrum"])
-        eol = writer.dialect.lineterminator
-        for lo in range(0, len(thetas), _ATLAS_BLOCK):
-            block = slice(lo, lo + _ATLAS_BLOCK)
-            columns = zip(thetas[block].tolist(), flags[block],
-                          np.hypot(x[block].real, x[block].imag).tolist(),
-                          np.hypot(z[block].real, z[block].imag).tolist(),
-                          inv[block].real.tolist(), inv[block].imag.tolist())
-            lines = []
-            for theta, flag, ax, az, re_I, im_I in columns:
-                head, tail = f"{theta!r},", f",{int(flag)}{eol}"
-                lines.extend(f"{head}{level}{a!r},{b!r},{c!r},{d!r}{tail}"
-                             for level, a, b, c, d in zip(levels, ax, az, re_I, im_I))
-            fh.write("".join(lines))
+    x, z, inv = sweep.x[1:].T, sweep.z_mix[1:].T, sweep.invariant[1:].T
+    write_csv(path, ["theta", "n", "q_n", "abs_x", "abs_z", "re_I", "im_I", "in_spectrum"],
+              [np.asarray(thetas, dtype=float)[:, None], np.arange(1, sweep.n_max + 1),
+               cf.q[1:sweep.n_max + 1], np.hypot(x.real, x.imag), np.hypot(z.real, z.imag),
+               inv.real, inv.imag, np.asarray(mask, dtype=bool).astype(int)[:, None]])

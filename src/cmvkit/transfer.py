@@ -13,7 +13,6 @@ fixed.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -23,6 +22,7 @@ import numpy as np
 from .coeffs import VerblunskySequence, rho_of
 from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
+from .table import write_csv
 
 _RENORM_EVERY = 64
 _BLOCK = 128      # sites per kernel call: escape tests, Schur stops
@@ -120,20 +120,21 @@ def _szego_steps(state: np.ndarray, z: np.ndarray, alphas: np.ndarray,
     eta <- z eta - conj(alpha_j) eta*,  eta* <- eta* - alpha_j z eta.  With
     `path`, step k's state is also stored in path[k].
 
-    z has eta's shape, so every product is same-shape: numpy runs that about
-    twice as fast as a (B,) z broadcast over more rows.  The Schur pass at
-    lam (`caratheodory._nested_disks`) carries two rows per point, from
+    A site is three array operations: eta *= z, then state += (eta*, z eta)
+    times (-conj(alpha_j), -alpha_j) through one buffer, which equals the
+    differences bit for bit but for the sign of an exact zero.  z has eta's
+    shape: numpy multiplies same-shape arrays about twice as fast as a (B,)
+    z broadcast over more rows.  The Schur pass at lam
+    (`caratheodory._nested_disks`) carries two rows per point, from
     (1, -conj(lam)) and (-1, -conj(lam)): psi and -phi of the Alexandrov
     member lam alpha, so F^lam = eta*_0 / eta*_1 = -psi*_d / phi*_d.
     """
-    eta, etas = state
-    t, u = np.empty_like(eta), np.empty_like(eta)
-    for k, (a, ac) in enumerate(zip(alphas.tolist(), alphas.conj().tolist())):
-        np.multiply(etas, ac, out=t)
+    eta, swapped, buf = state[0], state[::-1], np.empty_like(state)
+    negs = -np.stack([alphas.conj(), alphas], axis=1)  # scale eta* and eta
+    for k, neg in enumerate(negs.reshape(negs.shape + (1,) * (state.ndim - 1))):
         eta *= z
-        np.multiply(eta, a, out=u)
-        eta -= t
-        etas -= u
+        np.multiply(swapped, neg, out=buf)
+        state += buf
         if path is not None:
             path[k] = state
 
@@ -471,11 +472,10 @@ def pair_growth_exponents(seq: VerblunskySequence, z: complex) -> PairGrowth:
 
 
 def write_norm_csv(samples, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "norm", "log_L", "log_norm"])
-        writer.writerows([repr(float(L)), repr(float(v)), repr(math.log(L)), repr(math.log(v))]
-                         for L, v in samples)
+    Ls, vs = np.array(list(samples), dtype=float).reshape(-1, 2).T.tolist()
+    # math.log, since np.log may differ in the last bit
+    write_csv(path, ["L", "norm", "log_L", "log_norm"],
+              [Ls, vs, [math.log(L) for L in Ls], [math.log(v) for v in vs]])
 
 
 def fit_to_json(fit: FitResult, path=None):

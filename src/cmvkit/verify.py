@@ -89,9 +89,10 @@ def criterion_1() -> CriterionResult:
         eta = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
         C = operator.build_finite_cmv(seq, n, eta).dense()
         eye = np.eye(n)
+        # einsum runs numpy's loops; `@` may stall ~16 ms a product on BLAS threads
         worst = max(worst,
-                    float(np.max(np.abs(C.conj().T @ C - eye))),
-                    float(np.max(np.abs(C @ C.conj().T - eye))))
+                    float(np.max(np.abs(np.einsum("ki,kj->ij", C.conj(), C) - eye))),
+                    float(np.max(np.abs(np.einsum("ik,jk->ij", C, C.conj()) - eye))))
     return CriterionResult(1, "finite CMV unitarity", worst < 1e-12, "hard",
                            f"max |C*C - I| = {worst:.3e} (tol 1e-12)",
                            {"max_defect": worst})

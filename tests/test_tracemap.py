@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvkit import coeffs, tracemap, transfer
+from cmvkit import coeffs, table, tracemap, transfer
 from cmvkit.errors import DomainError, SpectralPointError
 
 GOLDEN = coeffs.GOLDEN_MEAN
@@ -387,7 +387,7 @@ def test_orbit_atlas_matches_per_cell_writer(tmp_path, alphabet, count, levels):
     if count == 2048:
         assert np.isinf(sweep.x).any() and np.isnan(sweep.invariant[1:]).any()
     if count == 1000:
-        assert count % tracemap._ATLAS_BLOCK and np.any(sweep.invariant[1:].imag != 0)
+        assert count % (table._BLOCK // levels) and np.any(sweep.invariant[1:].imag != 0)
     _per_cell_atlas(sweep, cf, thetas, mask, tmp_path / "cells.csv")
     tracemap.write_orbit_csv(sweep, cf, thetas, mask, tmp_path / "atlas.csv")
     assert (tmp_path / "atlas.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
