@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import LeftHalf, SturmianSequence, VerblunskySequence
+from .coeffs import VerblunskySequence
 from .errors import (DepthError, DiskError, HorizonError, PoleError,
                      SupportError, UnconvergedWarning)
 from . import operator, transfer
@@ -144,27 +144,10 @@ def schur_eval_F_adaptive(seq: VerblunskySequence, z: complex,
     return complex(schur_F_batch(seq, np.array([z]), tol, max_depth)[0])
 
 
-def _golden_route(seq: VerblunskySequence):
-    """(letters, lead) when the sites n >= 0 of seq are `lead` sites of b
-    and then the golden word w = a b a a b ... over letters = (a, b), else
-    None.  The Sturmian word itself (`sturmian_letters`) is b w, lead 1.
-    The left half of a full-support golden `SturmianSequence` is w over the
-    conjugated letters, lead 0, since left(j) = conj(right(j + 1)).  The
-    left half of any other two-sided sequence is not the word, even where
-    its positive half is (`TwoSidedSequence.sturmian_letters`)."""
-    if not isinstance(seq, LeftHalf):
-        letters = seq.sturmian_letters()
-        return None if letters is None else (letters, 1)
-    base = seq.base
-    letters = base.sturmian_letters() if isinstance(base, SturmianSequence) else None
-    if letters is None or base.support != "full":
-        return None
-    return (letters[0].conjugate(), letters[1].conjugate()), 0
-
-
 def _schur_F_words(seq: VerblunskySequence, zs, tol: float, max_depth: int) -> np.ndarray:
     """F over an array of |z| < 1: from the golden word table where
-    `_golden_route` finds one and its check agrees, else by `schur_F_batch`.
+    `seq.golden_route()` finds one and its check agrees, else by
+    `schur_F_batch`.
 
     A prefix of depth d = lead + q_k is b^lead w_k, k >= 1, with the
     Szegő product T = T_{w_k} T_b^lead from `transfer._golden_words`.
@@ -195,7 +178,7 @@ def _schur_F_words(seq: VerblunskySequence, zs, tol: float, max_depth: int) -> n
     if np.any(r >= 1.0):
         raise DiskError("batch contains |z| >= 1")
     F, redo = np.empty(flat.shape, dtype=complex), np.ones(flat.shape, dtype=bool)
-    route = _golden_route(seq)
+    route = seq.golden_route()
     if route is not None and route[1] < max_depth:  # the least depth, lead + q_1, fits
         (a, b), lead = route
         lam = np.array([[1.0], [transfer._CHECK_LAM]])

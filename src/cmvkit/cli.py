@@ -68,7 +68,7 @@ class RunConfig:
             raise CMVKitError(f"theta = {self.theta} is not finite")
         # the trace map and the certified points read a two-letter golden-mean word
         unmapped = ("the explicit model" if self.model == "explicit" else
-                    f"omega = {self.omega}" if self.omega != coeffs.GOLDEN_MEAN else "")
+                    "" if coeffs.is_golden_mean(self.omega) else f"omega = {self.omega}")
         if unmapped and self.command == "spectrum":
             raise CMVKitError("spectrum runs the golden-mean trace map; "
                               f"{unmapped} is not supported")
@@ -106,6 +106,7 @@ def _comma_list(parse):
 # RunConfig fields given as text, by flag or config file, and their parsers
 _PARSERS = {
     "value": _parse_complex,
+    "omega": float,
     "alphabet": _comma_list(_parse_complex),
     "r_list": _comma_list(float),
     "eps_list": _comma_list(float),

@@ -24,6 +24,12 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-15
 
 
+def is_golden_mean(omega: float) -> bool:
+    """The one test of the golden mean: there the floor is exact and the
+    Sturmian word has a `golden_route`."""
+    return abs(omega - GOLDEN_MEAN) < _GOLDEN_TOL
+
+
 # 5 k^2 and (m + 1)^2 with m = floor(sqrt(5) |k|) stay below 2^63
 _FLOOR_INT64_MAX = 1_350_000_000
 
@@ -35,7 +41,7 @@ def _floor_multiple(lo: int, hi: int, omega: float) -> np.ndarray:
     the root is the float64 one moved by at most one in int64; a range
     reaching past that is read site by site in Python integers of any size.
     """
-    golden = abs(omega - GOLDEN_MEAN) < _GOLDEN_TOL
+    golden = is_golden_mean(omega)
     if max(-lo, hi - 1) > _FLOOR_INT64_MAX:
         return np.array([_floor_golden(k) if golden else math.floor(k * omega)
                          for k in range(lo, hi)], dtype=object)
@@ -126,11 +132,11 @@ class VerblunskySequence:
     def rho(self, n: int) -> float:
         return rho_of(self.alpha(n))
 
-    def sturmian_letters(self):
-        """(a, b) when the sites n >= 0 carry the golden-mean Sturmian word
-        over the letters a (v = 1) and b (v = 0), else None; the norm
-        samples of `transfer.norm_squares` then compose substitution words
-        instead of stepping site by site."""
+    def golden_route(self):
+        """((a, b), lead) when the sites n >= 0 are b^lead w, w = a b a a b ...
+        the golden word over a (v = 1) and b (v = 0), else None.  The word
+        tables of `transfer.norm_squares` and `caratheodory._schur_F_words`
+        read every route; without one they step site by site."""
         return None
 
     @property
@@ -163,10 +169,10 @@ class SturmianSequence(VerblunskySequence):
         v = _sturmian_word(lo, hi, self.omega)
         return np.where(v == 1, complex(self.letter_a), complex(self.letter_b))
 
-    def sturmian_letters(self):
-        # the tolerance of the exact golden floor in _floor_multiple
-        if abs(self.omega - GOLDEN_MEAN) < _GOLDEN_TOL:
-            return complex(self.letter_a), complex(self.letter_b)
+    def golden_route(self):
+        # sites n >= 0 of either support are b w
+        if is_golden_mean(self.omega):
+            return (complex(self.letter_a), complex(self.letter_b)), 1
         return None
 
 
@@ -215,8 +221,8 @@ class TwoSidedSequence(VerblunskySequence):
     def zero_tail(self) -> float:
         return self.positive.zero_tail()
 
-    def sturmian_letters(self):
-        return self.positive.sturmian_letters()
+    def golden_route(self):
+        return self.positive.golden_route()
 
     def zero_head(self) -> float:
         # negative(j) sits at n = -1 - j
@@ -236,8 +242,8 @@ class RightHalf(VerblunskySequence):
     def zero_tail(self) -> float:
         return self.base.zero_tail()
 
-    def sturmian_letters(self):
-        return self.base.sturmian_letters()
+    def golden_route(self):
+        return self.base.golden_route()
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,14 @@ class LeftHalf(VerblunskySequence):
 
     def zero_tail(self) -> float:
         return max(0, -1 - self.base.zero_head())
+
+    def golden_route(self):
+        """On a two-sided golden `SturmianSequence` v(-2 - j) = v(j + 1), so
+        left(j) = conj(right(j + 1)): w over the conjugated letters, lead 0.
+        Any other base has no route here, even where its positive half has."""
+        full = isinstance(self.base, SturmianSequence) and self.base.support == "full"
+        route = self.base.golden_route() if full else None
+        return None if route is None else (tuple(x.conjugate() for x in route[0]), 0)
 
 
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:

@@ -355,11 +355,11 @@ def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
 
 def write_state_csv(state: State, path) -> None:
     v = state.values
-    # np.hypot is abs() of each complex bit for bit; its array square, unlike
-    # a float's ** 2 (pow), differs from abs(v) ** 2 in the last place
-    abs2 = [a ** 2 for a in np.hypot(v.real, v.imag).tolist()]
+    # np.hypot is abs() of each complex bit for bit; |v| * |v| is the IEEE
+    # product, where a float's ** 2 (C pow) may be a last place off
+    mod = np.hypot(v.real, v.imag)
     write_csv(path, ["n", "re", "im", "abs2"],
-              [np.arange(state.offset, state.offset + len(v)), v.real, v.imag, abs2])
+              [np.arange(state.offset, state.offset + len(v)), v.real, v.imag, mod * mod])
 
 
 def write_bands_csv(block: CMVBlock, path) -> None:

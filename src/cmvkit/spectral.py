@@ -31,7 +31,7 @@ from .coeffs import VerblunskySequence, rho_of
 from .errors import (ConventionError, DegenerateError, InsufficientDataError,
                      SpectralPointError, SupportError, WindowError)
 from . import caratheodory as cara
-from . import operator
+from . import operator, transfer
 from .table import write_csv
 
 _MIN_CIRCLE_GAP = 1e-3
@@ -431,12 +431,7 @@ def holder_exponent(seq: VerblunskySequence, theta: float, eps,
         raise InsufficientDataError("nonpositive arc mass")
     lx, ly = np.log(eps), np.log(masses)
     slope = float(np.polyfit(lx, ly, 1)[0])
-    pair_slopes = []
-    for i in range(len(eps)):
-        for j in range(i + 1, len(eps)):
-            if lx[j] != lx[i]:
-                pair_slopes.append((ly[j] - ly[i]) / (lx[j] - lx[i]))
-    return HolderFit(slope, float(min(pair_slopes)), eps, masses,
+    return HolderFit(slope, float(transfer._slope_range(lx, ly)[0]), eps, masses,
                      float(np.max(np.abs(masses - check) / check)))
 
 

@@ -186,10 +186,10 @@ def norm_squares(seq: VerblunskySequence, zs, initials, Ls) -> np.ndarray:
     lengths Ls only, shape (len(zs), len(initials), len(Ls)): every
     initial pair x at every z.
 
-    On the golden-mean Sturmian word (`seq.sturmian_letters()`) each
-    sample is the quadratic form x* G_L x / 2 of the Gram matrix
-    G_L = sum_{j<=L} P_j* P_j, composed from substitution words in
-    O(log L) steps (`_golden_grams`), so no initial pair is propagated.
+    On a golden word (`seq.golden_route()`: the Sturmian word, or the full
+    word's left half) each sample is the quadratic form x* G_L x / 2 of
+    G_L = sum_{j<=L} P_j* P_j, composed from substitution words in O(log L)
+    steps (`_golden_grams`), so no initial pair is propagated.
     A sample that is not finite or exceeds 1e300 / 2, the loop's escape
     rule in squared form, reads inf.
 
@@ -220,14 +220,15 @@ def norm_squares(seq: VerblunskySequence, zs, initials, Ls) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     init = np.asarray(initials, dtype=complex).reshape(-1, 2)
     Ls = [int(L) for L in Ls]
-    letters = seq.sturmian_letters()
-    if letters is None:
+    route = seq.golden_route()
+    if route is None:
         S = np.empty((len(zs), len(init), len(Ls)))
         redo = np.ones(S.shape[:2], dtype=bool)
     else:
         # the base table and the check table, in one batch
+        (a, b), lead = route
         lam = np.array([[1.0], [_CHECK_LAM]])
-        G = _golden_grams((lam * letters[0], lam * letters[1]), zs, Ls)
+        G = _golden_grams((lam * a, lam * b), zs, Ls, lead)
         S = _quadratic_forms(G[0], init)
         check = _quadratic_forms(G[1], init * [1.0, _CHECK_LAM])
         # S_x[L] >= S_x[0] = |x|^2 / 2; a reading below it is cancellation
@@ -295,19 +296,20 @@ def _golden_words(letters, zs: np.ndarray, n: int) -> tuple:
     return q, list(_word_products(Ta, Tb, [1] * (len(q) - 2)))
 
 
-def _golden_grams(letters, zs: np.ndarray, Ls) -> np.ndarray:
-    """G_L = sum_{j<=L} P_j* P_j for each L in Ls on the golden word over
-    `letters` = (a, b), shape (broadcast of letters and zs) + (len(Ls), 2, 2):
-    the empty prefix's I, then the words of `_golden_pieces(L)` composed in
-    order.  A word's prefix Gram G_w = sum T_p* T_p (nonempty prefixes p)
-    follows G_uv = G_u + T_u* G_v T_u.  All Ls advance together; a shorter
+def _golden_grams(letters, zs: np.ndarray, Ls, lead: int) -> np.ndarray:
+    """G_L = sum_{j<=L} P_j* P_j for each L in Ls on b^lead w, the golden
+    word w over `letters` = (a, b) after `lead` sites of b, shape
+    (broadcast of letters and zs) + (len(Ls), 2, 2): the empty prefix's I,
+    then the words of `_golden_pieces(L, q, lead)` composed in order.  A
+    word's prefix Gram G_w = sum T_p* T_p (nonempty prefixes p) follows
+    G_uv = G_u + T_u* G_v T_u.  All Ls advance together; a shorter
     decomposition is padded at its front with the empty word (T = I,
     G = 0), which changes nothing there (at the back, an overflowed T
     times G = 0 would read NaN)."""
-    q, T = _golden_words(letters, zs, max(Ls) - 1)
+    q, T = _golden_words(letters, zs, max(Ls) - lead)
     G = [_mul(_ct(T[0]), T[0]), _mul(_ct(T[1]), T[1])]
     eye = np.broadcast_to(np.eye(2, dtype=complex), T[0].shape)
-    pieces = [_golden_pieces(L, q) for L in Ls]
+    pieces = [_golden_pieces(L, q, lead) for L in Ls]
     depth = max(len(p) for p in pieces)
     idx = np.array([[len(q)] * (depth - len(p)) + p for p in pieces]).reshape(len(Ls), depth)
     acc_T = acc_G = np.broadcast_to(eye[..., None, :, :], eye.shape[:-2] + (len(Ls), 2, 2))
@@ -321,13 +323,12 @@ def _golden_grams(letters, zs: np.ndarray, Ls) -> np.ndarray:
     return acc_G
 
 
-def _golden_pieces(L: int, q) -> list:
+def _golden_pieces(L: int, q, lead: int) -> list:
     """Indices k of the words w_k whose concatenation spells sites
-    0 ... L - 1 of the golden word: w_0 = b, then the greedy Zeckendorf
-    decomposition of L - 1 over the lengths q_1, q_2, ... (largest first)."""
-    if L == 0:
-        return []
-    pieces, rest = [0], L - 1
+    0 ... L - 1 of b^lead w: `lead` words w_0 = b, then the greedy
+    Zeckendorf decomposition of the rest over the lengths q_1, q_2, ...
+    (largest first)."""
+    pieces, rest = [0] * min(lead, L), L - min(lead, L)
     for k in range(len(q) - 1, 0, -1):
         if q[k] <= rest:
             pieces.append(k)
@@ -384,6 +385,19 @@ class FitResult:
         return 2.0 * self.gamma_low / (self.gamma_low + self.gamma_high)
 
 
+def _slope_range(lx, ly, gap: float = 0.0) -> tuple:
+    """Least and greatest slope (ly_j - ly_i) / (lx_j - lx_i) over the
+    pairs of ly's last axis with lx_j - lx_i > 0 and >= gap (either order
+    gives the same bits), shape ly.shape[:-1]: gap is half the log range in
+    `fit_power_law`, 0 in `spectral.holder_exponent`'s envelope and in
+    `verify.certified_spectrum_points`' ranking."""
+    lx, ly = np.asarray(lx, dtype=float), np.asarray(ly, dtype=float)
+    dx = lx[None, :] - lx[:, None]
+    i, j = np.nonzero((dx > 0) & (dx >= gap))
+    s = (ly[..., j] - ly[..., i]) / dx[i, j]
+    return s.min(axis=-1), s.max(axis=-1)
+
+
 def fit_power_law(samples) -> FitResult:
     """Envelope exponents from (L, norm) samples at geometrically spaced L.
 
@@ -392,26 +406,20 @@ def fit_power_law(samples) -> FitResult:
     range (closer pairs measure local oscillation, not the envelope).
     The constants are pinned so the two-sided bound
     c_low * L^gamma_low <= norm <= c_high * L^gamma_high holds at every
-    sample.
+    sample.  A nonpositive or non-finite sample raises InsufficientDataError.
     """
     pts = [(float(L), float(v)) for L, v in samples]
     if len(pts) < 8:
         raise InsufficientDataError(f"need >= 8 samples, got {len(pts)}")
-    if any(L <= 0 or v <= 0 for L, v in pts):
-        raise InsufficientDataError("samples must have positive L and norm")
+    if not all(0 < L < math.inf and 0 < v < math.inf for L, v in pts):  # NaN too
+        raise InsufficientDataError("samples must have positive, finite L and norm")
     pts.sort()
-    logs = [(math.log(L), math.log(v)) for L, v in pts]
-    span = logs[-1][0] - logs[0][0]
+    # math.log, since np.log may differ in the last bit
+    lx, ly = ([math.log(t) for t in col] for col in zip(*pts))
+    span = lx[-1] - lx[0]
     if span <= 0:
         raise InsufficientDataError("samples need distinct L values")
-    slopes = []
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            dx = logs[j][0] - logs[i][0]
-            if dx < 0.5 * span:
-                continue
-            slopes.append((logs[j][1] - logs[i][1]) / dx)
-    g_low, g_high = min(slopes), max(slopes)
+    g_low, g_high = map(float, _slope_range(lx, ly, 0.5 * span))
     try:
         c_low = min(v / L ** g_low for L, v in pts)
         c_high = max(v / L ** g_high for L, v in pts)

@@ -343,14 +343,9 @@ def certified_spectrum_points(alphabet, count: int) -> np.ndarray:
     zs = np.exp(1j * thetas[rows])
     Ls = [2 ** k for k in range(6, int(math.log2(_CERTIFIED_L_MAX)) + 1)]
     lx = np.log(np.array(Ls, dtype=float))
-    worst_row = np.full(len(rows), -np.inf)
     # both signs (1, +-1) come from one norm_squares call
-    for ly in 0.5 * np.log(transfer.norm_squares(seq, zs, [(1.0, 1.0), (1.0, -1.0)],
-                                                 Ls).transpose(1, 0, 2)):
-        for i in range(len(Ls)):
-            for j in range(i + 1, len(Ls)):
-                s = (ly[:, j] - ly[:, i]) / (lx[j] - lx[i])
-                worst_row = np.maximum(worst_row, s)
+    ly = 0.5 * np.log(transfer.norm_squares(seq, zs, [(1.0, 1.0), (1.0, -1.0)], Ls))
+    worst_row = transfer._slope_range(lx, ly)[1].max(axis=1)
     worst_slope = worst_row[np.searchsorted(rows, rep)]
     picked = []
     for idx in np.argsort(worst_slope, kind="stable"):

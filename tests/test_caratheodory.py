@@ -709,19 +709,19 @@ def test_golden_left_half_is_the_conjugated_shifted_right_half(alphabet):
     n = 200_000
     assert np.array_equal(left.alpha_array(0, n), np.conj(right.alpha_array(1, n + 1)))
     a, b = complex(alphabet[0]), complex(alphabet[1])
-    assert cara._golden_route(right) == ((a, b), 1)
-    assert cara._golden_route(left) == ((a.conjugate(), b.conjugate()), 0)
+    assert right.golden_route() == ((a, b), 1)
+    assert left.golden_route() == ((a.conjugate(), b.conjugate()), 0)
 
 
 @pytest.mark.parametrize("negative", ["constant", "word"])
 def test_glued_left_half_takes_the_loop(negative, monkeypatch):
-    # TwoSidedSequence.sturmian_letters() reports its positive half only, so
+    # TwoSidedSequence.golden_route() reports its positive half only, so
     # the left half of a glued sequence is never read as the golden word
     word = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
     seq = coeffs.extend_two_sided(
         word, coeffs.make_constant(0.3) if negative == "constant" else word)
     left = operator.split_at_origin(seq)[1]
-    assert cara._golden_route(left) is None
+    assert left.golden_route() is None
     zs = _holder_nodes(0.2485)
     ref = cara.schur_F_batch(left, zs, 1e-13, 1 << 15)
     monkeypatch.setattr(transfer, "_golden_words", None)  # no table is read

@@ -348,7 +348,10 @@ def test_unconverged_measure_fails(tmp_path, capsys):
                                   "word-left-model-not-sturmian", "repeated-eps",
                                   "spectrum-explicit", "holder-explicit-no-theta",
                                   "theta-not-finite", "holder-off-spectrum",
-                                  "holder-off-spectrum-finite-norms"])
+                                  "holder-off-spectrum-finite-norms", "spectrum-omega-0.4",
+                                  "spectrum-omega-off-by-1e-14",
+                                  "holder-omega-off-by-1e-14-no-theta",
+                                  "config-omega-not-float"])
 def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.1\n0.2+0.1j\nnot-a-number\n", encoding="utf-8")
@@ -356,6 +359,8 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     good.write_text("0.1\n0.2+0.1j\n-0.3\n", encoding="utf-8")
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"r_list": ["x"]}), encoding="utf-8")
+    omega_config = tmp_path / "omega.json"
+    omega_config.write_text(json.dumps({"model": "constant", "omega": "x"}), encoding="utf-8")
     left_config = tmp_path / "left.json"
     left_config.write_text(json.dumps({"left_model": "nonsense"}), encoding="utf-8")
     word_config = tmp_path / "word.json"
@@ -388,6 +393,16 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
         "holder-omega-no-theta": (["holder", "--omega", "0.3", "--theta-count", "64",
                                    "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
                                   "holder"),
+        # outside coeffs' golden-mean tolerance, 1e-15
+        "spectrum-omega-0.4": (["spectrum", "--omega", "0.4", "--theta-count", "64"],
+                               "spectrum"),
+        "spectrum-omega-off-by-1e-14": (["spectrum", "--omega", repr(coeffs.GOLDEN_MEAN + 1e-14),
+                                         "--theta-count", "64"], "spectrum"),
+        "holder-omega-off-by-1e-14-no-theta": (["holder", "--omega",
+                                                repr(coeffs.GOLDEN_MEAN + 1e-14),
+                                                "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
+                                               "holder"),
+        "config-omega-not-float": (["spectrum", "--config", str(omega_config)], "spectrum"),
         "unknown-left-model": (["measure", "--config", str(left_config)], "measure"),
         "word-left-model-not-sturmian": (["measure", "--config", str(word_config)],
                                          "measure"),
@@ -416,6 +431,27 @@ def test_bad_input_fails_with_error_file(tmp_path, capsys, case):
     d = latest_run_dir(tmp_path / "runs", command)
     assert err == f"error: {(d / 'error.txt').read_text(encoding='utf-8')}"
     assert sorted(p.name for p in d.iterdir()) == ["config.json", "error.txt"]
+
+
+def test_omega_one_ulp_off_the_golden_mean_runs_the_golden_word(tmp_path):
+    # coeffs reads this omega as the golden mean, so spectrum runs and
+    # holder finds its certified theta, to the bytes of the GOLDEN_MEAN runs
+    ulp = "0.618033988749895"
+    assert float(ulp) != coeffs.GOLDEN_MEAN and coeffs.is_golden_mean(float(ulp))
+    files = {"spectrum": ["orbit_atlas.csv", "growth_constants.json"],
+             "holder": ["arc_mass.csv", "boundary.csv", "norm_samples.csv", "norm_fit.json",
+                        "holder.json"]}
+    for omega in (repr(coeffs.GOLDEN_MEAN), ulp):
+        out = tmp_path / omega
+        assert run(["spectrum", "--omega", omega, "--theta-count", "64", "--trace-levels", "8",
+                    "--out", str(out)]) == 0
+        assert run(["holder", "--omega", omega, "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9",
+                    "--out", str(out)]) == 0
+    for command, names in files.items():
+        exact, near = (latest_run_dir(tmp_path / omega, command)
+                       for omega in (repr(coeffs.GOLDEN_MEAN), ulp))
+        for name in names:
+            assert (exact / name).read_bytes() == (near / name).read_bytes(), name
 
 
 def test_unforeseen_error_leaves_error_file(tmp_path, monkeypatch):

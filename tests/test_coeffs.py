@@ -267,3 +267,52 @@ def test_explicit_sequence_hashes_its_values_once():
     twin = coeffs.make_explicit(values)
     assert twin == seq and hash(twin) == hash(seq)
     assert hash(seq) == hash((tuple(values),))  # the dataclass's own hash
+
+
+_A, _B = 0.4 + 0.2j, -0.5
+_WORD = coeffs.make_sturmian(_A, _B, GOLDEN)
+_FULL = coeffs.make_sturmian(_A, _B, GOLDEN, support="full")
+_GLUED = coeffs.extend_two_sided(_WORD, _WORD)
+_SB, _LEFT = ((_A, _B), 1), ((_A.conjugate(), _B.conjugate()), 0)
+
+
+@pytest.mark.parametrize("seq, route", [
+    (_WORD, _SB),
+    (_FULL, _SB),
+    (coeffs.make_sturmian(_A, _B, 0.618033988749895), _SB),  # one ulp off
+    (coeffs.RightHalf(_FULL), _SB),
+    (coeffs.LeftHalf(_FULL), _LEFT),
+    (coeffs.extend_two_sided(_WORD, coeffs.make_constant(0.3)), _SB),
+    (coeffs.RightHalf(_GLUED), _SB),
+    (coeffs.LeftHalf(_GLUED), None),
+    (coeffs.LeftHalf(coeffs.extend_two_sided(coeffs.make_constant(0.3), _WORD)), None),
+    (coeffs.extend_two_sided(coeffs.make_constant(0.3), _WORD), None),
+    (coeffs.make_sturmian(_A, _B, 0.4), None),
+    (coeffs.make_sturmian(_A, _B, GOLDEN + 1e-14), None),
+    (coeffs.LeftHalf(coeffs.make_sturmian(_A, _B, 0.4, support="full")), None),
+    (coeffs.make_constant(0.3), None),
+    (coeffs.make_explicit([_B, _A, _B, _A, _A]), None),
+    (caratheodory.rotated(_WORD, 1j), None),
+], ids=["sturmian", "sturmian-full", "sturmian-ulp", "right-half", "left-half",
+        "glued", "glued-right-half", "glued-left-half", "glued-word-on-left",
+        "glued-constant-right", "omega-0.4", "omega-off-by-1e-14", "left-half-0.4",
+        "constant", "explicit", "rotated"])
+def test_golden_route_of_every_view(seq, route):
+    assert seq.golden_route() == route
+    if route is not None:
+        # sites n >= 0 are `lead` sites of b, then the golden word w, which
+        # is the Sturmian word from site 1 on
+        (a, b), lead = route
+        n = 5000
+        v = coeffs._sturmian_word(1, 1 + n - lead, GOLDEN)
+        expect = np.concatenate([[b] * lead, np.where(v == 1, a, b)])
+        assert np.array_equal(seq.alpha_array(0, n), expect)
+
+
+def test_one_predicate_reads_the_golden_mean():
+    assert coeffs.is_golden_mean(GOLDEN) and coeffs.is_golden_mean(0.618033988749895)
+    assert not coeffs.is_golden_mean(GOLDEN + 1e-14)
+    assert not coeffs.is_golden_mean(0.4) and not coeffs.is_golden_mean(math.nan)
+    # wherever it holds the floor is the exact golden one
+    assert np.array_equal(coeffs._floor_multiple(-10 ** 5, 10 ** 5, 0.618033988749895),
+                          coeffs._floor_multiple(-10 ** 5, 10 ** 5, GOLDEN))

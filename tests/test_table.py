@@ -33,16 +33,16 @@ def _coeffs(rng, path, lo=-700, hi=600):
 
 def _state(rng, path):
     # |v|^2 of 1e-160 + 1e-161j is subnormal, and exact zeros stay in; at
-    # the two real values the array square of |v| differs from the scalar **
-    values = np.concatenate([_wide_complex(rng, 1500), [1e-160 + 1e-161j, 0.0, -0.0j],
-                             [3435976389472.5913, 8661204618384931.0]])
-    mod = np.hypot(values.real, values.imag)
-    assert (mod ** 2).tolist() != [float(abs(v) ** 2) for v in values]
+    # the three real values, one of them below 1 as on a walk, a float's
+    # ** 2 (C pow) is a last place off the IEEE product |v| * |v|
+    special = [3435976389472.5913, 8661204618384931.0, 0.15459072313032074]
+    assert all(a ** 2 != a * a for a in special)
+    values = np.concatenate([_wide_complex(rng, 1500), [1e-160 + 1e-161j, 0.0, -0.0j], special])
     state = operator.State(-777, values)
     operator.write_state_csv(state, path)
     return (["n", "re", "im", "abs2"],
-            [[state.offset + i, repr(float(v.real)), repr(float(v.imag)), repr(float(abs(v) ** 2))]
-             for i, v in enumerate(state.values)])
+            [[state.offset + i, repr(float(v.real)), repr(float(v.imag)), repr(abs(v) * abs(v))]
+             for i, v in enumerate(state.values.tolist())])
 
 
 def _bands(rng, path):

@@ -179,6 +179,33 @@ def test_fit_power_law_exponent_past_float_range(slope):
         transfer.fit_power_law(samples)
 
 
+@pytest.mark.parametrize("column", [0, 1], ids=["L", "norm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position", range(8))
+def test_fit_power_law_rejects_a_non_finite_sample(position, bad, column):
+    # a NaN norm at the 4th or 8th of these samples once fitted as clean
+    # data (gamma = 0.5, c = 1), and an inf norm at the 8th gave
+    # gamma_high = inf and c_high = 0
+    samples = [[2.0 ** k, 2.0 ** (k / 2)] for k in range(6, 14)]
+    samples[position][column] = bad
+    with pytest.raises(InsufficientDataError, match="finite"):
+        transfer.fit_power_law(samples)
+
+
+def test_slope_range_pairs_and_gap():
+    lx = np.log([1.0, 2.0, 2.0, 8.0])
+    ly = np.array([[0.0, 1.0, 3.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+    lo, hi = transfer._slope_range(lx, ly)
+    # the equal lx pair gives no slope; either order of a pair gives one value
+    slopes = [(ly[0, j] - ly[0, i]) / (lx[j] - lx[i])
+              for i in range(4) for j in range(i + 1, 4) if lx[j] != lx[i]]
+    assert (lo.tolist(), hi.tolist()) == ([min(slopes), 0.0], [max(slopes), 0.0])
+    assert transfer._slope_range(lx[::-1], ly[:, ::-1])[0].tolist() == lo.tolist()
+    # with a gap of half the log range only the pairs reaching x = log 8 remain
+    lo, hi = transfer._slope_range(lx, ly, 0.5 * (lx[-1] - lx[0]))
+    assert lo[0] == min(slopes[2:]) and hi[0] == max(slopes[2:])
+
+
 def _per_step_pairs(seq, z, initial, n_max):
     # the textbook recurrence, one step at a time:
     # u, v = ((z u - conj(a) v) / rho, (-a z u + v) / rho), saturating to
@@ -267,14 +294,18 @@ def test_pair_growth_exponents_off_spectrum_raises_before_any_fit(monkeypatch):
 
 def test_golden_pieces_spell_the_sturmian_word():
     # site 0 is b; sites 1 ... L - 1 are the greedy Zeckendorf concatenation
-    # of the standard words, read against the exact-floor Sturmian formula
+    # of the standard words, read against the exact-floor Sturmian formula.
+    # With lead 0 the pieces spell the word w from its site 1, as on the
+    # full word's left half
     cf = tracemap.golden_cf(24)
     q = list(cf.q)
     words = [tracemap.standard_word(cf.quotients, k) for k in range(len(q))]
-    letters = coeffs._sturmian_word(0, 10 ** 4, GOLDEN)
+    letters = coeffs._sturmian_word(0, 10 ** 4 + 1, GOLDEN)
     for L in list(range(3000)) + [8191, 8192, 10 ** 4]:
-        spelled = [words[k] for k in transfer._golden_pieces(L, q)]
-        assert np.array_equal(np.concatenate([[]] + spelled), letters[:L]), L
+        for lead in (1, 0):
+            spelled = [words[k] for k in transfer._golden_pieces(L, q, lead)]
+            assert np.array_equal(np.concatenate([[]] + spelled),
+                                  letters[1 - lead:1 - lead + L]), (L, lead)
 
 
 def test_golden_word_products_match_the_cocycle():
@@ -292,7 +323,7 @@ def test_golden_word_products_match_the_cocycle():
             ref = transfer.cocycle_product(tail, z, q[k])
             assert np.allclose(T[k][g], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     Ls = [1 + qk for qk in q] + [7, 100, 500]
-    G = transfer._golden_grams(alphabet, zs, Ls)
+    G = transfer._golden_grams(alphabet, zs, Ls, 1)
     prof = transfer.norm_profile_batch(seq, np.repeat(zs, 2), np.tile(np.eye(2), (2, 1)), 500)
     diag = np.real(np.diagonal(G, axis1=-2, axis2=-1))  # (z, L, pair)
     assert np.allclose(diag, 2.0 * prof[:, Ls].reshape(2, 2, -1).swapaxes(1, 2),
@@ -309,9 +340,11 @@ def _mask_points(alphabet):
     return np.exp(1j * thetas[cand])
 
 
-def _gram_route(alphabet, zs, inits, Ls):
-    """The base table's samples, before `norm_squares` checks them."""
-    return transfer._quadratic_forms(transfer._golden_grams(alphabet, np.asarray(zs), Ls),
+def _gram_route(seq, zs, inits, Ls):
+    """The base table's samples on seq's golden route, before
+    `norm_squares` checks them."""
+    letters, lead = seq.golden_route()
+    return transfer._quadratic_forms(transfer._golden_grams(letters, np.asarray(zs), Ls, lead),
                                      np.asarray(inits, dtype=complex))
 
 
@@ -325,7 +358,7 @@ def test_norm_squares_golden_route_matches_the_loop(alphabet, monkeypatch):
     loop = transfer.norm_profile_batch(seq, np.repeat(zs, 2), np.tile(inits, (len(zs), 1)),
                                        Ls[-1])[:, Ls].reshape(len(zs), 2, len(Ls))
     assert np.all(np.isfinite(loop))
-    assert np.allclose(_gram_route(alphabet, zs, inits, Ls), loop, rtol=GRAM_RTOL, atol=0.0)
+    assert np.allclose(_gram_route(seq, zs, inits, Ls), loop, rtol=GRAM_RTOL, atol=0.0)
     calls = _spy_loop(monkeypatch)
     got = transfer.norm_squares(seq, zs, inits, Ls)
     assert np.allclose(got, loop, rtol=GRAM_RTOL, atol=0.0)
@@ -337,16 +370,35 @@ def test_norm_squares_golden_route_matches_the_loop(alphabet, monkeypatch):
 @pytest.mark.parametrize("alphabet, k", [((0.5, -0.5), 162), ((0.4 + 0.2j, -0.5), 2179)])
 def test_norm_squares_golden_route_against_mpmath(alphabet, k):
     # holder's pick, and the mask point of the complex alphabet where the
-    # Gram route strays furthest from the loop
-    seq = coeffs.make_sturmian(*alphabet, GOLDEN)
+    # Gram route strays furthest from the loop; on the Sturmian word and on
+    # the full word's left half, the conjugated word without its lead b
+    # (there the table is 2.5e-10 off on the complex alphabet)
+    full = coeffs.make_sturmian(*alphabet, GOLDEN, support="full")
     z = cmath.exp(2j * math.pi * k / 4096)
     Ls = [2 ** j for j in range(6, 12)]
     inits = [(1.0, 1.0), (1.0, -1.0)]
-    got = _gram_route(alphabet, [z], inits, Ls)[0]
-    for row, init in zip(got, inits):
-        profile = mp_szego.norm_profile(seq, z, init, Ls[-1])
-        ref = np.array([float(profile[L]) for L in Ls])
-        assert np.allclose(row, ref, rtol=GRAM_RTOL, atol=0.0)
+    for seq in (coeffs.make_sturmian(*alphabet, GOLDEN), coeffs.LeftHalf(full)):
+        got = _gram_route(seq, [z], inits, Ls)[0]
+        for row, init in zip(got, inits):
+            profile = mp_szego.norm_profile(seq, z, init, Ls[-1])
+            ref = np.array([float(profile[L]) for L in Ls])
+            assert np.allclose(row, ref, rtol=GRAM_RTOL, atol=0.0)
+
+
+def test_norm_squares_reads_the_left_half_from_the_table(monkeypatch):
+    # the left half of the two-sided word over holder's mask: every row
+    # reads the Gram table, within GRAM_RTOL of the loop (7.6e-10 measured)
+    left = coeffs.LeftHalf(coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full"))
+    zs = _mask_points((0.5, -0.5))
+    Ls = [2 ** k for k in range(6, 14)]
+    inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
+    loop = transfer.norm_profile_batch(left, np.repeat(zs, 4), np.tile(inits, (len(zs), 1)),
+                                       Ls[-1])[:, Ls].reshape(len(zs), 4, len(Ls))
+    assert np.all(np.isfinite(loop))
+    calls = _spy_loop(monkeypatch)
+    got = transfer.norm_squares(left, zs, inits, Ls)
+    assert calls == []
+    assert np.allclose(got, loop, rtol=GRAM_RTOL, atol=0.0)
 
 
 def _spy_loop(monkeypatch):
@@ -365,7 +417,7 @@ def _spy_loop(monkeypatch):
                                  coeffs.make_explicit([0.1, 0.2 + 0.1j, -0.3] * 40)],
                          ids=["sturmian-0.4", "explicit"])
 def test_norm_squares_other_sequences_take_the_loop(seq, monkeypatch):
-    assert seq.sturmian_letters() is None
+    assert seq.golden_route() is None
     zs = np.exp(1j * np.array([0.3, 2.0]))
     inits = np.array([[1.0, 1.0], [1.0, -1j], [1.0, 0.5]], dtype=complex)
     Ls = [0, 1, 7, 64, 200]
@@ -382,8 +434,9 @@ def test_norm_squares_golden_route_never_steps(monkeypatch):
              coeffs.RightHalf(two_sided),
              coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
                                      coeffs.make_constant(0.0))]
-    assert [v.sturmian_letters() for v in views] == [(0.5, -0.5)] * 4
-    assert coeffs.LeftHalf(two_sided).sturmian_letters() is None
+    assert [v.golden_route() for v in views] == [((0.5, -0.5), 1)] * 4
+    # the full word's left half is the same word, conjugated, without the lead b
+    assert coeffs.LeftHalf(two_sided).golden_route() == ((0.5, -0.5), 0)
     calls = _spy_loop(monkeypatch)
     samples = [transfer.norm_squares(v, [cmath.exp(0.25j)], [(1.0, 1.0)], [0, 1, 2, 100])
                for v in views]
@@ -410,7 +463,7 @@ def test_norm_squares_steps_the_rows_whose_gram_tables_disagree(alphabet, theta,
     Ls = [2 ** k for k in range(6, 14)]
     inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
     loop = transfer.norm_profile_batch(seq, [z] * 4, inits, Ls[-1])[:, Ls]
-    base = _gram_route(alphabet, [z], inits, Ls)[0]
+    base = _gram_route(seq, [z], inits, Ls)[0]
     with np.errstate(invalid="ignore"):  # inf - inf where both escape
         assert np.nanmax(np.abs(base - loop) / loop) > 1e-3
     calls = _spy_loop(monkeypatch)
