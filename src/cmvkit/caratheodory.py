@@ -209,9 +209,11 @@ def _unitary_eigensystem(seq: VerblunskySequence, N: int, eta_b: complex):
 
     Uses a complex Schur decomposition: for a unitary (normal) matrix the
     triangular factor is diagonal to machine precision and the transform
-    is exactly unitary, so the weights sum to one by construction.
+    is exactly unitary, so the weights sum to one by construction.  This
+    test oracle needs scipy, which the `test` extra installs; nothing else
+    in the package imports it.
     """
-    import scipy.linalg  # only the truncation oracles need scipy
+    import scipy.linalg
     C = operator.build_finite_cmv(seq, N, eta_b).dense()
     T, Z = scipy.linalg.schur(C, output="complex")
     eigs = np.diag(T).copy()
@@ -237,20 +239,17 @@ def resolvent_oracle_F(seq: VerblunskySequence, zs, N: int,
     """F(z) = <delta_0, (C + z)(C - z)^{-1} delta_0> = 1 + 2z [(C - z)^{-1}]_00
     for the N-site truncation C, over an array of |z| < 1 points.
 
-    One banded LU solve of (C - z) x = delta_0 per point.  Only the matrix
-    and LAPACK enter, never the Schur recursion, so this is an independent
-    check of `schur_F_batch`.
+    One banded LU solve of (C - z) x = delta_0 for all the points.  Only
+    the matrix and `operator.CMVBlock.solve` enter, never the Schur
+    recursion, so this is an independent check of `schur_F_batch`.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise DiskError("batch contains |z| >= 1")
-    C = operator.build_finite_cmv(seq, N, eta_b)
     delta0 = np.zeros(N, dtype=complex)
     delta0[0] = 1.0
-    F = np.empty(zs.shape, dtype=complex)
-    for i, z in np.ndenumerate(zs):
-        F[i] = 1.0 + 2.0 * z * C.solve(z, delta0)[0]
-    return F
+    x0 = operator.build_finite_cmv(seq, N, eta_b).solve(zs, delta0, [0])[..., 0]
+    return 1.0 + 2.0 * zs * x0
 
 
 def m_minus(F_minus, alpha0: complex):

@@ -284,7 +284,12 @@ def make_sturmian(alpha: complex, beta: complex, omega: float,
 
 
 def make_explicit(values: Sequence[complex]) -> ExplicitSequence:
-    return ExplicitSequence(tuple(_check_modulus(v) for v in values))
+    vals = tuple(map(complex, values))
+    # the moduli alone, not a complex copy of a list that may be 2^16 long
+    bad = ~(np.fromiter(map(abs, vals), float, len(vals)) < 1.0)  # also flags NaN
+    if bad.any():
+        _check_modulus(vals[bad.argmax()])  # the first offender's error
+    return ExplicitSequence(vals)
 
 
 def extend_two_sided(positive: VerblunskySequence,

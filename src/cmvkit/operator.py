@@ -67,6 +67,11 @@ def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     return np.concatenate([np.zeros(c - r0 + 2, dtype=complex), seq.alpha_array(c, r1 + 2)])
 
 
+# row r of the pivot window after the swap of rows 0 and p is row
+# _PIVOT_ORDER[p, r] before it
+_PIVOT_ORDER = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+
+
 @dataclass(frozen=True)
 class CMVBlock:
     """Rows and columns [lo, hi] of a CMV band matrix, held as the five
@@ -85,31 +90,68 @@ class CMVBlock:
             out[i, i + off] = arr[i]
         return out
 
-    def banded(self) -> np.ndarray:
-        """LAPACK banded storage (l = u = 2) for scipy.linalg.solve_banded:
-        ab[2 - off, m + off] = E(m, m + off)."""
-        n = self.hi + 1 - self.lo
-        ab = np.zeros((5, n), dtype=complex)
-        for off, arr in self.diagonals.items():
-            if off >= 0:
-                ab[2 - off, off:] = arr[:n - off]
-            else:
-                ab[2 - off, :n + off] = arr[-off:]
-        return ab
+    def solve(self, z, rhs: np.ndarray, rows=None) -> np.ndarray:
+        """(B - z)^{-1} rhs by a banded LU with partial pivoting.
 
-    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        """(B - z)^{-1} rhs by one banded LU solve; rhs is a vector or has
-        one column per right-hand side."""
-        import scipy.linalg  # only the truncation oracles need scipy
-        ab = self.banded()
-        ab[2] -= z
-        try:
-            sol = scipy.linalg.solve_banded((2, 2), ab, rhs, overwrite_ab=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(str(exc)) from exc
+        rhs is a vector or has one column per right-hand side; z is a
+        scalar or an array, whose shape leads the result's.  With `rows`,
+        only those rows of the solution are returned, and the
+        back-substitution stops at the first of them.  The elimination is
+        LAPACK gbtrf's for l = u = 2, the pivot the largest modulus of its
+        column: row swaps widen U to four superdiagonals.  Every z is a
+        lane of one loop over the rows, and the right-hand sides are
+        eliminated alongside from their first nonzero row on, so a lane's
+        result is its one-z solve's bit for bit.  A returned row that is
+        not finite raises `SingularError`.
+        """
+        zs = np.asarray(z, dtype=complex)
+        rhs = np.asarray(rhs, dtype=complex)
+        n = self.hi + 1 - self.lo
+        m = zs.size
+        # ab[i, l, 2 + k] = (B - z_l)(i, i + k) for k = -2 ... 4, the
+        # offsets 3 and 4 taking the fill, with two zero rows past the end
+        ab = np.zeros((n + 2, m, 7), dtype=complex)
+        for off, arr in self.diagonals.items():
+            inside = slice(max(0, -off), n - max(0, off))
+            ab[inside, :, 2 + off] = arr[inside, None]
+        ab[:n, :, 2] -= zs.reshape(m)
+        # win[l, j, r, c] = entry (j + r, j + c) for z_l: the three rows
+        # that can hold the pivot of column j, over the five columns their
+        # updates reach
+        s = ab.strides
+        win = np.lib.stride_tricks.as_strided(
+            ab[0, :, 2:], (m, n, 3, 5), (s[1], s[0], s[0] - s[2], s[2]), writeable=True)
+        # x[l] = the right-hand sides for z_l, with four zero rows past the end
+        x = np.zeros((n + 4, m, rhs.size // n), dtype=complex)
+        x[:n] = rhs.reshape(n, 1, -1)
+        x = x.transpose(1, 0, 2)
+        # rhs is zero above its first nonzero row, which the elimination
+        # leaves alone until that row enters the pivot window
+        nonzero = np.flatnonzero(rhs.reshape(n, -1).any(axis=1))
+        first = nonzero[0] - 2 if nonzero.size else n
+        rows = range(n) if rows is None else list(rows)
+        lanes = np.arange(m)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(n):
+                w, y = win[:, j], x[:, j:j + 3]
+                p = np.abs(w[:, :, 0]).argmax(axis=1)
+                if p.any():
+                    order = _PIVOT_ORDER[p]
+                    w[...] = w[lanes, order]
+                    if j >= first:
+                        y[...] = y[lanes, order]
+                mult = w[:, 1:, :1] / w[:, :1, :1]
+                w[:, 1:, 1:] -= mult * w[:, :1, 1:]
+                if j >= first:
+                    y[:, 1:] -= mult * y[:, :1]
+            for j in range(n - 1, min(rows, default=n) - 1, -1):
+                u = win[:, j, 0]
+                x[:, j] -= (u[:, 1:, None] * x[:, j + 1:j + 5]).sum(axis=1)
+                x[:, j] /= u[:, :1]
+        sol = x[:, rows]
         if not np.all(np.isfinite(sol)):
             raise SingularError("truncated system numerically singular")
-        return sol
+        return sol.reshape(zs.shape + (len(rows),) + rhs.shape[1:])
 
 
 def extended_window(seq: VerblunskySequence, lo: int, hi: int,
@@ -210,10 +252,15 @@ def split_at_origin(seq: VerblunskySequence):
     return RightHalf(seq), LeftHalf(seq)
 
 
-def resolvent_oracle_block(seq: VerblunskySequence, z: complex, half_width: int,
+def resolvent_oracle_block(seq: VerblunskySequence, z, half_width: int,
                            xs, ys) -> np.ndarray:
-    """Entries (x, y) of the inverse of the closed truncation of (E - z)."""
-    if z == 0:
+    """Entries (x, y) of the inverse of the closed truncation of (E - z).
+
+    z is a scalar or an array, whose shape leads the result's; all of its
+    points share one solve.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if np.any(zs == 0):
         raise SpectralPointError("z = 0 is excluded")
     W = int(half_width)
     xs = list(xs)
@@ -224,8 +271,7 @@ def resolvent_oracle_block(seq: VerblunskySequence, z: complex, half_width: int,
     rhs = np.zeros((2 * W + 1, len(ys)), dtype=complex)
     for j, y in enumerate(ys):
         rhs[y + W, j] = 1.0
-    sol = extended_window(seq, -W, W, closure=1.0).solve(z, rhs)
-    return sol[[x + W for x in xs], :]
+    return extended_window(seq, -W, W, closure=1.0).solve(zs, rhs, [x + W for x in xs])
 
 
 @dataclass(frozen=True)

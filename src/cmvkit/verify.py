@@ -104,9 +104,10 @@ def _gz_oracle_errors():
     worst_entry = 0.0
     worst_corner = 0.0
     convention = spectral.resolve_m_minus_convention(seq)
-    for z in _criterion_z_set():
+    zs = _criterion_z_set()
+    blocks = operator.resolvent_oracle_block(seq, zs, GZ_WINDOW, xs, xs)
+    for z, G in zip(zs, blocks):
         ctx = spectral.build_gz_context(seq, z, GZ_WINDOW)
-        G = operator.resolvent_oracle_block(seq, z, GZ_WINDOW, xs, xs)
         # entries that vanish identically carry no relative scale of their
         # own; those are measured against the block scale
         floor = max(1e-9 * float(np.max(np.abs(G))), 1e-300)

@@ -79,8 +79,13 @@ def test_coefficient_file_rules(tmp_path):
     # the i of inf reads as j, so "inf" is not a number: line-numbered error
     with pytest.raises(CMVKitError, match=r"inf.txt, line 2: not a complex number: 'inf'"):
         model("inf.txt", "0.1\ninf\n")
+    # the first value whose modulus is not below 1 names the error
     with pytest.raises(ModulusError, match=r"^\|alpha\| = 1.5 >= 1$"):
         model("big.txt", "0.1\n1.5\n2.0\n")
+    with pytest.raises(ModulusError, match=r"^\|alpha\| = nan >= 1$"):
+        model("nan.txt", "0.1\nnan\n1.5\n")
+    with pytest.raises(ModulusError, match=r"^\|alpha\| = 1.0 >= 1$"):
+        model("unit.txt", "0.5\n0.6+0.8j\nnan\n")
     with pytest.raises(ModulusError, match=r"^\|alpha\| = inf >= 1$"):
         model("capital.txt", "0.1\nInf\n")
 
@@ -466,8 +471,8 @@ def test_unforeseen_error_leaves_error_file(tmp_path, monkeypatch):
         "ZeroDivisionError: division by zero\n"
 
 
-# Runs every command but verify in a fresh interpreter, then verify's
-# criterion 7, whose truncation oracle is the first to need scipy.
+# Runs every command in a fresh interpreter, verify with the criteria of
+# both truncation oracles: none of them loads scipy.
 _COMMANDS_FRESH = """
 import sys
 from cmvkit import cli
@@ -475,15 +480,14 @@ for argv in (["coeffs", "--n-range", "0,50"],
              ["spectrum", "--theta-count", "64", "--trace-levels", "8"],
              ["measure", "--theta-count", "64", "--r", "0.9"],
              ["holder", "--theta-count", "64", "--eps", "0.01,0.02,0.05,0.1", "--r", "0.9"],
-             ["walk", "--steps", "40", "--snapshots", "3"]):
+             ["walk", "--steps", "40", "--snapshots", "3"],
+             ["verify", "--criteria", "2,3,7"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
     assert "scipy" not in sys.modules, argv
-assert cli.main(["verify", "--criteria", "7", "--out", sys.argv[1]]) == 0
-assert "scipy.linalg" in sys.modules
 """
 
 
-def test_only_the_truncation_oracles_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", _COMMANDS_FRESH, str(tmp_path)], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
