@@ -1,8 +1,10 @@
 """Carathéodory-function machinery.
 
 Evaluation of F(z) from Verblunsky coefficients by the Schur algorithm,
-two independent oracles on unitary truncations (a banded resolvent solve
-and, for small sizes, an eigen-decomposition), the fractional-linear map
+two independent oracles on unitary truncations (a pivot-free banded
+resolvent solve of the rescaled I - zC*, whose margin 1 - |z| the
+truncation's unitarity gives, and, for small sizes, an
+eigen-decomposition), the fractional-linear map
 producing the anti-Carathéodory left function, the Alexandrov-family
 norms, the Jitomirskaya-Last scale x(r), and the exact Möbius boundary
 supremum.
@@ -239,9 +241,14 @@ def resolvent_oracle_F(seq: VerblunskySequence, zs, N: int,
     """F(z) = <delta_0, (C + z)(C - z)^{-1} delta_0> = 1 + 2z [(C - z)^{-1}]_00
     for the N-site truncation C, over an array of |z| < 1 points.
 
-    One banded LU solve of (C - z) x = delta_0 for all the points.  Only
-    the matrix and `operator.CMVBlock.solve` enter, never the Schur
-    recursion, so this is an independent check of `schur_F_batch`.
+    One banded solve of (C - z) x = delta_0 for all the points, by
+    `operator.CMVBlock.solve`: since C is unitary, C - z = C (I - z C*),
+    and I - z C* has Hermitian part at least 1 - |z|, so it is eliminated
+    without pivoting (Golub & Van Loan, Linear Algebra Appl. 28, 1979;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 10.4), from the bottom row up, and row 0 keeps no factor row.
+    Only the matrix enters, never the Schur recursion, so this is an
+    independent check of `schur_F_batch`.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):

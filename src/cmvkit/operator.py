@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import LeftHalf, RightHalf, VerblunskySequence, rho_of
-from .errors import (DegenerateRhoError, ModulusError, SingularError,
+from .errors import (DegenerateRhoError, DomainError, ModulusError, SingularError,
                      SizeError, SpectralPointError, SupportError, WindowError)
 from .table import write_csv
 
@@ -67,9 +67,24 @@ def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     return np.concatenate([np.zeros(c - r0 + 2, dtype=complex), seq.alpha_array(c, r1 + 2)])
 
 
-# row r of the pivot window after the swap of rows 0 and p is row
-# _PIVOT_ORDER[p, r] before it
-_PIVOT_ORDER = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+def _rows_of(block: "CMVBlock") -> np.ndarray:
+    """(n, 5) array whose entry [m, 2 + k] is B(m, m + k), read off the
+    block's diagonals.  An entry whose column falls outside the block
+    belongs to no row of B and is zeroed."""
+    n = block.hi + 1 - block.lo
+    out = np.zeros((n, 5), dtype=complex)
+    for off, arr in block.diagonals.items():
+        inside = slice(max(0, -off), n - max(0, off))
+        out[inside, 2 + off] = arr[inside]
+    return out
+
+
+def _shifted(x: np.ndarray, k: int) -> np.ndarray:
+    """out[m] = x[m + k], zero past either end."""
+    n = len(x)
+    out = np.zeros((n,) + x.shape[1:], dtype=complex)
+    out[max(0, -k):n - max(0, k)] = x[max(0, k):n + min(0, k)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,65 +105,120 @@ class CMVBlock:
             out[i, i + off] = arr[i]
         return out
 
+    def adjoint(self) -> "CMVBlock":
+        """The block's adjoint, B*(m, m + k) = conj(B(m + k, m)).
+
+        The entries that np.roll wraps round, whose column falls outside
+        the block, are zeroed: a one-step light cone never reads them, but
+        a solve reads every row.
+        """
+        n = self.hi + 1 - self.lo
+        adjoint = {}
+        for off, arr in self.diagonals.items():
+            d = np.roll(np.conj(arr), off)
+            d[:max(off, 0)] = 0.0
+            d[n + min(off, 0):] = 0.0
+            adjoint[-off] = d
+        return CMVBlock(self.lo, self.hi, adjoint)
+
     def solve(self, z, rhs: np.ndarray, rows=None) -> np.ndarray:
-        """(B - z)^{-1} rhs by a banded LU with partial pivoting.
+        """(B - z)^{-1} rhs by elimination without pivoting.
 
         rhs is a vector or has one column per right-hand side; z is a
         scalar or an array, whose shape leads the result's.  With `rows`,
-        only those rows of the solution are returned, and the
-        back-substitution stops at the first of them.  The elimination is
-        LAPACK gbtrf's for l = u = 2, the pivot the largest modulus of its
-        column: row swaps widen U to four superdiagonals.  Every z is a
-        lane of one loop over the rows, and the right-hand sides are
-        eliminated alongside from their first nonzero row on, so a lane's
-        result is its one-z solve's bit for bit.  A returned row that is
-        not finite raises `SingularError`.
+        only those rows of the solution are returned.
+
+        Each z solves a rescaled system A y = g whose Hermitian part is
+        at least |1 - |z|| times the identity, so elimination without
+        pivoting is defined and stable in any order (Golub & Van Loan,
+        "Unsymmetric positive definite linear systems", Linear Algebra
+        Appl. 28, 1979; Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, sec. 10.4):
+          |z| < 1:  B - z = B (I - z B*),  A = I - z B*,  g = B* rhs;
+          |z| >= 1: B - z = -z (I - B/z),  A = I - B/z,   g = -rhs / z.
+        The first holds only for a unitary B: when some |z| < 1 and
+        max |B*B - I| over the band exceeds 1e-12, `DomainError` is
+        raised.  The second holds for any contraction.
+
+        The sweep eliminates from the bottom row up and builds each row of
+        A and g from the diagonals as it reaches it, so it holds two rows
+        still to be eliminated, not the band; it factors A = U L, U unit
+        upper and L lower triangular.  Forward substitution on L from row
+        0 keeps only rows 0 ... max(rows) of L.  Every z is a lane of one
+        loop, every operation acts per lane, and the elimination order
+        never depends on `rows`: a lane's result is its one-z solve's,
+        and the rows asked for are those of the whole solution, bit for
+        bit.  A returned row that is not finite raises `SingularError`.
         """
         zs = np.asarray(z, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
         n = self.hi + 1 - self.lo
-        m = zs.size
-        # ab[i, l, 2 + k] = (B - z_l)(i, i + k) for k = -2 ... 4, the
-        # offsets 3 and 4 taking the fill, with two zero rows past the end
-        ab = np.zeros((n + 2, m, 7), dtype=complex)
-        for off, arr in self.diagonals.items():
-            inside = slice(max(0, -off), n - max(0, off))
-            ab[inside, :, 2 + off] = arr[inside, None]
-        ab[:n, :, 2] -= zs.reshape(m)
-        # win[l, j, r, c] = entry (j + r, j + c) for z_l: the three rows
-        # that can hold the pivot of column j, over the five columns their
-        # updates reach
-        s = ab.strides
-        win = np.lib.stride_tricks.as_strided(
-            ab[0, :, 2:], (m, n, 3, 5), (s[1], s[0], s[0] - s[2], s[2]), writeable=True)
-        # x[l] = the right-hand sides for z_l, with four zero rows past the end
-        x = np.zeros((n + 4, m, rhs.size // n), dtype=complex)
-        x[:n] = rhs.reshape(n, 1, -1)
-        x = x.transpose(1, 0, 2)
-        # rhs is zero above its first nonzero row, which the elimination
-        # leaves alone until that row enters the pivot window
-        nonzero = np.flatnonzero(rhs.reshape(n, -1).any(axis=1))
-        first = nonzero[0] - 2 if nonzero.size else n
+        lanes = zs.reshape(-1)
+        m = lanes.size
+        cols = rhs.reshape(n, -1)
+        k = cols.shape[1]
+        inner = np.abs(lanes) < 1.0
+        # row i of a lane's [A - I | g] is its coef times row 2 + i of its
+        # kind's table, [B* | B* rhs] or [B | rhs]; rows 0 and 1 are zero
+        # and stand for rows -2 and -1
+        own = _rows_of(self)
+        kinds = []
+        if inner.any():
+            adj = _rows_of(self.adjoint())
+            # (B*B)(m, m + p) = sum_d B*(m, m + d) B(m + d, m + p), at [m, 4 + p]
+            gram = np.zeros((n, 9), dtype=complex)
+            for d in range(-2, 3):
+                gram[:, 2 + d:7 + d] += adj[:, 2 + d, None] * _shifted(own, d)
+            gram[:, 4] -= 1.0
+            if np.abs(gram).max() > 1e-12:
+                raise DomainError("a solve at |z| < 1 needs a unitary block")
+            kinds.append((adj, sum(adj[:, 2 + d, None] * _shifted(cols, d)
+                                   for d in range(-2, 3))))
+        if not inner.all():
+            kinds.append((own, cols))
+        table = np.zeros((n + 2, len(kinds), 5 + k), dtype=complex)
+        for i, (band, g) in enumerate(kinds):
+            table[2:, i, :5], table[2:, i, 5:] = band, g
+        # lanes of both kinds pick theirs; lanes of one kind share its rows
+        pick = np.where(inner, 0, 1) if len(kinds) == 2 else 0
+        coef = np.empty((m, 5 + k), dtype=complex)
+        coef[inner] = 1.0
+        coef[inner, :5] = -lanes[inner, None]
+        coef[~inner] = -1.0 / lanes[~inner, None]
+        # win[l, r] holds row j - r of lane l's [A | g] while the sweep
+        # eliminates column j: the matrix entries of columns j - 4 ... j,
+        # then g.  It starts at j = n + 1 on two rows of the identity.
+        win = np.zeros((m, 3, 5 + k), dtype=complex)
+        win[:, 0, 4] = win[:, 1, 3] = 1.0
+        fresh, unit = win[:, 2], win[:, 2, 2]
+        pivot, pivot_row, factor_row = win[:, :1, 4:5], win[:, :1, 2:], win[:, 0, 2:]
+        below, below_rows = win[:, 1:, 4:5], win[:, 1:, 2:]
+        # for the next column, row r + 1 becomes row r: its matrix entries
+        # one place right, its g in place
+        shifts = ((win[:, :2, 1:5], win[:, 1:, :4]), (win[:, :2, 5:], win[:, 1:, 5:]))
+        mult = np.empty((m, 2, 1), dtype=complex)
+        update = np.empty((m, 2, 3 + k), dtype=complex)
         rows = range(n) if rows is None else list(rows)
-        lanes = np.arange(m)[:, None]
+        top = max(rows, default=-1)
+        # kept[j, l] = row j of lane l's L, columns j - 2 ... j, then its g
+        kept = np.empty((top + 1, m, 3 + k), dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(n):
-                w, y = win[:, j], x[:, j:j + 3]
-                p = np.abs(w[:, :, 0]).argmax(axis=1)
-                if p.any():
-                    order = _PIVOT_ORDER[p]
-                    w[...] = w[lanes, order]
-                    if j >= first:
-                        y[...] = y[lanes, order]
-                mult = w[:, 1:, :1] / w[:, :1, :1]
-                w[:, 1:, 1:] -= mult * w[:, :1, 1:]
-                if j >= first:
-                    y[:, 1:] -= mult * y[:, :1]
-            for j in range(n - 1, min(rows, default=n) - 1, -1):
-                u = win[:, j, 0]
-                x[:, j] -= (u[:, 1:, None] * x[:, j + 1:j + 5]).sum(axis=1)
-                x[:, j] /= u[:, :1]
-        sol = x[:, rows]
+            for j in range(n + 1, -1, -1):
+                np.multiply(coef, table[j, pick], out=fresh)  # row j - 2
+                unit += 1.0
+                np.divide(below, pivot, out=mult)
+                np.multiply(mult, pivot_row, out=update)
+                below_rows -= update
+                if j <= top:
+                    kept[j] = factor_row
+                for dst, src in shifts:
+                    np.copyto(dst, src)
+            # y[2 + j] = row j of the solution, after two zero rows
+            y = np.zeros((top + 3, m, k), dtype=complex)
+            for j in range(top + 1):
+                r = kept[j]
+                y[j + 2] = (r[:, 3:] - r[:, :1] * y[j] - r[:, 1:2] * y[j + 1]) / r[:, 2:3]
+        sol = y[2:][rows].transpose(1, 0, 2)
         if not np.all(np.isfinite(sol)):
             raise SingularError("truncated system numerically singular")
         return sol.reshape(zs.shape + (len(rows),) + rhs.shape[1:])
@@ -231,12 +301,7 @@ def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
         raise SupportError("extended application needs a two-sided sequence")
     band = extended_window(seq, state.offset - 4,
                            state.offset + len(state.values) + 3, closure=None)
-    # E*(m, m + k) = conj(E(m + k, m)), keyed k = 0, -1, 1, -2, 2.  The
-    # entries that np.roll wraps round sit in the two end rows on each
-    # side, which a one-step light cone never reads.
-    adjoint = {-off: np.roll(np.conj(arr), off)
-               for off, arr in band.diagonals.items()}
-    return _light_cone(CMVBlock(band.lo, band.hi, adjoint), state, 1)
+    return _light_cone(band.adjoint(), state, 1)
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -257,7 +322,11 @@ def resolvent_oracle_block(seq: VerblunskySequence, z, half_width: int,
     """Entries (x, y) of the inverse of the closed truncation of (E - z).
 
     z is a scalar or an array, whose shape leads the result's; all of its
-    points share one solve.
+    points share one `CMVBlock.solve`.  The closed window is unitary, so
+    each z is eliminated without pivoting as I - z B* (|z| < 1) or
+    I - B/z (|z| > 1), whose Hermitian part is at least |1 - |z||
+    (Golub & Van Loan, Linear Algebra Appl. 28, 1979; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 10.4).
     """
     zs = np.asarray(z, dtype=complex)
     if np.any(zs == 0):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -317,6 +318,23 @@ def test_resolvent_oracle_vs_eigen_oracle():
         F_res = cara.resolvent_oracle_F(seq, zs, 400, eta)
         F_eig = [cara.measure_oracle_F(seq, z, 400, eta) for z in zs]
         assert np.max(np.abs(F_res - F_eig)) < 1e-10
+
+
+def test_resolvent_oracle_holds_no_band():
+    # criterion 7's call: 64 z at N = 2000 on the one-sided Fibonacci word.
+    # A stored (N, 64, 7) band with its right-hand sides took 16.6 MB; the
+    # bottom-up sweep holds two rows per z, and row 0 keeps no factor
+    seq = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    rng = np.random.default_rng(5)
+    zs = np.sqrt(rng.uniform(0, 1, 64)) * 0.95 * np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
+    cara.resolvent_oracle_F(seq, zs, 2000)  # coefficient caches fill here
+    tracemalloc.start()
+    try:
+        cara.resolvent_oracle_F(seq, zs, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # Computes the three truncation oracles on the model saved in argv[1] in a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmvkit import coeffs, operator
-from cmvkit.errors import (ModulusError, SingularError, SizeError,
+from cmvkit.errors import (DomainError, ModulusError, SingularError, SizeError,
                            SpectralPointError, SupportError, WindowError)
 
 GOLDEN = coeffs.GOLDEN_MEAN
@@ -81,42 +81,75 @@ def _solve_blocks(rng, n=400):
             operator.extended_window(two, -n // 2, n // 2, closure=None))
 
 
+def _solvable(block, zs, unitary):
+    """Mask of the z the solve takes on `block`: every z on a unitary
+    block.  The raw window (closure=None) is a contraction but not
+    unitary, so the rescale by B* that the solve makes for |z| < 1 is not
+    exact there: each such z raises DomainError, and only |z| > 1 stays."""
+    if unitary:
+        return np.ones(zs.shape, dtype=bool)
+    n = block.hi + 1 - block.lo
+    for z in zs[np.abs(zs) < 1.0]:
+        with pytest.raises(DomainError):
+            block.solve(z, np.eye(n)[:, 0])
+    return np.abs(zs) > 1.0
+
+
 def test_solve_matches_dense_solve():
     # a 4 x 3 batch of z, on and off the circle's both sides, with three
     # right-hand sides; the largest deviation from the dense LAPACK solve
-    # measured 5.4e-14 of the solution's scale
+    # measured 8.8e-14 of the solution's scale
     rng = np.random.default_rng(8)
     angles = rng.uniform(0.0, 2.0 * math.pi, 3)
     zs = np.array([[r * cmath.exp(1j * t) for t in angles] for r in (0.5, 0.999, 1.001, 2.0)])
-    for block in _solve_blocks(rng):
+    for block, unitary in zip(_solve_blocks(rng), (True, True, False)):
         n = block.hi + 1 - block.lo
         rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        sol = block.solve(zs, rhs)
-        assert sol.shape == zs.shape + rhs.shape
-        for i in np.ndindex(zs.shape):
-            ref = np.linalg.solve(block.dense() - zs[i] * np.eye(n), rhs)
+        lanes = zs[_solvable(block, zs, unitary).all(axis=1)]
+        sol = block.solve(lanes, rhs)
+        assert sol.shape == lanes.shape + rhs.shape
+        for i in np.ndindex(lanes.shape):
+            ref = np.linalg.solve(block.dense() - lanes[i] * np.eye(n), rhs)
             assert np.max(np.abs(sol[i] - ref)) < 5e-13 * np.max(np.abs(ref))
 
 
 def test_solve_batch_equals_single_z_bitwise():
     rng = np.random.default_rng(9)
     zs = rng.uniform(0.3, 2.0, 7) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 7))
-    for block in _solve_blocks(rng, 120):
+    for block, unitary in zip(_solve_blocks(rng, 120), (True, True, False)):
         n = block.hi + 1 - block.lo
         rhs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        batch = block.solve(zs, rhs)
-        for z, sol in zip(zs, batch):
+        lanes = zs[_solvable(block, zs, unitary)]
+        batch = block.solve(lanes, rhs)
+        for z, sol in zip(lanes, batch):
             assert np.array_equal(block.solve(z, rhs), sol)
-        assert np.array_equal(block.solve(zs[:3], rhs[:, 0]), batch[:3, :, 0])
-        # rows that stop the back-substitution early, and right-hand sides
-        # whose leading zero rows the elimination skips, change no bit
+        assert np.array_equal(block.solve(lanes[:3], rhs[:, 0]), batch[:3, :, 0])
+        # rows that stop the forward substitution early, and right-hand
+        # sides with leading zero rows, change no bit
         rhs[:n // 2] = 0.0
         rows = [n // 2 + 3, n // 3, n - 1]
-        assert np.array_equal(block.solve(zs, rhs, rows), block.solve(zs, rhs)[:, rows])
+        assert np.array_equal(block.solve(lanes, rhs, rows), block.solve(lanes, rhs)[:, rows])
+
+
+def test_solve_rescale_is_safe_at_the_diagonal_block_eigenvalues():
+    # the Fibonacci truncation's 2 x 2 diagonal blocks have the eigenvalues
+    # +-0.5 and (1 +- i sqrt 3)/4, where B - z can lose its pivots: the
+    # same bottom-up sweep run on B - z itself meets a zero pivot at
+    # z = -0.5 and returns NaN.  The rescaled A keeps its margin 1 - |z|.
+    C = operator.build_finite_cmv(coeffs.make_sturmian(0.5, -0.5, GOLDEN), 400)
+    zs = np.array([0.5, -0.5, (1 + 1j * math.sqrt(3)) / 4, (1 - 1j * math.sqrt(3)) / 4])
+    rng = np.random.default_rng(17)
+    rhs = rng.normal(size=(400, 3)) + 1j * rng.normal(size=(400, 3))
+    sol = C.solve(zs, rhs)
+    for z, x in zip(zs, sol):
+        ref = np.linalg.solve(C.dense() - z * np.eye(400), rhs)
+        assert np.max(np.abs(x - ref)) < 5e-13 * np.max(np.abs(ref))
 
 
 def test_solve_swaps_rows_at_a_zero_leading_pivot():
-    # (C - z)(0, 0) = conj(a(0)) - z vanishes at z = conj(a(0))
+    # (C - z)(0, 0) = conj(a(0)) - z vanishes at z = conj(a(0)); no swap
+    # is needed, since the solve eliminates I - z C*, whose Hermitian part
+    # is at least 1 - |z| > 0 in every Schur complement
     rng = np.random.default_rng(10)
     seq = random_half(rng, 39, rad=0.9)
     C = operator.build_finite_cmv(seq, 40)
@@ -130,7 +163,9 @@ def test_solve_swaps_rows_at_a_zero_leading_pivot():
 
 def test_solve_singular_raises():
     # the free truncation is a signed permutation matrix with eigenvalue 1,
-    # whose elimination is exact; a RuntimeWarning would fail this test
+    # where I - C/z loses its margin 1 - 1/|z| and no pivot order could
+    # help; its elimination is exact, and a RuntimeWarning would fail this
+    # test
     C = operator.build_finite_cmv(coeffs.make_constant(0.0), 8)
     with pytest.raises(SingularError):
         C.solve(1.0, np.eye(8)[:, 0])
