@@ -139,6 +139,11 @@ class VerblunskySequence:
         read every route; without one they step site by site."""
         return None
 
+    def left_route(self):
+        """The same of j -> alpha(-2 - j), the sites n <= -2 read leftwards,
+        which `LeftHalf` conjugates; None on a one-sided sequence."""
+        return None
+
     @property
     def is_two_sided(self) -> bool:
         return self.support == "full"
@@ -174,6 +179,11 @@ class SturmianSequence(VerblunskySequence):
         if is_golden_mean(self.omega):
             return (complex(self.letter_a), complex(self.letter_b)), 1
         return None
+
+    def left_route(self):
+        # v(-2 - j) = v(j + 1): the sites n <= -2 read leftwards are w
+        route = self.golden_route() if self.support == "full" else None
+        return None if route is None else (route[0], 0)
 
 
 @dataclass(frozen=True)
@@ -224,6 +234,11 @@ class TwoSidedSequence(VerblunskySequence):
     def golden_route(self):
         return self.positive.golden_route()
 
+    def left_route(self):
+        # the sites n <= -2 are the negative half without its first site
+        route = self.negative.golden_route()
+        return None if route is None or route[1] == 0 else (route[0], route[1] - 1)
+
     def zero_head(self) -> float:
         # negative(j) sits at n = -1 - j
         return -self.negative.zero_tail()
@@ -261,12 +276,8 @@ class LeftHalf(VerblunskySequence):
         return max(0, -1 - self.base.zero_head())
 
     def golden_route(self):
-        """On a two-sided golden `SturmianSequence` v(-2 - j) = v(j + 1), so
-        left(j) = conj(right(j + 1)): w over the conjugated letters, lead 0.
-        Any other base has no route here, even where its positive half has."""
-        full = isinstance(self.base, SturmianSequence) and self.base.support == "full"
-        route = self.base.golden_route() if full else None
-        return None if route is None else (tuple(x.conjugate() for x in route[0]), 0)
+        route = self.base.left_route()
+        return None if route is None else (tuple(x.conjugate() for x in route[0]), route[1])
 
 
 def make_constant(a: complex, support: str = "half") -> ConstantSequence:

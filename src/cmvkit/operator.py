@@ -67,18 +67,6 @@ def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
     return np.concatenate([np.zeros(c - r0 + 2, dtype=complex), seq.alpha_array(c, r1 + 2)])
 
 
-def _rows_of(block: "CMVBlock") -> np.ndarray:
-    """(n, 5) array whose entry [m, 2 + k] is B(m, m + k), read off the
-    block's diagonals.  An entry whose column falls outside the block
-    belongs to no row of B and is zeroed."""
-    n = block.hi + 1 - block.lo
-    out = np.zeros((n, 5), dtype=complex)
-    for off, arr in block.diagonals.items():
-        inside = slice(max(0, -off), n - max(0, off))
-        out[inside, 2 + off] = arr[inside]
-    return out
-
-
 def _shifted(x: np.ndarray, k: int) -> np.ndarray:
     """out[m] = x[m + k], zero past either end."""
     n = len(x)
@@ -90,11 +78,22 @@ def _shifted(x: np.ndarray, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CMVBlock:
     """Rows and columns [lo, hi] of a CMV band matrix, held as the five
-    diagonals of `band_diagonals`."""
+    diagonals of `band_diagonals`.
+
+    The one edge rule: an entry B(m, m + k) whose column m + k falls
+    outside the block belongs to no row of B, and the block zeroes it in
+    place when it is made.  Every reader then takes each diagonal whole.
+    """
 
     lo: int
     hi: int
     diagonals: dict = field(repr=False)
+
+    def __post_init__(self):
+        n = self.hi + 1 - self.lo
+        for off, arr in self.diagonals.items():
+            arr[:max(0, -off)] = 0.0
+            arr[n - max(0, off):] = 0.0
 
     def dense(self) -> np.ndarray:
         n = self.hi + 1 - self.lo
@@ -106,20 +105,11 @@ class CMVBlock:
         return out
 
     def adjoint(self) -> "CMVBlock":
-        """The block's adjoint, B*(m, m + k) = conj(B(m + k, m)).
-
-        The entries that np.roll wraps round, whose column falls outside
-        the block, are zeroed: a one-step light cone never reads them, but
-        a solve reads every row.
-        """
-        n = self.hi + 1 - self.lo
-        adjoint = {}
-        for off, arr in self.diagonals.items():
-            d = np.roll(np.conj(arr), off)
-            d[:max(off, 0)] = 0.0
-            d[n + min(off, 0):] = 0.0
-            adjoint[-off] = d
-        return CMVBlock(self.lo, self.hi, adjoint)
+        """The block's adjoint, B*(m, m + k) = conj(B(m + k, m)).  The
+        entries that np.roll wraps round are the block's zeros past its
+        edges."""
+        return CMVBlock(self.lo, self.hi, {-off: np.roll(np.conj(arr), off)
+                                           for off, arr in self.diagonals.items()})
 
     def solve(self, z, rhs: np.ndarray, rows=None) -> np.ndarray:
         """(B - z)^{-1} rhs by elimination without pivoting.
@@ -158,13 +148,15 @@ class CMVBlock:
         cols = rhs.reshape(n, -1)
         k = cols.shape[1]
         inner = np.abs(lanes) < 1.0
-        # row i of a lane's [A - I | g] is its coef times row 2 + i of its
-        # kind's table, [B* | B* rhs] or [B | rhs]; rows 0 and 1 are zero
-        # and stand for rows -2 and -1
-        own = _rows_of(self)
+        # own[m, 2 + d] = B(m, m + d) and adj[m, 2 + d] = B*(m, m + d).  Row
+        # i of a lane's [A - I | g] is its coef times row 2 + i of its kind's
+        # table, [B* | B* rhs] or [B | rhs]; rows 0 and 1 are zero and stand
+        # for rows -2 and -1
+        own = np.stack([self.diagonals[d] for d in range(-2, 3)], axis=1)
         kinds = []
         if inner.any():
-            adj = _rows_of(self.adjoint())
+            adj = self.adjoint().diagonals
+            adj = np.stack([adj[d] for d in range(-2, 3)], axis=1)
             # (B*B)(m, m + p) = sum_d B*(m, m + d) B(m + d, m + p), at [m, 4 + p]
             gram = np.zeros((n, 9), dtype=complex)
             for d in range(-2, 3):
@@ -290,18 +282,12 @@ class State:
 
 def apply_extended(seq: VerblunskySequence, state: State) -> State:
     """Apply the extended matrix to a finitely supported vector, exactly."""
-    if not seq.is_two_sided:
-        raise SupportError("extended application needs a two-sided sequence")
     return evolve_walk(seq, state, 1)
 
 
 def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
     """Apply the adjoint (= inverse) of the extended matrix."""
-    if not seq.is_two_sided:
-        raise SupportError("extended application needs a two-sided sequence")
-    band = extended_window(seq, state.offset - 4,
-                           state.offset + len(state.values) + 3, closure=None)
-    return _light_cone(band.adjoint(), state, 1)
+    return _light_cone(_cone_window(seq, state, 1).adjoint(), state, 1)
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -456,16 +442,22 @@ def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
     return State(band.lo, x).trimmed()
 
 
+def _cone_window(seq: VerblunskySequence, psi0: State, k: int) -> CMVBlock:
+    """The raw window that k steps of the band, or of its adjoint, read
+    from psi0: rows offset - 2k - 2 ... offset + len + 2k + 1."""
+    if not seq.is_two_sided:
+        raise SupportError("extended application needs a two-sided sequence")
+    return extended_window(seq, psi0.offset - 2 * k - 2,
+                           psi0.offset + len(psi0.values) + 2 * k + 1, closure=None)
+
+
 def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
     """k-fold band application; the support grows by at most two per step."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return State(psi0.offset, psi0.values.copy())
-    band = extended_window(seq, psi0.offset - 2 * k - 2,
-                           psi0.offset + len(psi0.values) + 2 * k + 1,
-                           closure=None)
-    return _light_cone(band, psi0, k)
+    return _light_cone(_cone_window(seq, psi0, k), psi0, k)
 
 
 def write_state_csv(state: State, path) -> None:
@@ -478,13 +470,9 @@ def write_state_csv(state: State, path) -> None:
 
 
 def write_bands_csv(block: CMVBlock, path) -> None:
-    """Nonzero entries of the block, row by row, read off its diagonals;
-    rows and columns count from block.lo."""
-    n = block.hi + 1 - block.lo
-    offs = sorted(block.diagonals)
-    vals = np.stack([block.diagonals[off] for off in offs], axis=1)
+    """Nonzero entries of the block, row by row; rows and columns count
+    from block.lo."""
+    vals = np.stack([block.diagonals[d] for d in range(-2, 3)], axis=1)
     rows, k = np.nonzero(vals)
-    cols = rows + np.asarray(offs)[k]
-    inside = (cols >= 0) & (cols < n)
-    rows, cols, vals = rows[inside], cols[inside], vals[rows[inside], k[inside]]
-    write_csv(path, ["row", "col", "re", "im"], [rows, cols, vals.real, vals.imag])
+    vals = vals[rows, k]
+    write_csv(path, ["row", "col", "re", "im"], [rows, rows + k - 2, vals.real, vals.imag])

@@ -734,11 +734,14 @@ def test_golden_left_half_is_the_conjugated_shifted_right_half(alphabet):
 
 @pytest.mark.parametrize("negative", ["constant", "word"])
 def test_glued_left_half_takes_the_loop(negative, monkeypatch):
-    # TwoSidedSequence.golden_route() reports its positive half only, so
-    # the left half of a glued sequence is never read as the golden word
+    # the left half of a glued sequence is its negative half without the
+    # first site: no route after a constant, nor after the golden word w
+    # itself (lead 0), whose first letter a the drop takes away
     word = coeffs.make_sturmian(0.5, -0.5, GOLDEN)
+    w = coeffs.LeftHalf(coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full"))
+    assert w.golden_route() == ((0.5, -0.5), 0)
     seq = coeffs.extend_two_sided(
-        word, coeffs.make_constant(0.3) if negative == "constant" else word)
+        word, coeffs.make_constant(0.3) if negative == "constant" else w)
     left = operator.split_at_origin(seq)[1]
     assert left.golden_route() is None
     zs = _holder_nodes(0.2485)
@@ -751,10 +754,12 @@ def test_glued_left_half_takes_the_loop(negative, monkeypatch):
 def test_word_table_reads_both_halves_without_the_loop(alphabet, monkeypatch):
     # at holder's nodes every point of both halves is read from the table,
     # within 4.4e-13 of the certified loop (two tail radii below 1e-13,
-    # at different depths, plus rounding; measured on these alphabets)
+    # at different depths, plus rounding; measured on these alphabets);
+    # so is the left half of the Sturmian word glued on the left
     word = coeffs.make_sturmian(*alphabet, GOLDEN, support="full")
+    glued = coeffs.extend_two_sided(*[coeffs.make_sturmian(*alphabet, GOLDEN)] * 2)
     zs = _holder_nodes(float(verify.certified_spectrum_points(alphabet, 1)[0]))
-    for half in operator.split_at_origin(word):
+    for half in (*operator.split_at_origin(word), operator.split_at_origin(glued)[1]):
         ref = cara.schur_F_batch(half, zs, 1e-13, 1 << 15)
         with monkeypatch.context() as m:
             m.setattr(cara, "_nested_disks", None)

@@ -284,8 +284,8 @@ _SB, _LEFT = ((_A, _B), 1), ((_A.conjugate(), _B.conjugate()), 0)
     (coeffs.LeftHalf(_FULL), _LEFT),
     (coeffs.extend_two_sided(_WORD, coeffs.make_constant(0.3)), _SB),
     (coeffs.RightHalf(_GLUED), _SB),
-    (coeffs.LeftHalf(_GLUED), None),
-    (coeffs.LeftHalf(coeffs.extend_two_sided(coeffs.make_constant(0.3), _WORD)), None),
+    (coeffs.LeftHalf(_GLUED), _LEFT),
+    (coeffs.LeftHalf(coeffs.extend_two_sided(coeffs.make_constant(0.3), _WORD)), _LEFT),
     (coeffs.extend_two_sided(coeffs.make_constant(0.3), _WORD), None),
     (coeffs.make_sturmian(_A, _B, 0.4), None),
     (coeffs.make_sturmian(_A, _B, GOLDEN + 1e-14), None),

@@ -173,6 +173,33 @@ def test_solve_singular_raises():
         C.solve([0.5, 1.0], np.eye(8)[:, 0])
 
 
+def test_blocks_zero_their_out_of_block_entries(tmp_path):
+    # B(m, m + k) is exactly 0 wherever the column m + k leaves the block,
+    # on closed windows, on a truncation closed with a random unimodular
+    # eta_b, and on raw windows, whose band runs on past both cuts; so the
+    # adjoint's np.roll brings only zeros round, and the band writer lists
+    # only columns in [0, n)
+    rng = np.random.default_rng(14)
+    two = random_two_sided(rng, 64)
+    eta = cmath.exp(2j * math.pi * rng.uniform())
+    blocks = [operator.extended_window(two, lo, hi, closure=closure)
+              for lo, hi in ((-9, 10), (-8, 11), (-7, 9)) for closure in (1.0, None)]
+    blocks.append(operator.build_finite_cmv(random_half(rng, 40, rad=0.9), 41, eta))
+    for block in blocks:
+        n = block.hi + 1 - block.lo
+        for b in (block, block.adjoint()):
+            for off, arr in b.diagonals.items():
+                cols = np.arange(n) + off
+                assert np.all(arr[(cols < 0) | (cols >= n)] == 0.0)
+        assert np.array_equal(block.adjoint().dense(), block.dense().conj().T)
+        operator.write_bands_csv(block, tmp_path / "bands.csv")
+        cols = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1, usecols=1)
+        assert cols.min() >= 0 and cols.max() < n
+    # the raw window's band does run past the cut
+    raw = operator.band_diagonals(two.alpha_array(-11, 12), -9, 11)
+    assert raw[-1][0] != 0.0 and raw[1][-1] != 0.0
+
+
 def test_extended_window_interior_matches_raw():
     rng = np.random.default_rng(3)
     seq = random_two_sided(rng, 64)
@@ -223,9 +250,15 @@ def test_apply_extended_and_adjoint_match_dense_window():
 
 
 def test_apply_requires_two_sided():
+    # the walk and both one-step views read the left half, which a
+    # one-sided sequence does not have
+    half = coeffs.make_constant(0.3)
     with pytest.raises(SupportError):
-        operator.apply_extended(coeffs.make_constant(0.0),
-                                operator.State.delta(0))
+        operator.apply_extended(half, operator.State.delta(0))
+    with pytest.raises(SupportError):
+        operator.apply_extended_adjoint(half, operator.State.delta(0))
+    with pytest.raises(SupportError):
+        operator.evolve_walk(half, operator.State.delta(0), 3)
 
 
 def test_split_at_origin_values_and_decoupling():

@@ -386,19 +386,24 @@ def test_norm_squares_golden_route_against_mpmath(alphabet, k):
 
 
 def test_norm_squares_reads_the_left_half_from_the_table(monkeypatch):
-    # the left half of the two-sided word over holder's mask: every row
+    # the left half of the two-sided word over holder's mask, and the same
+    # sites as the left half of a golden word glued on the left: every row
     # reads the Gram table, within GRAM_RTOL of the loop (7.6e-10 measured)
     left = coeffs.LeftHalf(coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full"))
+    glued = coeffs.LeftHalf(coeffs.extend_two_sided(coeffs.make_constant(0.3),
+                                                    coeffs.make_sturmian(0.5, -0.5, GOLDEN)))
     zs = _mask_points((0.5, -0.5))
     Ls = [2 ** k for k in range(6, 14)]
+    assert np.array_equal(glued.alpha_array(0, Ls[-1]), left.alpha_array(0, Ls[-1]))
     inits = [[1.0, sign * np.conj(lam)] for lam in (1.0, 1j) for sign in (1.0, -1.0)]
     loop = transfer.norm_profile_batch(left, np.repeat(zs, 4), np.tile(inits, (len(zs), 1)),
                                        Ls[-1])[:, Ls].reshape(len(zs), 4, len(Ls))
     assert np.all(np.isfinite(loop))
     calls = _spy_loop(monkeypatch)
-    got = transfer.norm_squares(left, zs, inits, Ls)
+    for view in (left, glued):
+        got = transfer.norm_squares(view, zs, inits, Ls)
+        assert np.allclose(got, loop, rtol=GRAM_RTOL, atol=0.0)
     assert calls == []
-    assert np.allclose(got, loop, rtol=GRAM_RTOL, atol=0.0)
 
 
 def _spy_loop(monkeypatch):
