@@ -34,11 +34,15 @@ def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
 
     `alpha` holds the coefficients of sites r0 - 2 ... r1 + 1, as
     `_band_alpha` reads them.  Returns arrays keyed by column offset in
-    {-2, -1, 0, 1, 2}; entry [m - r0] of diagonal k is E(m, m + k).
+    {-2, -1, 0, 1, 2}; entry [m - r0] of diagonal k is E(m, m + k).  The
+    diagonals are the rows of one (5, r1 - r0) array, row 2 + k holding
+    diagonal k (`CMVBlock.band`), and each entry is formed in place there.
     """
     n = r1 - r0
     a = np.asarray(alpha, dtype=complex)
     r = rho_of(a)
+    band = np.empty((5, n), dtype=complex)
+    diag = {k: band[2 + k] for k in (0, 1, -1, 2, -2)}
 
     def A(off):  # a(m + off) aligned with rows r0..r1
         return a[2 + off:2 + off + n]
@@ -46,14 +50,21 @@ def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
     def R(off):
         return r[2 + off:2 + off + n]
 
-    m = np.arange(r0, r1)
-    even = (m % 2 == 0)
-    diag = {}
-    diag[0] = -np.conj(A(0)) * A(-1)
-    diag[1] = np.where(even, np.conj(A(1)) * R(0), -R(0) * A(-1))
-    diag[-1] = np.where(even, np.conj(A(0)) * R(-1), -R(-1) * A(-2))
-    diag[2] = np.where(even, R(1) * R(0), 0.0)
-    diag[-2] = np.where(even, 0.0, R(-1) * R(-2))
+    # each entry is formed in place by the operations of the pattern's
+    # formula, in its order: (-conj(a)) a, conj(a) r, (-r) a and r r.  The
+    # first factor is formed in row 0, which diagonal -2 fills last, and
+    # every product is written apart from its factors: numpy may round a
+    # product that overwrites a factor differently
+    first, ev, od = band[0], slice(r0 % 2, n, 2), slice(1 - r0 % 2, n, 2)
+    np.negative(np.conjugate(A(0), out=first), out=first)
+    np.multiply(first, A(-1), out=diag[0])
+    for k, c, s in ((1, 1, 0), (-1, 0, -1)):  # even rows m: conj(a(m + c)) r(m + s)
+        np.multiply(np.conjugate(A(c)[ev], out=first[ev]), R(s)[ev], out=diag[k][ev])
+    for k, s, c in ((1, 0, -1), (-1, -1, -2)):  # odd rows m: (-r(m + s)) a(m + c)
+        np.multiply(np.negative(R(s)[od], out=first[od]), A(c)[od], out=diag[k][od])
+    np.multiply(R(1)[ev], R(0)[ev], out=diag[2][ev])
+    np.multiply(R(-1)[od], R(-2)[od], out=diag[-2][od])
+    diag[2][od] = diag[-2][ev] = 0.0
     return diag
 
 
@@ -80,6 +91,11 @@ class CMVBlock:
     """Rows and columns [lo, hi] of a CMV band matrix, held as the five
     diagonals of `band_diagonals`.
 
+    The diagonals are the rows of one (5, n) array, `band`, row 2 + k
+    holding diagonal k, so that a reader needing all five reads that
+    array instead of stacking a copy.  The order of the `diagonals` keys
+    is the order in which `_light_cone` sums a row's terms.
+
     The one edge rule: an entry B(m, m + k) whose column m + k falls
     outside the block belongs to no row of B, and the block zeroes it in
     place when it is made.  Every reader then takes each diagonal whole.
@@ -88,9 +104,16 @@ class CMVBlock:
     lo: int
     hi: int
     diagonals: dict = field(repr=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.hi + 1 - self.lo
+        band = self.diagonals[0].base
+        if band is None or band.shape != (5, n) or not all(
+                arr.shape == (n,) and np.shares_memory(arr, band[2 + off])
+                for off, arr in self.diagonals.items()):
+            raise ValueError("the diagonals must be the rows of one (5, n) array")
+        object.__setattr__(self, "band", band)
         for off, arr in self.diagonals.items():
             arr[:max(0, -off)] = 0.0
             arr[n - max(0, off):] = 0.0
@@ -107,9 +130,13 @@ class CMVBlock:
     def adjoint(self) -> "CMVBlock":
         """The block's adjoint, B*(m, m + k) = conj(B(m + k, m)).  The
         entries that np.roll wraps round are the block's zeros past its
-        edges."""
-        return CMVBlock(self.lo, self.hi, {-off: np.roll(np.conj(arr), off)
-                                           for off, arr in self.diagonals.items()})
+        edges.  The diagonals -2 and 2 hold real products rho rho, and
+        their entries are taken as they are: conj would sign the zero
+        imaginary parts."""
+        band = np.empty_like(self.band)
+        for off, arr in self.diagonals.items():
+            band[2 - off] = np.roll(arr if abs(off) == 2 else np.conj(arr), off)
+        return CMVBlock(self.lo, self.hi, {-off: band[2 - off] for off in self.diagonals})
 
     def solve(self, z, rhs: np.ndarray, rows=None) -> np.ndarray:
         """(B - z)^{-1} rhs by elimination without pivoting.
@@ -152,11 +179,10 @@ class CMVBlock:
         # i of a lane's [A - I | g] is its coef times row 2 + i of its kind's
         # table, [B* | B* rhs] or [B | rhs]; rows 0 and 1 are zero and stand
         # for rows -2 and -1
-        own = np.stack([self.diagonals[d] for d in range(-2, 3)], axis=1)
+        own = self.band.T
         kinds = []
         if inner.any():
-            adj = self.adjoint().diagonals
-            adj = np.stack([adj[d] for d in range(-2, 3)], axis=1)
+            adj = self.adjoint().band.T
             # (B*B)(m, m + p) = sum_d B*(m, m + d) B(m + d, m + p), at [m, 4 + p]
             gram = np.zeros((n, 9), dtype=complex)
             for d in range(-2, 3):
@@ -407,8 +433,8 @@ def spectral_basis_reach(seq: VerblunskySequence, n: int) -> BasisReachReport:
     return BasisReachReport(res)
 
 
-def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
-    """k applications of `band`, whose rows reach 2k + 2 sites past the
+def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
+    """k applications of `block`, whose rows reach 2k + 2 sites past the
     support of psi0 on each side.
 
     Each step first narrows [a, b) to the exact nonzero range of the
@@ -418,10 +444,23 @@ def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
     round-to-nearest, and the loop never makes a -0 from a +0 start: the
     result is the full product's, bit for bit.  An all-zero state ends the
     loop early.
+
+    A step forms the five terms of its rows in one multiply of
+    `block.band` by a (5, n) strided view of the state, whose row 2 + j
+    holds the state shifted by j, and adds them into the zeroed output
+    one diagonal at a time, in the order of the block's diagonals: the
+    order in which the full band product sums them.  The terms go to one
+    buffer that doubles when the support outgrows it: a fresh array each
+    step, a little wider than the last, would be mapped anew from the
+    system once it passes malloc's mmap threshold.
     """
-    x = np.zeros(band.hi + 1 - band.lo, dtype=complex)
+    x = np.zeros(block.hi + 1 - block.lo, dtype=complex)
     y = np.zeros_like(x)
-    a = psi0.offset - band.lo
+    # xs[2 + j, m - 2] = x[m + j]: the state entries that row m reads
+    xs, ys = (np.lib.stride_tricks.sliding_window_view(v, 5).T for v in (x, y))
+    order = [2 + off for off in block.diagonals]
+    buf = np.empty((5, 0), dtype=complex)
+    a = psi0.offset - block.lo
     b = a + len(psi0.values)
     x[a:b] = psi0.values
     for _ in range(k):
@@ -433,13 +472,18 @@ def _light_cone(band: CMVBlock, psi0: State, k: int) -> State:
         if a == b:
             break
         a, b = a - 2, b + 2
-        for off, arr in band.diagonals.items():
-            y[a:b] += arr[a:b] * x[a + off:b + off]
+        if buf.shape[1] < b - a:
+            buf = np.empty((5, min(2 * (b - a), len(x))), dtype=complex)
+        terms = np.multiply(block.band[:, a:b], xs[:, a - 2:b - 2], out=buf[:, :b - a])
+        out = y[a:b]
+        for i in order:
+            out += terms[i]
         # clear the consumed state, so that y is all +0 when next written,
         # also where a shrinking support leaves rows outside the new [a, b)
         x[rows] = 0.0
-        x, y = y, x
-    return State(band.lo, x).trimmed()
+        x, y, xs, ys = y, x, ys, xs
+    del y, xs, ys, buf  # the trimming holds the result's buffer alone
+    return State(block.lo, x).trimmed()
 
 
 def _cone_window(seq: VerblunskySequence, psi0: State, k: int) -> CMVBlock:
@@ -472,7 +516,7 @@ def write_state_csv(state: State, path) -> None:
 def write_bands_csv(block: CMVBlock, path) -> None:
     """Nonzero entries of the block, row by row; rows and columns count
     from block.lo."""
-    vals = np.stack([block.diagonals[d] for d in range(-2, 3)], axis=1)
+    vals = block.band.T
     rows, k = np.nonzero(vals)
     vals = vals[rows, k]
     write_csv(path, ["row", "col", "re", "im"], [rows, rows + k - 2, vals.real, vals.imag])

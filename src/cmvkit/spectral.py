@@ -61,7 +61,8 @@ def _F_offcircle(seq: VerblunskySequence, z: complex) -> complex:
 
 
 def _two_site_matrices(alpha: np.ndarray, z: complex):
-    """(T, T^-1) at the even centres 2k, as lists of (t00, t01, t10, t11).
+    """(T, T^-1) at the even centres 2k, as (4, n) arrays whose rows hold
+    the entries t00, t01, t10, t11.
 
     `alpha` holds the sites 2k0 - 1 .. 2k1 + 1 and entry i is the centre
     2(k0 + i).  T maps (u(2k - 1), u(2k)) to (u(2k + 1), u(2k + 2)) for
@@ -74,8 +75,7 @@ def _two_site_matrices(alpha: np.ndarray, z: complex):
     c = np.conj(a1) + z * np.conj(a0)
     T = np.array([rm / zr, -(z * a0 + am) / zr, -rm * c / (zr * r1),
                   (z * (z + np.conj(a1) * a0) + am * c) / (zr * r1)])
-    T_inv = np.array([T[3], -T[1], -T[2], T[0]]) * (r1 / rm)
-    return list(zip(*T.tolist())), list(zip(*T_inv.tolist()))
+    return T, np.array([T[3], -T[1], -T[2], T[0]]) * (r1 / rm)
 
 
 def _two_site_steps(direction: str, store_lo: int, store_hi: int, margin: int) -> range:
@@ -95,6 +95,25 @@ def _ldexp(pairs: np.ndarray, exps: np.ndarray) -> np.ndarray:
         return np.ldexp(parts, exps[:, None]).view(complex).ravel()
 
 
+# the bound 2^_CHUNK_GROWTH on every partial product of a chunk
+_CHUNK_GROWTH = 500
+
+
+def _chunk_length(run: np.ndarray) -> int:
+    """Steps per chunk of `run` (rows t00, t01, t10, t11): about sqrt(n),
+    halved until the product of max(1, ||step||_inf) over every chunk
+    stays below 2^_CHUNK_GROWTH.  That product bounds each partial product
+    of the chunk, so none of them overflows however far z lies from the
+    circle."""
+    mag = np.abs(run)
+    grow = np.log2(np.maximum(np.maximum(mag[0] + mag[1], mag[2] + mag[3]), 1.0))
+    n = run.shape[1]
+    L = max(math.isqrt(n), 1)
+    while L > 1 and np.add.reduceat(grow, np.arange(0, n, L)).max() >= _CHUNK_GROWTH:
+        L //= 2
+    return L
+
+
 def _directional_solution(mats, k_base: int, direction: str, steps: range, store: int):
     """Formal solution of E u = z u decaying at +inf ('plus') or -inf ('minus').
 
@@ -105,30 +124,56 @@ def _directional_solution(mats, k_base: int, direction: str, steps: range, store
     j = j0 + i, over the pairs covering the sites -store - 2 .. store + 2,
     and exps[i] its binary exponent relative to the pair holding site 0.
     `mats` is `_two_site_matrices` with entry i at the centre 2(k_base + i).
+
+    The run is cut into chunks of `_chunk_length` steps, the last one
+    padded with identity steps.  The partial products of every chunk are
+    formed in lock-step, one vectorized 2x2 product per step across all
+    chunks; a pass over the chunks then carries the state from each
+    chunk's entry to the next, rescaled by a power of two each time.  Each
+    stored pair is its partial product times its chunk's entry state,
+    split into a mantissa and a binary exponent.
     """
     plus = direction == "plus"
     k0, k1 = steps[0], steps[-1]
     # 'plus' runs backward on T^-1 and step k yields the pair j = k;
     # 'minus' runs forward on T and yields the pair j = k + 1
     fwd, bwd = mats
-    run = (bwd if plus else fwd)[k0 - k_base:k1 - k_base + 1]
-    order = slice(None, None, -1 if plus else 1)  # running order <-> ascending k
-    pairs, exps = [], []
+    run = (bwd if plus else fwd)[:, k0 - k_base:k1 - k_base + 1]
+    if plus:
+        run = run[:, ::-1]
+    n = run.shape[1]
+    L = _chunk_length(run)
+    C = -(-n // L)
+    # prods[i, :, :, c] is step i of chunk c, and then the product of its
+    # steps 0 .. i, the later step on the left
+    pad = np.broadcast_to(np.eye(2).reshape(4, 1), (4, C * L - n))
+    prods = np.concatenate([run, pad], axis=1).reshape(2, 2, C, L).transpose(3, 0, 1, 2).copy()
+    left, right = np.empty((2, 2, C), dtype=complex), np.empty((2, 2, C), dtype=complex)
+    for i in range(1, L):
+        step, prev = prods[i], prods[i - 1]
+        np.multiply(step[:, :1], prev[None, 0], out=left)
+        np.multiply(step[:, 1:], prev[None, 1], out=right)
+        np.add(left, right, out=step)
+    entry, shift = [], []
     x, y, e = 1.0 + 0.0j, 1.0 + 0.0j, 0
-    for a, b, c, d in run[order]:
+    for a, b, c, d in prods[-1].reshape(4, C).T.tolist():
+        entry.append((x, y))
+        shift.append(e)
         x, y = a * x + b * y, c * x + d * y
-        m = max(abs(x), abs(y))
-        if m > 1e120 or (0.0 < m < 1e-120):
-            k = math.frexp(m)[1]
-            x, y = x * 2.0 ** -k, y * 2.0 ** -k
-            e += k
-        pairs.append((x, y))
-        exps.append(e)
-    first = k0 if plus else k0 + 1
-    pairs, exps = np.array(pairs[order]), np.array(exps[order])
-    exps -= exps[-first] + math.frexp(float(np.max(np.abs(pairs[-first]))))[1]
+        k = math.frexp(max(abs(x), abs(y)))[1]
+        x, y = x * 2.0 ** -k, y * 2.0 ** -k
+        e += k
+    # the stored pairs j0 .. j1 and the running steps that yield them
     j0, j1 = -((store + 2) // 2), (store + 3) // 2
-    return j0, pairs[j0 - first:j1 - first + 1], exps[j0 - first:j1 - first + 1]
+    first = k0 if plus else k0 + 1
+    t = np.arange(j0 - first, j1 - first + 1)
+    if plus:
+        t = n - 1 - t
+    chunk, i = np.divmod(t, L)
+    pairs = (prods[i, :, :, chunk] * np.array(entry)[chunk, None, :]).sum(axis=2)
+    k = np.frexp(np.abs(pairs).max(axis=1))[1]
+    exps = np.array(shift)[chunk] + k
+    return j0, _ldexp(pairs, -k).reshape(-1, 2), exps - exps[-j0]
 
 
 def _scale_to_targets(j0: int, u: np.ndarray, v: np.ndarray, exps: np.ndarray,

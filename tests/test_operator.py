@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,27 @@ def test_evolve_walk_light_cone_matches_full_window():
     # wide; the random model leaves thousands of exact-zero cone rows
     assert widths[3] == widths[4] == widths[6] == 1
     assert widths[5] < 4 * k + 1 - 2000
+
+
+def test_walk_holds_one_band():
+    # the walk of the benchmark: 10^4 steps of a delta on the Fibonacci
+    # word with a free left half.  Its window holds n = 4k + 5 rows: the
+    # band is five diagonals of n complex entries and the walk adds two
+    # state buffers of n; the trimming masks and each step's terms stay
+    # below one more diagonal.  A copy of the band, stacked to form a
+    # step's terms, would add five
+    seq = coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
+                                  coeffs.make_constant(0.0))
+    k = 10 ** 4
+    row = (4 * k + 5) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        out = operator.evolve_walk(seq, operator.State.delta(0), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.offset == -2 * k and len(out.values) == 1
+    assert peak < (5 + 2 + 1) * row
 
 
 def test_trimmed_keeps_nan_entries():

@@ -153,13 +153,120 @@ def test_context_normalization_and_decay():
 def test_two_site_matrix_table(z):
     # the table holds the even centres 2k, k = -20 .. 20, from the sites -41 .. 41
     alpha = RANDOM2.alpha_array(-41, 42)
-    T, T_inv = (np.array(m).reshape(-1, 2, 2)
-                for m in spectral._two_site_matrices(alpha, z))
+    # each table has the rows t00, t01, t10, t11, one column per centre
+    T, T_inv = (m.T.reshape(-1, 2, 2) for m in spectral._two_site_matrices(alpha, z))
     rho = coeffs.rho_of(alpha)
     assert len(T) == len(T_inv) == 41
     assert np.max(np.abs(T @ T_inv - np.eye(2))) < 1e-13
     # det T = rho(2k - 1)/rho(2k + 1)
     assert np.max(np.abs(np.linalg.det(T) - rho[:-2:2] / rho[2::2])) < 1e-13
+
+
+def _sequential_solution(mats, k_base, direction, steps, store):
+    # reference: the two-site recurrence one step at a time in scalar
+    # complex arithmetic, rescaling by a power of two whenever the state
+    # leaves [1e-120, 1e120]; the same (j0, pairs, exps) contract
+    plus = direction == "plus"
+    k0, k1 = steps[0], steps[-1]
+    run = mats[1 if plus else 0][:, k0 - k_base:k1 - k_base + 1].T.tolist()
+    order = slice(None, None, -1 if plus else 1)
+    pairs, exps = [], []
+    x, y, e = 1.0 + 0.0j, 1.0 + 0.0j, 0
+    for a, b, c, d in run[order]:
+        x, y = a * x + b * y, c * x + d * y
+        m = max(abs(x), abs(y))
+        if m > 1e120 or (0.0 < m < 1e-120):
+            k = math.frexp(m)[1]
+            x, y = x * 2.0 ** -k, y * 2.0 ** -k
+            e += k
+        pairs.append((x, y))
+        exps.append(e)
+    first = k0 if plus else k0 + 1
+    pairs, exps = np.array(pairs[order]), np.array(exps[order])
+    exps -= exps[-first] + math.frexp(float(np.max(np.abs(pairs[-first]))))[1]
+    j0, j1 = -((store + 2) // 2), (store + 3) // 2
+    return j0, pairs[j0 - first:j1 - first + 1], exps[j0 - first:j1 - first + 1]
+
+
+def _context_runs(seq, z, store):
+    # the two-site table and the two runs, as `_build_context_with` makes them
+    margin = int(math.ceil(46.0 / abs(math.log(abs(z)))))
+    runs = {d: spectral._two_site_steps(d, -store, store, margin) for d in ("plus", "minus")}
+    k_lo = min(ks[0] for ks in runs.values())
+    k_hi = max(ks[-1] for ks in runs.values())
+    mats = spectral._two_site_matrices(seq.alpha_array(2 * k_lo - 1, 2 * k_hi + 2), z)
+    return mats, k_lo, runs
+
+
+def _chunk_length_of(mats, k_base, direction, steps):
+    # the chunk length of a run, read in its running order
+    run = mats[1 if direction == "plus" else 0][:, steps[0] - k_base:steps[-1] - k_base + 1]
+    return spectral._chunk_length(run[:, ::-1] if direction == "plus" else run)
+
+
+def _pair_errors(mats, k_base, direction, steps, store):
+    """Each chunked pair's distance from the sequential one, relative to
+    that pair, once both solutions are scaled by the one constant that
+    matches them at the larger entry of the pair holding site 0 (as
+    `_scale_to_targets` scales them); over the pairs where the reference
+    is finite, which the chunked pairs must be too."""
+    j0, pairs, exps = spectral._directional_solution(mats, k_base, direction, steps, store)
+    r0, ref, ref_exps = _sequential_solution(mats, k_base, direction, steps, store)
+    assert j0 == r0 and pairs.shape == ref.shape
+    assert np.all(np.isfinite(pairs))
+    new, old = (spectral._ldexp(p, e).reshape(-1, 2) for p, e in ((pairs, exps), (ref, ref_exps)))
+    base = np.argmax(np.abs(old[-j0]))
+    with np.errstate(invalid="ignore"):
+        new = new * (old[-j0, base] / new[-j0, base])
+        scale = np.max(np.abs(old), axis=1)
+    # pairs in the normal float range: far from the circle the stored
+    # solutions leave it within the window, by design
+    kept = np.isfinite(scale) & (scale >= np.finfo(float).tiny)
+    assert np.all(np.isfinite(new[kept]))
+    return np.max(np.abs(new[kept] - old[kept]), axis=1) / scale[kept]
+
+
+@pytest.mark.parametrize("seq", [FIB2, RANDOM2], ids=["fib", "random"])
+@pytest.mark.parametrize("r", [1e-5, 0.5, 0.9, 0.998, 1.05, 3e3, 1e5])
+def test_chunked_runs_match_the_sequential_loop(seq, r):
+    # both runs of a default-window context, every stored pair.  Measured
+    # worst: 2.6e-15 at |ln|z|| >= 0.05 and 1.8e-14 at |z| = 0.998, where
+    # the rounding of the chunk carries decays slowest along the run
+    z = r * cmath.exp(0.7j)
+    mats, k_base, runs = _context_runs(seq, z, 200)
+    bound = 5e-14 if r == 0.998 else 1e-14
+    for direction, steps in runs.items():
+        assert np.max(_pair_errors(mats, k_base, direction, steps, 200)) < bound
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 101, 256, 257])
+@pytest.mark.parametrize("r", [0.5, 1.05, 1e5])
+def test_chunked_run_lengths(n, r):
+    # runs of one step per chunk (n = 3), of whole chunks (4, 16, 256) and
+    # of k L + 1 steps, whose last chunk holds one step and L - 1 identity
+    # steps (5, 17, 101, 257); the three stored pairs end the run
+    z = r * cmath.exp(2.1j)
+    store = 0
+    mats, k_base, _ = _context_runs(RANDOM2, z, 2 * n + 8)
+    j0, j1 = -((store + 2) // 2), (store + 3) // 2
+    for direction, steps in (("plus", range(j0, j0 + n)), ("minus", range(j1 - n, j1))):
+        L = _chunk_length_of(mats, k_base, direction, steps)
+        assert (n % L == 1) == (n in (5, 17, 101, 257))
+        assert np.max(_pair_errors(mats, k_base, direction, steps, store)) < 1e-14
+
+
+@pytest.mark.parametrize("window", [2000, 8000])
+def test_chunked_runs_stay_finite_far_from_the_circle(window):
+    # at |z| = 1e5 a step grows a state by up to about 2^17, so the chunk
+    # length is halved below sqrt(n); at window 8000 a chunk of sqrt(n)
+    # steps would grow by about 2^1070 and overflow
+    z = 1e5 * cmath.exp(0.7j)
+    mats, k_base, runs = _context_runs(FIB2, z, window)
+    for direction, steps in runs.items():
+        assert _chunk_length_of(mats, k_base, direction, steps) < math.isqrt(len(steps))
+        j0, pairs, exps = spectral._directional_solution(mats, k_base, direction, steps, window)
+        assert np.all(np.isfinite(pairs)) and np.all(np.abs(pairs).max(axis=1) >= 0.5)
+        assert np.max(_pair_errors(mats, k_base, direction, steps, window)) < 1e-14
 
 
 @pytest.mark.parametrize("z", [0.6 * cmath.exp(0.9j), 0.99 * cmath.exp(2j),
