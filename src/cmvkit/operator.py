@@ -313,7 +313,7 @@ def apply_extended(seq: VerblunskySequence, state: State) -> State:
 
 def apply_extended_adjoint(seq: VerblunskySequence, state: State) -> State:
     """Apply the adjoint (= inverse) of the extended matrix."""
-    return _light_cone(_cone_window(seq, state, 1).adjoint(), state, 1)
+    return _light_cone(seq, state, 1, adjoint=True)
 
 
 def split_at_origin(seq: VerblunskySequence):
@@ -433,9 +433,24 @@ def spectral_basis_reach(seq: VerblunskySequence, n: int) -> BasisReachReport:
     return BasisReachReport(res)
 
 
-def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
-    """k applications of `block`, whose rows reach 2k + 2 sites past the
-    support of psi0 on each side.
+_MARGIN = 256  # steps of its cone that a walk window holds at least
+
+
+def _light_cone(seq: VerblunskySequence, psi0: State, k: int,
+                adjoint: bool = False) -> State:
+    """k applications of the extended matrix, or of its adjoint, to psi0.
+
+    The band and two state buffers cover a raw window that follows the
+    support [A, B): the t-step cone of it, rows A - 2t - 2 ... B + 2t + 1
+    with t = min(steps left, max(_MARGIN, B - A)), rebuilt from the
+    support alone when a step's rows would reach the window's two outer
+    rows.  Edges move at most two sites a step, so a window lasts t steps
+    at least, and a window short of the last has t >= B - A: its B - A +
+    4t + 4 rows cost at most 5 + 4 / _MARGIN band rows and 1 / _MARGIN of
+    a build's overhead per step.  No window exceeds 5 (B - A) + 4 _MARGIN
+    + 4 rows, nor psi0's k-step cone, offset - 2k - 2 ... offset + len +
+    2k + 1.  A band entry depends on its site alone and no step's rows
+    reach a window's edge, so every window gives the same entries.
 
     Each step first narrows [a, b) to the exact nonzero range of the
     current state (an entry is zero when `x[i] == 0`, so a NaN stays in)
@@ -443,10 +458,10 @@ def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
     full band product sums +0 and products of zeros, which gives +0 under
     round-to-nearest, and the loop never makes a -0 from a +0 start: the
     result is the full product's, bit for bit.  An all-zero state ends the
-    loop early.
+    loop early and sits at the cone's start, psi0.offset - 2k - 2.
 
     A step forms the five terms of its rows in one multiply of
-    `block.band` by a (5, n) strided view of the state, whose row 2 + j
+    the band by a (5, n) strided view of the state, whose row 2 + j
     holds the state shifted by j, and adds them into the zeroed output
     one diagonal at a time, in the order of the block's diagonals: the
     order in which the full band product sums them.  The terms go to one
@@ -454,16 +469,12 @@ def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
     step, a little wider than the last, would be mapped anew from the
     system once it passes malloc's mmap threshold.
     """
-    x = np.zeros(block.hi + 1 - block.lo, dtype=complex)
-    y = np.zeros_like(x)
-    # xs[2 + j, m - 2] = x[m + j]: the state entries that row m reads
-    xs, ys = (np.lib.stride_tricks.sliding_window_view(v, 5).T for v in (x, y))
-    order = [2 + off for off in block.diagonals]
-    buf = np.empty((5, 0), dtype=complex)
-    a = psi0.offset - block.lo
-    b = a + len(psi0.values)
-    x[a:b] = psi0.values
-    for _ in range(k):
+    if not seq.is_two_sided:
+        raise SupportError("extended application needs a two-sided sequence")
+    # x holds the state from site lo; psi0's own values until the first window
+    lo, x, a, b = psi0.offset, psi0.values, 0, len(psi0.values)
+    top = -1  # the last b that the window's rows allow; none before the first window
+    for left in range(k, 0, -1):
         rows = slice(a, b)  # x is +0 outside these rows
         while a < b and x[a] == 0:
             a += 1
@@ -471,10 +482,27 @@ def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
             b -= 1
         if a == b:
             break
+        if a < 4 or b > top:  # a new window: the t-step cone of the support
+            vals = x[a:b].copy()
+            x = y = xs = ys = buf = terms = out = band = None
+            t = min(left, max(_MARGIN, b - a))
+            lo, a, b = lo + a - 2 * t - 2, 2 * t + 2, 2 * t + 2 + b - a
+            block = extended_window(seq, lo, lo + b + 2 * t + 1, closure=None)
+            if adjoint:
+                block = block.adjoint()
+            band, order = block.band, [2 + off for off in block.diagonals]
+            del block
+            x = np.zeros(band.shape[1], dtype=complex)
+            y = np.zeros_like(x)
+            x[a:b] = vals
+            rows, top, vals = slice(a, b), len(x) - 4, None
+            # xs[2 + j, m - 2] = x[m + j]: the state entries that row m reads
+            xs, ys = (np.ndarray((5, len(v) - 4), complex, v, 0, (v.itemsize,) * 2) for v in (x, y))
+            buf = np.empty((5, 0), dtype=complex)
         a, b = a - 2, b + 2
         if buf.shape[1] < b - a:
             buf = np.empty((5, min(2 * (b - a), len(x))), dtype=complex)
-        terms = np.multiply(block.band[:, a:b], xs[:, a - 2:b - 2], out=buf[:, :b - a])
+        terms = np.multiply(band[:, a:b], xs[:, a - 2:b - 2], out=buf[:, :b - a])
         out = y[a:b]
         for i in order:
             out += terms[i]
@@ -482,26 +510,21 @@ def _light_cone(block: CMVBlock, psi0: State, k: int) -> State:
         # also where a shrinking support leaves rows outside the new [a, b)
         x[rows] = 0.0
         x, y, xs, ys = y, x, ys, xs
-    del y, xs, ys, buf  # the trimming holds the result's buffer alone
-    return State(block.lo, x).trimmed()
-
-
-def _cone_window(seq: VerblunskySequence, psi0: State, k: int) -> CMVBlock:
-    """The raw window that k steps of the band, or of its adjoint, read
-    from psi0: rows offset - 2k - 2 ... offset + len + 2k + 1."""
-    if not seq.is_two_sided:
-        raise SupportError("extended application needs a two-sided sequence")
-    return extended_window(seq, psi0.offset - 2 * k - 2,
-                           psi0.offset + len(psi0.values) + 2 * k + 1, closure=None)
+    y = xs = ys = buf = terms = out = band = None  # the trimming holds the result's buffer alone
+    out = State(lo, x).trimmed()
+    if out.values[0] == 0:  # the zero state
+        return State(psi0.offset - 2 * k - 2, out.values)
+    return out
 
 
 def evolve_walk(seq: VerblunskySequence, psi0: State, k: int) -> State:
-    """k-fold band application; the support grows by at most two per step."""
+    """k-fold band application; the support grows by at most two per step,
+    and the memory held follows the support, not the k-step cone."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return State(psi0.offset, psi0.values.copy())
-    return _light_cone(_cone_window(seq, psi0, k), psi0, k)
+    return _light_cone(seq, psi0, k)
 
 
 def write_state_csv(state: State, path) -> None:

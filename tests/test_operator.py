@@ -369,7 +369,42 @@ def _apply_full_window(diag, x):
     return y
 
 
-def test_evolve_walk_light_cone_matches_full_window():
+def _full_window_walk(seq, psi0, k, adjoint=False):
+    # reference: every step applies the band, or its adjoint, to the whole
+    # window of psi0's k-step cone and one more row on each side
+    lo = psi0.offset - 2 * k - 2
+    hi = psi0.offset + len(psi0.values) + 2 * k + 2
+    if adjoint:
+        diag = operator.extended_window(seq, lo, hi - 1, closure=None).adjoint().diagonals
+    else:
+        diag = operator.band_diagonals(seq.alpha_array(lo - 2, hi + 2), lo, hi)
+    x = np.zeros(hi - lo, dtype=complex)
+    x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
+    for _ in range(k):
+        x = _apply_full_window(diag, x)
+    return operator.State(lo, x).trimmed()
+
+
+def _same_bits(got, want):
+    # np.array_equal cannot tell -0.0 from +0.0
+    return (got.offset == want.offset
+            and np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)))
+
+
+def _count_windows(monkeypatch):
+    # [windows built, rows built] by the walk's calls of extended_window
+    built = [0, 0]
+    window = operator.extended_window
+
+    def counted(seq, lo, hi, closure=1.0):
+        built[0] += 1
+        built[1] += hi + 1 - lo
+        return window(seq, lo, hi, closure)
+    monkeypatch.setattr(operator, "extended_window", counted)
+    return built
+
+
+def test_evolve_walk_light_cone_matches_full_window(monkeypatch):
     # reference: every step applies the band to the whole 4k-wide window.
     # The loop follows the state's exact nonzero range, which differs from
     # the cone for a seed with interior and edge zeros, the zero state, a
@@ -377,62 +412,95 @@ def test_evolve_walk_light_cone_matches_full_window():
     # underflow to exact zeros, and the `gate` model: there every image of
     # the subnormal at site 1 underflows (each band entry of its column is
     # below 1/2 in real and imaginary part), so the support jumps past
-    # it and the loop must clear it from the buffer it reuses.  Bit
-    # patterns are compared, since np.array_equal cannot tell -0.0 from +0.0.
+    # it and the loop must clear it from the buffer it reuses.  The loop's
+    # window follows the support, and is rebuilt many times over for a
+    # delta moving right (free right half), for the word's delta and for
+    # a seed wider than the window's least margin; the lone subnormal and
+    # the empty state are the zero state from the first step on, which
+    # sits at the cone's start.  Bit patterns are compared.
     k = 3000
     rng = np.random.default_rng(12)
     word = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
     free_left = coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
                                         coeffs.make_constant(0.0))
+    free_right = coeffs.extend_two_sided(coeffs.make_constant(0.0),
+                                         coeffs.make_sturmian(0.5, -0.5, GOLDEN))
     random = random_two_sided(rng, 2 * k + 2, rad=0.9)
     gate = coeffs.extend_two_sided(coeffs.make_explicit([0.0, 0.45 + 0.45j, 0.55 + 0.55j]),
                                    coeffs.make_constant(0.0))
     subnormal = np.zeros(9, dtype=complex)
     subnormal[[0, 8]] = 5e-324, 1.0
+    wide = rng.normal(size=600) + 1j * rng.normal(size=600)
+    wide[[0, 1, 300, 599]] = 0.0
     delta = operator.State.delta(0)
     cases = [(word, delta), (word, operator.State(-1, np.array([0.6, 0.0, 0.8j]))),
              (word, operator.State(-3, np.array([0, 0.6, 0, 0.8j, 0]))),
              (word, operator.State(2, np.zeros(3, dtype=complex))),
-             (free_left, delta), (random, delta), (gate, operator.State(1, subnormal))]
-    widths = []
+             (free_left, delta), (random, delta), (gate, operator.State(1, subnormal)),
+             (free_right, operator.State.delta(1)), (word, operator.State(-300, wide)),
+             (gate, operator.State(1, subnormal[:1])),
+             (word, operator.State(5, np.zeros(0, dtype=complex)))]
+    widths, windows = [], []
+    built = _count_windows(monkeypatch)
     for seq, psi0 in cases:
-        lo = psi0.offset - 2 * k - 2
-        hi = psi0.offset + len(psi0.values) + 2 * k + 2
-        diag = operator.band_diagonals(seq.alpha_array(lo - 2, hi + 2), lo, hi)
-        x = np.zeros(hi - lo, dtype=complex)
-        x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
-        for _ in range(k):
-            x = _apply_full_window(diag, x)
-        full = operator.State(lo, x).trimmed()
-        cone = operator.evolve_walk(seq, psi0, k)
-        assert cone.offset == full.offset
-        assert np.array_equal(cone.values.view(np.uint64), full.values.view(np.uint64))
+        full = _full_window_walk(seq, psi0, k)
+        built[:] = [0, 0]
+        assert _same_bits(operator.evolve_walk(seq, psi0, k), full)
         widths.append(len(full.values))
+        windows.append(built[0])
     # the zero state, the moving delta and the lost subnormal end one site
     # wide; the random model leaves thousands of exact-zero cone rows
     assert widths[3] == widths[4] == widths[6] == 1
     assert widths[5] < 4 * k + 1 - 2000
+    # the right-moving delta keeps one site and crosses a window per
+    # 256 steps; the word's walks outgrow their first windows; the zero
+    # states build no window, and the lone subnormal one
+    assert widths[7] == 1 and windows[7] == 12
+    assert windows[0] > 1 and windows[8] > 1
+    assert widths[9] == widths[10] == 1
+    assert windows[3] == windows[10] == 0 and windows[9] == 1
+    # one step of the adjoint: seeds with and without zeros, a wide seed
+    # and the zero states
+    for seq, psi0 in cases[:4] + cases[8:]:
+        assert _same_bits(operator.apply_extended_adjoint(seq, psi0),
+                          _full_window_walk(seq, psi0, 1, adjoint=True))
+        assert _same_bits(operator.apply_extended(seq, psi0), _full_window_walk(seq, psi0, 1))
 
 
-def test_walk_holds_one_band():
-    # the walk of the benchmark: 10^4 steps of a delta on the Fibonacci
-    # word with a free left half.  Its window holds n = 4k + 5 rows: the
-    # band is five diagonals of n complex entries and the walk adds two
-    # state buffers of n; the trimming masks and each step's terms stay
-    # below one more diagonal.  A copy of the band, stacked to form a
-    # step's terms, would add five
-    seq = coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
-                                  coeffs.make_constant(0.0))
-    k = 10 ** 4
-    row = (4 * k + 5) * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        out = operator.evolve_walk(seq, operator.State.delta(0), k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.offset == -2 * k and len(out.values) == 1
-    assert peak < (5 + 2 + 1) * row
+def test_walk_holds_one_band(monkeypatch):
+    # memory follows the support, not the step count.  A delta moving on
+    # the Fibonacci word with a free left half (the benchmark's walk)
+    # holds one window of 1029 rows, its cone of 256 steps, at a time: it
+    # peaked at 118 KB at both 10^4 and 4 10^4 steps.  The word's 2000-step
+    # walk fills its cone, so its last window is the whole cone's
+    # n = 4k + 5 rows: the band (5 rows of n), two state buffers (2) and
+    # the terms (at most 5) peaked at 12.0 rows of n.  The bound of 13 rows
+    # lies below the 14.6 rows of one whole-cone window built up front,
+    # and fails when the last window's buffers are held while the next is
+    # built (15.9 rows)
+    free_left = coeffs.extend_two_sided(coeffs.make_sturmian(0.5, -0.5, GOLDEN),
+                                        coeffs.make_constant(0.0))
+    word = coeffs.make_sturmian(0.5, -0.5, GOLDEN, support="full")
+    row = (4 * 2000 + 5) * np.dtype(complex).itemsize
+    for seq, k, bound in ((free_left, 10 ** 4, 160_000), (free_left, 4 * 10 ** 4, 160_000),
+                          (word, 2000, 13 * row)):
+        tracemalloc.start()
+        try:
+            out = operator.evolve_walk(seq, operator.State.delta(0), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.values) == (1 if seq is free_left else 4 * k)
+        assert out.offset == -2 * k
+        assert peak < bound
+    # the margin rule: the delta's 10^4 steps take 39 windows of 256 steps
+    # and one for the last 16
+    built = _count_windows(monkeypatch)
+    operator.evolve_walk(free_left, operator.State.delta(0), 10 ** 4)
+    assert built == [40, 40200]
+    built[:] = [0, 0]
+    operator.evolve_walk(word, operator.State.delta(0), 2000)
+    assert built == [3, 14157]
 
 
 def test_trimmed_keeps_nan_entries():
