@@ -24,6 +24,7 @@ import numpy as np
 from . import caratheodory as cara
 from . import coeffs, operator, spectral, tracemap, transfer, verify
 from .errors import CMVKitError, UnconvergedWarning
+from .table import write_json
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,7 @@ def _run_dir(cfg: RunConfig) -> Path:
 
     recorded = {"command", "out", *_FIELDS[cfg.command]}
     payload = {k: v for k, v in dataclasses.asdict(cfg).items() if k in recorded}
-    with open(path / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)  # complex values as text
+    write_json(path / "config.json", payload)
     return path
 
 
@@ -296,8 +296,7 @@ def cmd_holder(cfg: RunConfig, out: Path) -> int:
     transfer.write_norm_csv(norm_samples, out / "norm_samples.csv")
     transfer.fit_to_json(norm_fit, out / "norm_fit.json")
     cara.write_boundary_csv(rows, out / "boundary.csv")
-    with open(out / "holder.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
+    write_json(out / "holder.json", record)
     print(json.dumps(record, indent=2))
     print(f"wrote {out / 'arc_mass.csv'}, {out / 'boundary.csv'}, "
           f"{out / 'norm_samples.csv'} and {out / 'holder.json'}")

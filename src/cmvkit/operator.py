@@ -29,20 +29,19 @@ from .errors import (DegenerateRhoError, DomainError, ModulusError, SingularErro
 from .table import write_csv
 
 
-def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
+def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Five diagonals of the CMV pattern for rows r0 <= m < r1.
 
     `alpha` holds the coefficients of sites r0 - 2 ... r1 + 1, as
-    `_band_alpha` reads them.  Returns arrays keyed by column offset in
-    {-2, -1, 0, 1, 2}; entry [m - r0] of diagonal k is E(m, m + k).  The
-    diagonals are the rows of one (5, r1 - r0) array, row 2 + k holding
-    diagonal k (`CMVBlock.band`), and each entry is formed in place there.
+    `_band_alpha` reads them.  Returns the (5, r1 - r0) band whose row
+    2 + k holds diagonal k, k in {-2, -1, 0, 1, 2}: entry [2 + k, m - r0]
+    is E(m, m + k).  Each entry is formed in place there.
     """
     n = r1 - r0
     a = np.asarray(alpha, dtype=complex)
     r = rho_of(a)
     band = np.empty((5, n), dtype=complex)
-    diag = {k: band[2 + k] for k in (0, 1, -1, 2, -2)}
+    diag = {k: band[2 + k] for k in range(-2, 3)}
 
     def A(off):  # a(m + off) aligned with rows r0..r1
         return a[2 + off:2 + off + n]
@@ -65,7 +64,7 @@ def band_diagonals(alpha: np.ndarray, r0: int, r1: int) -> dict:
     np.multiply(R(1)[ev], R(0)[ev], out=diag[2][ev])
     np.multiply(R(-1)[od], R(-2)[od], out=diag[-2][od])
     diag[2][od] = diag[-2][ev] = 0.0
-    return diag
+    return band
 
 
 def _band_alpha(seq: VerblunskySequence, r0: int, r1: int) -> np.ndarray:
@@ -88,13 +87,9 @@ def _shifted(x: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CMVBlock:
-    """Rows and columns [lo, hi] of a CMV band matrix, held as the five
-    diagonals of `band_diagonals`.
-
-    The diagonals are the rows of one (5, n) array, `band`, row 2 + k
-    holding diagonal k, so that a reader needing all five reads that
-    array instead of stacking a copy.  The order of the `diagonals` keys
-    is the order in which `_light_cone` sums a row's terms.
+    """Rows and columns [lo, hi] of a CMV band matrix, held as the (5, n)
+    `band` of `band_diagonals`: row 2 + k holds diagonal k, entry
+    [2 + k, m - lo] is B(m, m + k).
 
     The one edge rule: an entry B(m, m + k) whose column m + k falls
     outside the block belongs to no row of B, and the block zeroes it in
@@ -103,18 +98,13 @@ class CMVBlock:
 
     lo: int
     hi: int
-    diagonals: dict = field(repr=False)
-    band: np.ndarray = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = self.hi + 1 - self.lo
-        band = self.diagonals[0].base
-        if band is None or band.shape != (5, n) or not all(
-                arr.shape == (n,) and np.shares_memory(arr, band[2 + off])
-                for off, arr in self.diagonals.items()):
-            raise ValueError("the diagonals must be the rows of one (5, n) array")
-        object.__setattr__(self, "band", band)
-        for off, arr in self.diagonals.items():
+        if self.band.shape != (5, n):
+            raise ValueError(f"a block of {n} rows needs a (5, {n}) band")
+        for off, arr in zip(range(-2, 3), self.band):
             arr[:max(0, -off)] = 0.0
             arr[n - max(0, off):] = 0.0
 
@@ -122,7 +112,7 @@ class CMVBlock:
         n = self.hi + 1 - self.lo
         out = np.zeros((n, n), dtype=complex)
         rows = np.arange(n)
-        for off, arr in self.diagonals.items():
+        for off, arr in zip(range(-2, 3), self.band):
             i = rows[max(0, -off):n - max(0, off)]
             out[i, i + off] = arr[i]
         return out
@@ -134,9 +124,9 @@ class CMVBlock:
         their entries are taken as they are: conj would sign the zero
         imaginary parts."""
         band = np.empty_like(self.band)
-        for off, arr in self.diagonals.items():
+        for off, arr in zip(range(-2, 3), self.band):
             band[2 - off] = np.roll(arr if abs(off) == 2 else np.conj(arr), off)
-        return CMVBlock(self.lo, self.hi, {-off: band[2 - off] for off in self.diagonals})
+        return CMVBlock(self.lo, self.hi, band)
 
     def solve(self, z, rhs: np.ndarray, rows=None) -> np.ndarray:
         """(B - z)^{-1} rhs by elimination without pivoting.
@@ -463,8 +453,9 @@ def _light_cone(seq: VerblunskySequence, psi0: State, k: int,
     A step forms the five terms of its rows in one multiply of
     the band by a (5, n) strided view of the state, whose row 2 + j
     holds the state shifted by j, and adds them into the zeroed output
-    one diagonal at a time, in the order of the block's diagonals: the
-    order in which the full band product sums them.  The terms go to one
+    one diagonal at a time, in a fixed order: diagonals 0, 1, -1, 2, -2
+    of E (band rows 2, 3, 1, 4, 0), and their mirror 0, -1, 1, -2, 2 for
+    E* (rows 2, 1, 3, 0, 4).  The terms go to one
     buffer that doubles when the support outgrows it: a fresh array each
     step, a little wider than the last, would be mapped anew from the
     system once it passes malloc's mmap threshold.
@@ -474,6 +465,7 @@ def _light_cone(seq: VerblunskySequence, psi0: State, k: int,
     # x holds the state from site lo; psi0's own values until the first window
     lo, x, a, b = psi0.offset, psi0.values, 0, len(psi0.values)
     top = -1  # the last b that the window's rows allow; none before the first window
+    order = (2, 1, 3, 0, 4) if adjoint else (2, 3, 1, 4, 0)
     for left in range(k, 0, -1):
         rows = slice(a, b)  # x is +0 outside these rows
         while a < b and x[a] == 0:
@@ -488,9 +480,7 @@ def _light_cone(seq: VerblunskySequence, psi0: State, k: int,
             t = min(left, max(_MARGIN, b - a))
             lo, a, b = lo + a - 2 * t - 2, 2 * t + 2, 2 * t + 2 + b - a
             block = extended_window(seq, lo, lo + b + 2 * t + 1, closure=None)
-            if adjoint:
-                block = block.adjoint()
-            band, order = block.band, [2 + off for off in block.diagonals]
+            band = (block.adjoint() if adjoint else block).band
             del block
             x = np.zeros(band.shape[1], dtype=complex)
             y = np.zeros_like(x)

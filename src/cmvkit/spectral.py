@@ -55,9 +55,10 @@ def _convention_alpha(seq: VerblunskySequence, name: str) -> complex:
 
 def _F_offcircle(seq: VerblunskySequence, z: complex) -> complex:
     """Carathéodory value continued across the circle by F(z) = -conj(F(1/conj(z)))."""
-    if abs(z) < 1.0:
-        return cara.schur_eval_F_adaptive(seq, z, _SCHUR_TOL)
-    return -complex(cara.schur_eval_F_adaptive(seq, 1.0 / z.conjugate(), _SCHUR_TOL)).conjugate()
+    inside = abs(z) < 1.0
+    F = complex(cara.schur_F_batch(seq, np.array([z if inside else 1.0 / z.conjugate()]),
+                                   _SCHUR_TOL)[0])
+    return F if inside else -F.conjugate()
 
 
 def _two_site_matrices(alpha: np.ndarray, z: complex):

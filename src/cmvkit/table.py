@@ -1,7 +1,9 @@
-"""CSV tables: the one cell format of every CSV artifact.  A table is a
-header row, then one row per index; a str cell is written as given, an
-int by `str` and a float by `repr`.  Rows end in "\\r\\n" and the file is
-UTF-8.  No cell needs quoting, so the bytes are those of `csv.writer`."""
+"""The one format of each artifact kind.  A CSV table is a header row,
+then one row per index; a str cell is written as given, an int by `str`
+and a float by `repr`.  Rows end in "\\r\\n" and the file is UTF-8.  No
+cell needs quoting, so the bytes are those of `csv.writer`.  A JSON
+record is UTF-8 with indent 2; a numpy scalar is written as its `.item()`
+and a complex as its `str`."""
 
 import numpy as np
 
@@ -34,3 +36,21 @@ def write_csv(path, header, columns) -> None:
             for i in range(0, shape[1], step_i):
                 block = [cells(c[o:o + step_o, i:i + step_i]) for c in columns]
                 fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+
+def _json_value(value):
+    """json.dump's hook for each value it cannot write itself."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, complex):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, record) -> None:
+    """Write `record` by the one JSON rule of the module docstring."""
+    # json loads on first use, after the package: every module imports
+    # table, and loading json with it raised perfbench's peak_rss_mb
+    import json
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, default=_json_value)

@@ -14,15 +14,14 @@ and the explicit growth constants.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coeffs import rho_of
 from .errors import DomainError
-from .table import write_csv
+from .table import write_csv, write_json
 from .transfer import _mul, _word_products, branch_sqrt, szego_matrices
 
 _BIG = 1e100
@@ -300,19 +299,9 @@ def gamma_constants(alphabet, cf: ContinuedFractionData, I_sup: float,
 
 
 def constants_to_json(c: GammaConstants, path=None):
-    record = {
-        "density": c.density,
-        "growth_base": c.growth_base,
-        "coupling": c.coupling,
-        "scale": c.scale,
-        "gamma1": c.gamma1,
-        "gamma2": c.gamma2,
-        "upper_constant": c.upper_constant,
-        "beta": c.beta,
-    }
+    record = {**asdict(c), "beta": c.beta}
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
+        write_json(path, record)
     return record
 
 

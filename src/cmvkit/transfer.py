@@ -13,7 +13,6 @@ fixed.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .coeffs import VerblunskySequence, rho_of
 from .errors import (InsufficientDataError, NormalizationError,
                      SpectralPointError)
-from .table import write_csv
+from .table import write_csv, write_json
 
 _RENORM_EVERY = 64
 _BLOCK = 128      # sites per kernel call: escape tests, Schur stops
@@ -489,6 +488,5 @@ def write_norm_csv(samples, path) -> None:
 def fit_to_json(fit: FitResult, path=None):
     record = {**asdict(fit), "beta": fit.beta}
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
+        write_json(path, record)
     return record

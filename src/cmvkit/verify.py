@@ -9,7 +9,6 @@ asymptotic statement probed at finite scale).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 from . import caratheodory as cara
 from . import coeffs, operator, spectral, tracemap, transfer
 from .errors import InsufficientDataError
+from .table import write_json
 
 FIB_ALPHABET = (0.5, -0.5)
 # window half-width at which criteria 2 and 3 state their tolerances
@@ -463,7 +463,7 @@ def report_to_json(results, path=None):
         "criteria": [
             {"number": r.number, "name": r.name, "passed": bool(r.passed),
              "severity": r.severity, "details": r.details,
-             "measured": _jsonable(r.measured), "wall_s": r.wall_s}
+             "measured": r.measured, "wall_s": r.wall_s}
             for r in results
         ],
     }
@@ -471,16 +471,5 @@ def report_to_json(results, path=None):
         if r.number == 2 and "m_minus_convention" in r.measured:
             record["m_minus_convention"] = r.measured["m_minus_convention"]
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
+        write_json(path, record)
     return record
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj

@@ -189,16 +189,16 @@ def test_blocks_zero_their_out_of_block_entries(tmp_path):
     for block in blocks:
         n = block.hi + 1 - block.lo
         for b in (block, block.adjoint()):
-            for off, arr in b.diagonals.items():
+            for off in range(-2, 3):
                 cols = np.arange(n) + off
-                assert np.all(arr[(cols < 0) | (cols >= n)] == 0.0)
+                assert np.all(b.band[2 + off][(cols < 0) | (cols >= n)] == 0.0)
         assert np.array_equal(block.adjoint().dense(), block.dense().conj().T)
         operator.write_bands_csv(block, tmp_path / "bands.csv")
         cols = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1, usecols=1)
         assert cols.min() >= 0 and cols.max() < n
     # the raw window's band does run past the cut
     raw = operator.band_diagonals(two.alpha_array(-11, 12), -9, 11)
-    assert raw[-1][0] != 0.0 and raw[1][-1] != 0.0
+    assert raw[2 - 1][0] != 0.0 and raw[2 + 1][-1] != 0.0
 
 
 def test_extended_window_interior_matches_raw():
@@ -274,8 +274,8 @@ def test_split_at_origin_values_and_decoupling():
     # the modified operator decouples exactly at the origin
     alpha = seq.alpha_array(-12, 13)
     alpha[11] = -1.0  # site -1
-    diag = operator.band_diagonals(alpha, -10, 11)
-    dense = operator.CMVBlock(-10, 10, diag).dense()
+    band = operator.band_diagonals(alpha, -10, 11)
+    dense = operator.CMVBlock(-10, 10, band).dense()
     assert np.max(np.abs(dense[:10, 10:])) == 0.0
     assert np.max(np.abs(dense[10:, :10])) == 0.0
     # and the left block is the standard matrix of the reflected
@@ -356,12 +356,14 @@ def test_evolve_walk_basics():
     assert abs(out.norm() - 1.0) < 1e-12
 
 
-def _apply_full_window(diag, x):
+def _apply_full_window(band, offs, x):
     # reference band product: every row of the window, rows and x sharing
-    # one index range; columns m + off gather from x
+    # one index range; columns m + off gather from x, diagonals summed in
+    # the order of offs
     n = len(x)
     y = np.zeros(n, dtype=complex)
-    for off, arr in diag.items():
+    for off in offs:
+        arr = band[2 + off]
         if off >= 0:
             y[:n - off] += arr[:n - off] * x[off:]
         else:
@@ -375,13 +377,15 @@ def _full_window_walk(seq, psi0, k, adjoint=False):
     lo = psi0.offset - 2 * k - 2
     hi = psi0.offset + len(psi0.values) + 2 * k + 2
     if adjoint:
-        diag = operator.extended_window(seq, lo, hi - 1, closure=None).adjoint().diagonals
+        band = operator.extended_window(seq, lo, hi - 1, closure=None).adjoint().band
+        offs = (0, -1, 1, -2, 2)
     else:
-        diag = operator.band_diagonals(seq.alpha_array(lo - 2, hi + 2), lo, hi)
+        band = operator.band_diagonals(seq.alpha_array(lo - 2, hi + 2), lo, hi)
+        offs = (0, 1, -1, 2, -2)
     x = np.zeros(hi - lo, dtype=complex)
     x[psi0.offset - lo:psi0.offset - lo + len(psi0.values)] = psi0.values
     for _ in range(k):
-        x = _apply_full_window(diag, x)
+        x = _apply_full_window(band, offs, x)
     return operator.State(lo, x).trimmed()
 
 

@@ -142,8 +142,8 @@ def test_context_normalization_and_decay():
         for n in range(-20, 20):
             row = 0.0
             for off in (-2, -1, 0, 1, 2):
-                diag = operator.band_diagonals(FIB2.alpha_array(n - 2, n + 3), n, n + 1)
-                row += complex(diag[off][0]) * sol[n + off]
+                band = operator.band_diagonals(FIB2.alpha_array(n - 2, n + 3), n, n + 1)
+                row += complex(band[2 + off][0]) * sol[n + off]
             row_max = max(abs(sol[n + off]) for off in (-2, -1, 0, 1, 2))
             scale = max(abs(sol[n]), 1e-7 * row_max, 1e-30)
             assert abs(row - z * sol[n]) / scale < 1e-9

@@ -1,10 +1,11 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from cmvkit import caratheodory, coeffs, operator, spectral, table, transfer
+from cmvkit import caratheodory, coeffs, operator, spectral, table, transfer, verify
 
 
 def _per_row(path, header, rows):
@@ -101,3 +102,51 @@ def test_writer_matches_per_row_writer(tmp_path, case):
     assert data == (tmp_path / "rows.csv").read_bytes()
     assert data.count(b"\r\n") == len(rows) + 1
     assert len(rows) <= 1 or len(rows) > table._BLOCK
+
+
+def _numpy_record():
+    # numpy scalars inside nested dicts, lists and tuples, as criterion 11
+    # nests its per-theta records; float32 and int64 are no Python
+    # float or int, so they reach the writer's hook
+    return {"gamma": np.float64(0.1), "depth": np.int64(1 << 40), "ok": np.bool_(True),
+            "rows": [{"theta": np.float32(0.1), "steps": np.int32(-3), "passed": np.bool_(False)},
+                     (np.float64(-math.inf), np.uint8(7))],
+            "note": "text", "empty": [], "none": None}
+
+
+def _item_record(value):
+    """The record with each numpy scalar replaced by its `.item()`."""
+    if isinstance(value, dict):
+        return {k: _item_record(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_item_record(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def test_json_writer_writes_numpy_scalars_as_python_values(tmp_path):
+    record = _numpy_record()
+    table.write_json(tmp_path / "record.json", record)
+    want = json.dumps(_item_record(record), indent=2)
+    assert (tmp_path / "record.json").read_bytes() == want.encode("utf-8")
+    assert json.loads(want)["rows"][0] == {"theta": 0.10000000149011612, "steps": -3,
+                                           "passed": False}
+
+
+def test_json_writer_writes_complex_as_text_and_rejects_other_objects(tmp_path):
+    table.write_json(tmp_path / "config.json", {"value": 0.3 + 0.2j, "alphabet": [0.5 - 1j]})
+    assert json.loads((tmp_path / "config.json").read_text(encoding="utf-8")) == {
+        "value": "(0.3+0.2j)", "alphabet": ["(0.5-1j)"]}
+    for bad in (object(), {1, 2}, np.zeros(2)):
+        with pytest.raises(TypeError):
+            table.write_json(tmp_path / "bad.json", {"value": bad})
+
+
+def test_verification_report_writes_numpy_scalars_as_their_items(tmp_path):
+    def result(measured):
+        return verify.CriterionResult(11, "name", np.bool_(True), "soft", "details",
+                                      measured, wall_s=0.25)
+
+    measured = _numpy_record()
+    verify.report_to_json([result(measured)], tmp_path / "numpy.json")
+    verify.report_to_json([result(_item_record(measured))], tmp_path / "items.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "items.json").read_bytes()
